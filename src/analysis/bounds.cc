@@ -60,14 +60,7 @@ bool structurally_clean(const Schedule& s) {
     if (!p.assigned()) return false;
     for (const ShardAssignment& sh : p.shards) {
       if (!(sh.fraction > 0.0) || !std::isfinite(sh.fraction)) return false;
-      bool present = false;
-      for (const ChipletSpec& c : pkg.chiplets()) {
-        if (c.id == sh.chiplet_id) {
-          present = true;
-          break;
-        }
-      }
-      if (!present) return false;
+      if (pkg.position_of(sh.chiplet_id) < 0) return false;
     }
   }
   return s.num_items() > 0;
@@ -101,10 +94,7 @@ StreamContribution price_stream(const StreamRef& v, const PackageConfig& pkg,
     const LayerDesc* desc = s.item(i).desc;
     double item_lat = 0.0;
     for (const ShardAssignment& sh : s.placement(i).shards) {
-      const double shard_lat =
-          analyze_layer(shard_fraction(*desc, sh.fraction),
-                        pkg.chiplet(sh.chiplet_id).array)
-              .latency_s;
+      const double shard_lat = analyze_shard(pkg, *desc, sh).latency_s;
       item_lat = std::max(item_lat, shard_lat);
       out.chiplet_busy[sh.chiplet_id] += shard_lat;
     }

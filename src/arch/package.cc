@@ -12,7 +12,29 @@
 namespace cnpu {
 
 PackageConfig::PackageConfig(std::vector<ChipletSpec> chiplets, NopParams nop)
-    : chiplets_(std::move(chiplets)), nop_(nop) {}
+    : chiplets_(std::move(chiplets)), nop_(nop) {
+  index_chiplets();
+}
+
+void PackageConfig::index_chiplets() {
+  id_index_.clear();
+  if (chiplets_.empty()) return;
+  const auto [lo, hi] = std::minmax_element(
+      chiplets_.begin(), chiplets_.end(),
+      [](const ChipletSpec& a, const ChipletSpec& b) { return a.id < b.id; });
+  // 64-bit: the span of two arbitrary ints overflows int.
+  const std::int64_t span = std::int64_t{hi->id} - lo->id + 1;
+  if (span >
+      kIndexSpanPerChiplet * static_cast<std::int64_t>(chiplets_.size())) {
+    return;
+  }
+  id_base_ = lo->id;
+  id_index_.assign(static_cast<std::size_t>(span), -1);
+  for (std::size_t i = 0; i < chiplets_.size(); ++i) {
+    int& slot = id_index_[static_cast<std::size_t>(chiplets_[i].id - id_base_)];
+    if (slot < 0) slot = static_cast<int>(i);
+  }
+}
 
 std::int64_t PackageConfig::total_pes() const {
   std::int64_t total = 0;
@@ -20,11 +42,26 @@ std::int64_t PackageConfig::total_pes() const {
   return total;
 }
 
-const ChipletSpec& PackageConfig::chiplet(int id) const {
-  for (const auto& c : chiplets_) {
-    if (c.id == id) return c;
+int PackageConfig::position_of(int id) const {
+  if (!id_index_.empty()) {
+    const std::int64_t slot = std::int64_t{id} - id_base_;
+    if (slot < 0 || slot >= static_cast<std::int64_t>(id_index_.size())) {
+      return -1;
+    }
+    return id_index_[static_cast<std::size_t>(slot)];
   }
-  throw std::out_of_range("no chiplet with id " + std::to_string(id));
+  for (std::size_t i = 0; i < chiplets_.size(); ++i) {
+    if (chiplets_[i].id == id) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+const ChipletSpec& PackageConfig::chiplet(int id) const {
+  const int pos = position_of(id);
+  if (pos < 0) {
+    throw std::out_of_range("no chiplet with id " + std::to_string(id));
+  }
+  return chiplets_[static_cast<std::size_t>(pos)];
 }
 
 std::optional<int> PackageConfig::find_chiplet_at(const GridCoord& coord,

@@ -63,7 +63,12 @@ class PackageConfig {
   int num_chiplets() const { return static_cast<int>(chiplets_.size()); }
   std::int64_t total_pes() const;
 
+  // Throws std::out_of_range when no chiplet has that id.
   const ChipletSpec& chiplet(int id) const;
+  // Position of chiplet `id` in chiplets(); -1 when no chiplet has it. Ids
+  // from a loaded bundle may repeat: the first chiplet with the id wins, for
+  // chiplet() and every id lookup built on it. O(1) through the id index.
+  int position_of(int id) const;
   // nullopt when no chiplet has that id.
   std::optional<int> find_chiplet_at(const GridCoord& coord, int npu = 0) const;
 
@@ -176,7 +181,18 @@ class PackageConfig {
   int mesh_segment_hops(int npu, const GridCoord& from,
                         const GridCoord& to) const;
 
+  // Builds id_index_ from chiplets_. The chiplet-list constructor calls it,
+  // and without_chiplet builds its copy through that constructor.
+  void index_chiplets();
+
   std::vector<ChipletSpec> chiplets_;
+  // id - id_base_ -> first position with that id, -1 for a gap. Built only
+  // while the ids span at most kIndexSpanPerChiplet x the chiplet count, so
+  // its memory follows the chiplet count and never the largest id (bundle
+  // ids are untrusted input); sparser ids leave it empty and lookups scan.
+  static constexpr std::int64_t kIndexSpanPerChiplet = 4;
+  std::vector<int> id_index_;
+  int id_base_ = 0;
   std::vector<FailedSite> failed_;
   NopParams nop_;
   int inter_npu_hops_ = 4;

@@ -33,23 +33,126 @@ NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id) {
   return edge_cost(pkg, kCameraInputBytes, pkg.hops_from_io(chiplet_id));
 }
 
-double item_latency_s(const Schedule& s, int item_idx) {
-  const Schedule::Item& it = s.item(item_idx);
-  const Placement& p = s.placement(item_idx);
+CostReport analyze_shard(const PackageConfig& pkg, const LayerDesc& layer,
+                         const ShardAssignment& shard) {
+  const PeArrayConfig& array = pkg.chiplet(shard.chiplet_id).array;
+  // shard_fraction returns a whole-layer shard unchanged whenever its row
+  // count survives the double round trip (<= 2^53); price the layer itself
+  // and skip the copy.
+  if (shard.fraction == 1.0 && layer.y >= 1 &&
+      layer.y <= (std::int64_t{1} << 53)) {
+    return analyze_layer(layer, array);
+  }
+  return analyze_layer(shard_fraction(layer, shard.fraction), array);
+}
+
+namespace {
+
+// Prices item `idx`'s shards in placement order, handing each report to
+// `fn`; returns the item latency (max over shards).
+template <typename Fn>
+double price_item(const Schedule& s, int idx, Fn&& fn) {
+  const Schedule::Item& it = s.item(idx);
+  const Placement& p = s.placement(idx);
   if (!p.assigned()) {
     throw std::logic_error("unassigned layer: " + it.desc->name);
   }
   double latency = 0.0;
   for (const auto& shard : p.shards) {
-    const LayerDesc piece = shard_fraction(*it.desc, shard.fraction);
-    const CostReport r =
-        analyze_layer(piece, s.package().chiplet(shard.chiplet_id).array);
+    const CostReport r = analyze_shard(s.package(), *it.desc, shard);
     latency = std::max(latency, r.latency_s);
+    fn(shard, r);
   }
   return latency;
 }
 
+// Appends item `idx`'s shard costs to `out`; returns the item latency.
+double price_into(const Schedule& s, int idx, std::vector<ShardCost>& out) {
+  return price_item(
+      s, idx, [&](const ShardAssignment& shard, const CostReport& r) {
+        out.push_back(ShardCost{s.package().position_of(shard.chiplet_id),
+                                r.latency_s, r.macs, r.energy_j()});
+      });
+}
+
+}  // namespace
+
+double item_latency_s(const Schedule& s, int item_idx) {
+  return price_item(s, item_idx,
+                    [](const ShardAssignment&, const CostReport&) {});
+}
+
+ShardCostTable::ShardCostTable(const Schedule& s)
+    : s_(&s),
+      runs_(static_cast<std::size_t>(s.num_items())),
+      shards_on_(static_cast<std::size_t>(s.package().num_chiplets()), 0) {
+  costs_.reserve(runs_.size());
+  for (int i = 0; i < s.num_items(); ++i) {
+    Run& run = runs_[static_cast<std::size_t>(i)];
+    run.begin = costs_.size();
+    run.latency_s = price_into(s, i, costs_);
+    run.size = run.capacity = costs_.size() - run.begin;
+    for (const ShardCost& c : shards(i)) {
+      ++shards_on_[static_cast<std::size_t>(c.chiplet_pos)];
+    }
+  }
+}
+
+void ShardCostTable::reprice(int idx) {
+  scratch_.clear();
+  const double latency = price_into(*s_, idx, scratch_);
+  Run& run = runs_[static_cast<std::size_t>(idx)];
+  for (const ShardCost& c : shards(idx)) {
+    --shards_on_[static_cast<std::size_t>(c.chiplet_pos)];
+  }
+  for (const ShardCost& c : scratch_) {
+    ++shards_on_[static_cast<std::size_t>(c.chiplet_pos)];
+  }
+  if (scratch_.size() > run.capacity) {
+    run.begin = costs_.size();
+    run.capacity = scratch_.size();
+    costs_.insert(costs_.end(), scratch_.begin(), scratch_.end());
+  } else {
+    std::copy(scratch_.begin(), scratch_.end(),
+              costs_.begin() + static_cast<std::ptrdiff_t>(run.begin));
+  }
+  run.size = scratch_.size();
+  run.latency_s = latency;
+  run.chain_priced = false;
+  if (s_->item(idx).layer > 0) {
+    runs_[static_cast<std::size_t>(idx) - 1].chain_priced = false;
+  }
+}
+
+const NopCost& ShardCostTable::chain_edge_cost(int idx) {
+  Run& run = runs_[static_cast<std::size_t>(idx)];
+  if (!run.chain_priced) {
+    run.chain = nop_gather_cost(s_->package(), s_->placement(idx),
+                                s_->placement(idx + 1),
+                                s_->item(idx).desc->output_bytes());
+    run.chain_priced = true;
+  }
+  return run.chain;
+}
+
+std::vector<int> ShardCostTable::free_chiplets() const {
+  const PackageConfig& pkg = s_->package();
+  std::vector<int> out;
+  for (const ChipletSpec& c : pkg.chiplets()) {
+    if (shards_on_[static_cast<std::size_t>(pkg.position_of(c.id))] == 0) {
+      out.push_back(c.id);
+    }
+  }
+  return out;
+}
+
 ScheduleMetrics evaluate_schedule(const Schedule& s) {
+  ShardCostTable costs(s);
+  return aggregate_schedule(costs);
+}
+
+ScheduleMetrics aggregate_schedule(ShardCostTable& costs) {
+  const Schedule& s = costs.schedule();
   const PerceptionPipeline& pipe = s.pipeline();
   const PackageConfig& pkg = s.package();
   const int num_stages = pipe.num_stages();
@@ -62,36 +165,20 @@ ScheduleMetrics evaluate_schedule(const Schedule& s) {
     m.chiplets[static_cast<std::size_t>(c)].stage_busy_s.assign(
         static_cast<std::size_t>(num_stages), 0.0);
   }
-  auto usage_of = [&](int chiplet_id) -> ChipletUsage& {
-    for (auto& u : m.chiplets) {
-      if (u.chiplet_id == chiplet_id) return u;
-    }
-    throw std::out_of_range("chiplet id not in package");
-  };
 
-  // Pass 1: per-item shard costs -> chiplet usage + compute energy.
-  std::vector<double> item_lat(static_cast<std::size_t>(s.num_items()), 0.0);
+  // Pass 1: shard costs -> chiplet usage + compute energy.
   for (int i = 0; i < s.num_items(); ++i) {
-    const Schedule::Item& it = s.item(i);
-    const Placement& p = s.placement(i);
-    if (!p.assigned()) {
-      throw std::logic_error("unassigned layer: " + it.desc->name);
+    const auto stage = static_cast<std::size_t>(s.item(i).stage);
+    for (const ShardCost& c : costs.shards(i)) {
+      ChipletUsage& u = m.chiplets[static_cast<std::size_t>(c.chiplet_pos)];
+      u.busy_s += c.latency_s;
+      u.stage_busy_s[stage] += c.latency_s;
+      u.macs += c.macs;
+      u.energy_j += c.energy_j;
+      m.total_macs += c.macs;
+      m.compute_energy_j += c.energy_j;
+      m.stages[stage].compute_energy_j += c.energy_j;
     }
-    double lat = 0.0;
-    for (const auto& shard : p.shards) {
-      const LayerDesc piece = shard_fraction(*it.desc, shard.fraction);
-      const CostReport r = analyze_layer(piece, pkg.chiplet(shard.chiplet_id).array);
-      lat = std::max(lat, r.latency_s);
-      ChipletUsage& u = usage_of(shard.chiplet_id);
-      u.busy_s += r.latency_s;
-      u.stage_busy_s[static_cast<std::size_t>(it.stage)] += r.latency_s;
-      u.macs += r.macs;
-      u.energy_j += r.energy_j();
-      m.total_macs += r.macs;
-      m.compute_energy_j += r.energy_j();
-      m.stages[static_cast<std::size_t>(it.stage)].compute_energy_j += r.energy_j();
-    }
-    item_lat[static_cast<std::size_t>(i)] = lat;
   }
 
   // Pass 2: chain E2Es + NoP edges.
@@ -149,12 +236,9 @@ ScheduleMetrics evaluate_schedule(const Schedule& s) {
       double chain = 0.0;
       for (std::size_t li = 0; li < items.size(); ++li) {
         const int idx = items[li];
-        chain += item_lat[static_cast<std::size_t>(idx)];
+        chain += costs.item_latency_s(idx);
         if (li + 1 < items.size()) {
-          const Placement& cur = s.placement(idx);
-          const Placement& nxt = s.placement(items[li + 1]);
-          const NopCost hop =
-              nop_gather_cost(pkg, cur, nxt, s.item(idx).desc->output_bytes());
+          const NopCost hop = costs.chain_edge_cost(idx);
           sm.nop += hop;
           chain += hop.latency_s;
         }

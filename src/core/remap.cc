@@ -6,20 +6,11 @@
 #include <set>
 #include <stdexcept>
 
+#include "core/evaluator.h"
 #include "core/partition.h"
 #include "core/residency.h"
-#include "dataflow/cost_model.h"
 
 namespace cnpu {
-namespace {
-
-double shard_latency_s(const Schedule& s, int item, const ShardAssignment& sh,
-                       const PackageConfig& pkg) {
-  const LayerDesc piece = shard_fraction(*s.item(item).desc, sh.fraction);
-  return analyze_layer(piece, pkg.chiplet(sh.chiplet_id).array).latency_s;
-}
-
-}  // namespace
 
 Schedule remap_schedule(const Schedule& schedule, const PackageConfig& degraded,
                         int failed_chiplet, RemapStats* stats,
@@ -79,7 +70,8 @@ Schedule remap_schedule(const Schedule& schedule, const PackageConfig& degraded,
   for (int i = 0; i < schedule.num_items(); ++i) {
     for (const auto& sh : schedule.placement(i).shards) {
       if (sh.chiplet_id == failed_chiplet) continue;
-      load[sh.chiplet_id] += shard_latency_s(schedule, i, sh, degraded);
+      load[sh.chiplet_id] +=
+          analyze_shard(degraded, *schedule.item(i).desc, sh).latency_s;
     }
   }
 
@@ -170,7 +162,8 @@ Schedule remap_schedule(const Schedule& schedule, const PackageConfig& degraded,
         // Charge the re-homed work to its new host immediately so later
         // orphans spread across survivors instead of piling onto one; same
         // for the weight bytes the move makes newly resident.
-        load[best] += shard_latency_s(schedule, i, moved, degraded);
+        load[best] +=
+            analyze_shard(degraded, *schedule.item(i).desc, moved).latency_s;
         const double add_w = needed_bytes(best);
         if (add_w > 0.0) {
           weight_used[best] += add_w;

@@ -25,8 +25,9 @@ bool rides_with_predecessor(const LayerDesc& l) {
 }
 
 // Rate-proportional shard fractions (equal on a homogeneous pool, WS-aware
-// on heterogeneous ones).
-void rebalance(Schedule& s, int item_idx, const std::vector<int>& chiplets) {
+// on heterogeneous ones), re-priced in `costs`.
+void rebalance(Schedule& s, ShardCostTable& costs, int item_idx,
+               const std::vector<int>& chiplets) {
   const LayerDesc& full = *s.item(item_idx).desc;
   std::vector<ShardAssignment> shards;
   shards.reserve(chiplets.size());
@@ -35,6 +36,38 @@ void rebalance(Schedule& s, int item_idx, const std::vector<int>& chiplets) {
     shards.push_back(ShardAssignment{c, std::max(r.rate, 1.0)});
   }
   s.assign_weighted(item_idx, std::move(shards));
+  costs.reprice(item_idx);
+}
+
+// split_model_chain with the chain's item latencies read from `latency`
+// (item index -> seconds). Returns the cut.
+template <typename LatencyFn>
+std::size_t split_chain(Schedule& schedule, int stage, int model,
+                        int new_chiplet, LatencyFn&& latency) {
+  const std::vector<int>& items = schedule.items_of_model(stage, model);
+  std::vector<double> lat;
+  lat.reserve(items.size());
+  double total = 0.0;
+  for (const int idx : items) {
+    lat.push_back(latency(idx));
+    total += lat.back();
+  }
+  // Balanced cut: prefix closest to half the chain.
+  std::size_t cut = items.size() / 2;
+  double best_diff = total;
+  double acc = 0.0;
+  for (std::size_t i = 0; i + 1 < items.size(); ++i) {
+    acc += lat[i];
+    const double diff = std::fabs(acc - (total - acc));
+    if (diff < best_diff) {
+      best_diff = diff;
+      cut = i + 1;
+    }
+  }
+  for (std::size_t i = cut; i < items.size(); ++i) {
+    schedule.assign(items[i], new_chiplet);
+  }
+  return cut;
 }
 
 std::vector<int> placement_chiplets(const Placement& p) {
@@ -113,32 +146,9 @@ void initial_quadrant_assignment(Schedule& schedule,
 
 int split_model_chain(Schedule& schedule, int stage, int model,
                       int new_chiplet) {
-  const std::vector<int>& items = schedule.items_of_model(stage, model);
-  std::vector<double> lat(items.size(), 0.0);
-  double total = 0.0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    lat[i] = item_latency_s(schedule, items[i]);
-    total += lat[i];
-  }
-  // Balanced cut: prefix closest to half the chain.
-  double prefix = 0.0;
-  std::size_t cut = items.size() / 2;
-  double best_diff = total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i + 1 < items.size(); ++i) {
-    acc += lat[i];
-    const double diff = std::fabs(acc - (total - acc));
-    if (diff < best_diff) {
-      best_diff = diff;
-      cut = i + 1;
-      prefix = acc;
-    }
-  }
-  (void)prefix;
-  for (std::size_t i = cut; i < items.size(); ++i) {
-    schedule.assign(items[i], new_chiplet);
-  }
-  return static_cast<int>(cut);
+  return static_cast<int>(
+      split_chain(schedule, stage, model, new_chiplet,
+                  [&](int idx) { return item_latency_s(schedule, idx); }));
 }
 
 MatchResult throughput_matching(const PerceptionPipeline& pipeline,
@@ -155,6 +165,10 @@ MatchResult throughput_matching_with_pools(
   Schedule& sched = result.schedule;
 
   initial_quadrant_assignment(sched, pools);
+  // One shard-cost table for the whole match. Each step re-prices only the
+  // items it re-placed, and `metrics` is always aggregate_schedule of the
+  // current table, which is bitwise equal to evaluate_schedule(sched).
+  ShardCostTable costs(sched);
 
   // Capacity-aware matching: a sharding step replicates the bottleneck
   // layer's weights onto the target chiplet, so targets without weight room
@@ -185,7 +199,7 @@ MatchResult throughput_matching_with_pools(
     stage_pool[static_cast<std::size_t>(st)].insert(pool.begin(), pool.end());
   }
 
-  auto free_list = [&]() { return sched.free_chiplets(); };
+  auto free_list = [&]() { return costs.free_chiplets(); };
   auto frozen = [&](int st) {
     return std::find(options.frozen_stages.begin(), options.frozen_stages.end(),
                      st) != options.frozen_stages.end();
@@ -211,7 +225,7 @@ MatchResult throughput_matching_with_pools(
     }
   };
 
-  ScheduleMetrics metrics = evaluate_schedule(sched);
+  ScheduleMetrics metrics = aggregate_schedule(costs);
   double latbase = metrics.stages.front().pipe_s;
   result.latbase_s = latbase;
   record("initial quadrant assignment", metrics, latbase);
@@ -224,7 +238,6 @@ MatchResult throughput_matching_with_pools(
   // own pool, or from the global free list once base-splitting is settled.
   auto absorb_surplus = [&]() -> bool {
     const std::vector<int> frees = free_list();
-    const std::set<int> free_set(frees.begin(), frees.end());
     const bool allow_global = !options.allow_base_split || base_split_done;
     // Stages with the worst end-to-end latency absorb first. The base stage
     // only absorbs when it is the whole pipeline (single-stage workloads).
@@ -240,7 +253,7 @@ MatchResult throughput_matching_with_pools(
       if (frozen(st)) continue;
       int target = -1;
       for (int id : stage_pool[static_cast<std::size_t>(st)]) {
-        if (free_set.count(id)) {
+        if (std::find(frees.begin(), frees.end(), id) != frees.end()) {
           target = id;
           break;
         }
@@ -254,7 +267,7 @@ MatchResult throughput_matching_with_pools(
         if (sched.placement(idx).num_shards() >= 12) continue;
         const LayerDesc& l = *sched.item(idx).desc;
         if (rides_with_predecessor(l)) continue;
-        const double lat = item_latency_s(sched, idx);
+        const double lat = costs.item_latency_s(idx);
         if (lat > worst_lat) {
           worst_lat = lat;
           worst_item = idx;
@@ -269,8 +282,8 @@ MatchResult throughput_matching_with_pools(
       std::vector<int> chiplets =
           placement_chiplets(sched.placement(worst_item));
       chiplets.push_back(target);
-      rebalance(sched, worst_item, chiplets);
-      metrics = evaluate_schedule(sched);
+      rebalance(sched, costs, worst_item, chiplets);
+      metrics = aggregate_schedule(costs);
       refresh_residency();
       latbase = metrics.stages.front().pipe_s;
       record("absorb-surplus " + sched.item(worst_item).desc->name + " x" +
@@ -321,12 +334,18 @@ MatchResult throughput_matching_with_pools(
         if (splittable) {
           for (int mod = 0; mod < fe.num_models(); ++mod) {
             const int fresh = frees[static_cast<std::size_t>(mod)];
-            split_model_chain(sched, 0, mod, fresh);
+            const std::size_t cut =
+                split_chain(sched, 0, mod, fresh,
+                            [&](int idx) { return costs.item_latency_s(idx); });
+            const std::vector<int>& items = sched.items_of_model(0, mod);
+            for (std::size_t i = cut; i < items.size(); ++i) {
+              costs.reprice(items[i]);
+            }
             stage_pool[0].insert(fresh);
           }
           base_split_done = true;
           saturated.clear();
-          metrics = evaluate_schedule(sched);
+          metrics = aggregate_schedule(costs);
           refresh_residency();
           latbase = metrics.stages.front().pipe_s;
           record("split FE chains into 2 pipeline sub-stages", metrics, latbase);
@@ -343,7 +362,7 @@ MatchResult throughput_matching_with_pools(
     int worst_item = -1;
     double worst_lat = 0.0;
     for (int idx : sched.items_of_stage(bottleneck)) {
-      const double lat = item_latency_s(sched, idx);
+      const double lat = costs.item_latency_s(idx);
       if (lat > worst_lat) {
         worst_lat = lat;
         worst_item = idx;
@@ -358,10 +377,9 @@ MatchResult throughput_matching_with_pools(
     // shard of this layer; otherwise reallocate a free chiplet.
     const Placement& cur = sched.placement(worst_item);
     auto busy_of = [&](int id) {
-      for (const auto& u : metrics.chiplets) {
-        if (u.chiplet_id == id) return u.busy_s;
-      }
-      return 0.0;
+      const int pos = package.position_of(id);
+      return pos < 0 ? 0.0
+                     : metrics.chiplets[static_cast<std::size_t>(pos)].busy_s;
     };
     const double item_weight = layer_weight_bytes(*sched.item(worst_item).desc);
     int target = -1;
@@ -393,8 +411,8 @@ MatchResult throughput_matching_with_pools(
 
     std::vector<int> chiplets = placement_chiplets(cur);
     chiplets.push_back(target);
-    rebalance(sched, worst_item, chiplets);
-    metrics = evaluate_schedule(sched);
+    rebalance(sched, costs, worst_item, chiplets);
+    metrics = aggregate_schedule(costs);
     refresh_residency();
     latbase = metrics.stages.front().pipe_s;
     record(how + " " + sched.item(worst_item).desc->name + " x" +
@@ -402,7 +420,7 @@ MatchResult throughput_matching_with_pools(
            metrics, latbase);
   }
 
-  result.metrics = evaluate_schedule(sched);
+  result.metrics = std::move(metrics);
   result.latbase_s = result.metrics.stages.front().pipe_s;
   if (result.trace.empty() || !result.converged) {
     result.converged =

@@ -209,6 +209,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec, const SweepFn& fn,
   };
 
   if (threads() <= 1 || n <= 1) {
+    const ThreadPool::InlineScope inline_slot;
     for (int i = 0; i < n; ++i) evaluate_into(i);
   } else {
     // Never spawn more workers than there are points.

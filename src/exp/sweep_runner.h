@@ -108,11 +108,12 @@ class SweepRunner {
 
   // Number of distinct per-worker state slots a run() / map() callback can
   // observe: slot ThreadPool::current_worker_index() + 1, i.e. slot 0 for
-  // the inline (serial) path on the calling thread and 1..threads() for
-  // pool workers. Although each run builds a fresh pool, worker indices
-  // are stable across runs, so per-slot state (e.g. a SimEngine with its
-  // compiled-program cache) persists usefully across consecutive sweeps —
-  // the bisection rounds of max_sustainable_load rely on exactly that.
+  // the inline (serial) path on the calling thread, even when that thread
+  // is a worker of an enclosing pool, and 1..threads() for pool workers.
+  // Although each run builds a fresh pool, worker indices are stable across
+  // runs, so per-slot state (e.g. a SimEngine with its compiled-program
+  // cache) persists usefully across consecutive sweeps — the bisection
+  // rounds of max_sustainable_load rely on exactly that.
   int worker_slots() const { return threads() + 1; }
 
   // Evaluates every point of `spec`, capturing per-point errors. The points
@@ -149,6 +150,7 @@ class SweepRunner {
     if (threads() <= 1 || n <= 1) {
       // Same contract as the parallel path: every point runs, then the
       // lowest-index exception (if any) is rethrown.
+      const ThreadPool::InlineScope inline_slot;
       for (int i = 0; i < n; ++i) eval(i);
     } else {
       // Never spawn more workers than there are points.

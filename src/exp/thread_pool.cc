@@ -6,13 +6,18 @@
 namespace cnpu {
 namespace {
 
-// Written once at worker startup, read by current_worker_index(); -1 on
-// every thread that is not a pool worker.
+// Written at worker startup, read by current_worker_index(); -1 on every
+// thread that is not a pool worker, and inside an InlineScope.
 thread_local int t_pool_worker_index = -1;
 
 }  // namespace
 
 int ThreadPool::current_worker_index() { return t_pool_worker_index; }
+
+ThreadPool::InlineScope::InlineScope()
+    : saved_(std::exchange(t_pool_worker_index, -1)) {}
+
+ThreadPool::InlineScope::~InlineScope() { t_pool_worker_index = saved_; }
 
 int ThreadPool::recommended_threads() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));

@@ -60,12 +60,29 @@ class ThreadPool {
 
   // Index of the calling thread within the pool that owns it: 0..N-1 on a
   // pool worker, -1 on any other thread (including the thread that built
-  // the pool). Lets point evaluators key per-worker reusable state — e.g.
-  // the sweep layer's per-slot SimEngines — without locking: two live
-  // workers never share an index, and a worker's index is stable for its
-  // lifetime. Pool-relative; with several pools the index alone does not
-  // identify a pool (sweep-shaped code runs one pool at a time).
+  // the pool) and inside an InlineScope. Lets point evaluators key
+  // per-worker reusable state — e.g. the sweep layer's per-slot SimEngines
+  // — without locking: two live workers never share an index, and a
+  // worker's index is stable for its lifetime. Pool-relative; with several
+  // pools the index alone does not identify a pool (sweep-shaped code runs
+  // one pool at a time).
   static int current_worker_index();
+
+  // While alive, current_worker_index() reports -1 on the thread that made
+  // it, as on a thread outside any pool; the destructor restores the index.
+  // SweepRunner runs its inline (serial) path under one, so state keyed by
+  // slot current_worker_index() + 1 maps that path to slot 0 even when the
+  // runner itself was called from a worker of an enclosing pool.
+  class InlineScope {
+   public:
+    InlineScope();
+    ~InlineScope();
+    InlineScope(const InlineScope&) = delete;
+    InlineScope& operator=(const InlineScope&) = delete;
+
+   private:
+    int saved_;
+  };
 
  private:
   void worker_loop(std::stop_token stop, std::size_t self);

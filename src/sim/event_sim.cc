@@ -93,11 +93,9 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
   prog.deps.resize(static_cast<std::size_t>(sched.num_items()));
 
   const auto dense_of = [&](int chiplet_id) {
-    const auto& specs = dense_pkg.chiplets();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].id == chiplet_id) return static_cast<int>(i);
-    }
-    throw std::out_of_range("chiplet id not in package");
+    const int pos = dense_pkg.position_of(chiplet_id);
+    if (pos < 0) throw std::out_of_range("chiplet id not in package");
+    return pos;
   };
 
   const auto resolve_route = [&](const std::vector<NopLink>& route) {
@@ -114,8 +112,7 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
       throw std::logic_error("unassigned layer: " + sched.item(i).desc->name);
     }
     for (const auto& sh : p.shards) {
-      const LayerDesc piece = shard_fraction(*sched.item(i).desc, sh.fraction);
-      const CostReport r = analyze_layer(piece, pkg.chiplet(sh.chiplet_id).array);
+      const CostReport r = analyze_shard(pkg, *sched.item(i).desc, sh);
       prog.shards_of_item[static_cast<std::size_t>(i)].push_back(
           ShardTask{dense_of(sh.chiplet_id), r.latency_s});
     }

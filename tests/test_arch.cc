@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include "arch/chiplet.h"
 #include "arch/nop.h"
 #include "arch/package.h"
@@ -236,6 +240,46 @@ TEST(PackageConfig, TransferCostUsesMeshHops) {
 TEST(PackageConfig, ChipletLookupThrowsOnBadId) {
   const PackageConfig pkg = make_simba_package(2, 2);
   EXPECT_THROW(pkg.chiplet(77), std::out_of_range);
+}
+
+// The chiplet-id index answers exactly like a first-match scan: compact
+// ids, repeated ids, negative ids, and ids too sparse to index densely
+// (bundle ids are untrusted; the extreme span must not size the index).
+TEST(PackageConfig, PositionOfMatchesFirstMatchScan) {
+  const auto package_with_ids = [](const std::vector<int>& ids) {
+    std::vector<ChipletSpec> chiplets;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      chiplets.push_back(make_chiplet(ids[i], 0, static_cast<int>(i)));
+    }
+    return PackageConfig(std::move(chiplets), NopParams{});
+  };
+  const auto scan = [](const PackageConfig& pkg, int id) {
+    for (int i = 0; i < pkg.num_chiplets(); ++i) {
+      if (pkg.chiplets()[static_cast<std::size_t>(i)].id == id) return i;
+    }
+    return -1;
+  };
+  const int lo = std::numeric_limits<int>::min();
+  const int hi = std::numeric_limits<int>::max();
+  const std::vector<std::vector<int>> id_sets = {
+      {0, 1, 2, 3}, {5, 3, 9, 3, 4}, {7, -2, 0}, {0, 1000000}, {lo, hi, 0, hi},
+  };
+  for (const std::vector<int>& ids : id_sets) {
+    const PackageConfig pkg = package_with_ids(ids);
+    for (const int id : {lo, lo + 1, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                         10, 999999, 1000000, hi - 1, hi}) {
+      EXPECT_EQ(pkg.position_of(id), scan(pkg, id)) << id;
+    }
+    for (const int id : ids) {
+      EXPECT_EQ(&pkg.chiplet(id),
+                &pkg.chiplets()[static_cast<std::size_t>(scan(pkg, id))]);
+    }
+  }
+  // without_chiplet's copy is indexed too.
+  const PackageConfig degraded = make_simba_package(2, 2).without_chiplet(1);
+  EXPECT_EQ(degraded.position_of(1), -1);
+  EXPECT_EQ(degraded.position_of(3), 2);
+  EXPECT_THROW(degraded.chiplet(1), std::out_of_range);
 }
 
 TEST(PackageConfig, WithoutChipletRemovesOne) {

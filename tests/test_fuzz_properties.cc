@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -16,6 +18,7 @@
 #include "core/partition.h"
 #include "core/remap.h"
 #include "core/residency.h"
+#include "core/throughput_matching.h"
 #include "dataflow/cost_model.h"
 #include "dataflow/mapping_analysis.h"
 #include "sim/event_sim.h"
@@ -1133,6 +1136,156 @@ TEST_P(FuzzSeed, BoundSoundness) {
       EXPECT_LE(bounds.streams[t].latency_bound_s, floor * (1.0 + kRelEps));
     }
     if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// Bitwise equality of two doubles, sign of zero and NaN payload included.
+void expect_same_bits(double a, double b, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+void expect_metrics_bitwise(const ScheduleMetrics& got,
+                            const ScheduleMetrics& want) {
+  ASSERT_EQ(got.chiplets.size(), want.chiplets.size());
+  for (std::size_t c = 0; c < want.chiplets.size(); ++c) {
+    const ChipletUsage& g = got.chiplets[c];
+    const ChipletUsage& w = want.chiplets[c];
+    const std::string at = "chiplet " + std::to_string(w.chiplet_id);
+    EXPECT_EQ(g.chiplet_id, w.chiplet_id) << at;
+    expect_same_bits(g.busy_s, w.busy_s, at + " busy_s");
+    expect_same_bits(g.macs, w.macs, at + " macs");
+    expect_same_bits(g.energy_j, w.energy_j, at + " energy_j");
+    ASSERT_EQ(g.stage_busy_s.size(), w.stage_busy_s.size()) << at;
+    for (std::size_t st = 0; st < w.stage_busy_s.size(); ++st) {
+      expect_same_bits(g.stage_busy_s[st], w.stage_busy_s[st],
+                       at + " stage_busy_s[" + std::to_string(st) + "]");
+    }
+  }
+  ASSERT_EQ(got.stages.size(), want.stages.size());
+  for (std::size_t st = 0; st < want.stages.size(); ++st) {
+    const StageMetrics& g = got.stages[st];
+    const StageMetrics& w = want.stages[st];
+    const std::string at = "stage " + w.name;
+    EXPECT_EQ(g.name, w.name);
+    expect_same_bits(g.e2e_s, w.e2e_s, at + " e2e_s");
+    expect_same_bits(g.pipe_s, w.pipe_s, at + " pipe_s");
+    expect_same_bits(g.compute_energy_j, w.compute_energy_j,
+                     at + " compute_energy_j");
+    expect_same_bits(g.nop.latency_s, w.nop.latency_s, at + " nop.latency_s");
+    expect_same_bits(g.nop.energy_j, w.nop.energy_j, at + " nop.energy_j");
+    EXPECT_EQ(g.chiplets_used, w.chiplets_used) << at;
+  }
+  expect_same_bits(got.e2e_s, want.e2e_s, "e2e_s");
+  expect_same_bits(got.pipe_s, want.pipe_s, "pipe_s");
+  expect_same_bits(got.compute_energy_j, want.compute_energy_j,
+                   "compute_energy_j");
+  expect_same_bits(got.nop.latency_s, want.nop.latency_s, "nop.latency_s");
+  expect_same_bits(got.nop.energy_j, want.nop.energy_j, "nop.energy_j");
+  expect_same_bits(got.total_macs, want.total_macs, "total_macs");
+  expect_same_bits(got.utilization, want.utilization, "utilization");
+}
+
+// Oracle for Algorithm 1's incremental evaluation. A ShardCostTable that
+// re-prices only the items a random re-shard or chain split touched must
+// aggregate to exactly what a fresh evaluate_schedule computes, after every
+// step: on healthy and degraded packages, over random-layer chains in
+// parallel-model stages behind an optional stage prefix model.
+TEST_P(FuzzSeed, IncrementalPricingMatchesFreshEvaluation) {
+  Lcg rng(static_cast<std::uint64_t>(GetParam()) * 40503u + 19u);
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    PackageConfig pkg = random_package(rng);
+    const auto random_chiplet = [&] {
+      const auto pos = rng.range(0, pkg.num_chiplets() - 1);
+      return pkg.chiplets()[static_cast<std::size_t>(pos)].id;
+    };
+    if (pkg.num_chiplets() > 2 && rng.range(0, 1) == 0) {
+      const int victim = random_chiplet();
+      if (!pkg.io_port_attached_to(victim)) pkg = pkg.without_chiplet(victim);
+    }
+
+    int tag = 0;
+    const auto random_model = [&](const std::string& name) {
+      Model m;
+      m.name = name;
+      const int layers = static_cast<int>(rng.range(1, 4));
+      for (int l = 0; l < layers; ++l) {
+        m.layers.push_back(random_layer(rng, tag++));
+      }
+      return m;
+    };
+    PerceptionPipeline pipe;
+    Stage front{"S0", {}};
+    const int front_models = static_cast<int>(rng.range(1, 3));
+    for (int k = 0; k < front_models; ++k) {
+      front.models.push_back({random_model("front" + std::to_string(k)), false});
+    }
+    Stage fused{"S1", {}};
+    if (rng.range(0, 1) == 0) {
+      fused.models.push_back({random_model("prefix"), true});
+    }
+    const int fused_models = static_cast<int>(rng.range(1, 2));
+    for (int k = 0; k < fused_models; ++k) {
+      fused.models.push_back({random_model("fused" + std::to_string(k)), false});
+    }
+    pipe.stages = {front, fused};
+
+    Schedule sched(pipe, pkg);
+    for (int i = 0; i < sched.num_items(); ++i) {
+      sched.assign(i, random_chiplet());
+    }
+
+    // A disconnected degraded package makes both evaluations throw alike.
+    ScheduleMetrics fresh;
+    try {
+      fresh = evaluate_schedule(sched);
+    } catch (const std::runtime_error&) {
+      ShardCostTable costs(sched);
+      EXPECT_THROW(aggregate_schedule(costs), std::runtime_error);
+      continue;
+    }
+    ShardCostTable costs(sched);
+    expect_metrics_bitwise(aggregate_schedule(costs), fresh);
+
+    for (int step = 0; step < 12; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const int item = static_cast<int>(rng.range(0, sched.num_items() - 1));
+      const Schedule::Item& it = sched.item(item);
+      if (rng.range(0, 3) == 0) {
+        // A pipeline split: the chain suffix moves to one chiplet.
+        const std::vector<int>& chain =
+            sched.items_of_model(it.stage, it.model);
+        const auto cut = static_cast<std::size_t>(
+            split_model_chain(sched, it.stage, it.model, random_chiplet()));
+        for (std::size_t i = cut; i < chain.size(); ++i) {
+          costs.reprice(chain[i]);
+        }
+      } else {
+        // A re-shard: 1-3 weighted shards, repeats allowed.
+        std::vector<ShardAssignment> shards;
+        const int n = static_cast<int>(rng.range(1, 3));
+        for (int k = 0; k < n; ++k) {
+          shards.push_back(ShardAssignment{
+              random_chiplet(), static_cast<double>(rng.range(1, 8))});
+        }
+        sched.assign_weighted(item, std::move(shards));
+        costs.reprice(item);
+      }
+      try {
+        fresh = evaluate_schedule(sched);
+      } catch (const std::runtime_error&) {
+        EXPECT_THROW(aggregate_schedule(costs), std::runtime_error);
+        break;
+      }
+      expect_metrics_bitwise(aggregate_schedule(costs), fresh);
+      EXPECT_EQ(costs.free_chiplets(), sched.free_chiplets());
+      for (int i = 0; i < sched.num_items(); ++i) {
+        expect_same_bits(costs.item_latency_s(i), item_latency_s(sched, i),
+                         "item " + std::to_string(i) + " latency");
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
   }
 }
 

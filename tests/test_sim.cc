@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -898,6 +900,49 @@ TEST(Serving, MaxSustainableLoadDeterministicAcrossThreadCounts) {
   for (std::size_t i = 0; i < serial.probes.size(); ++i) {
     EXPECT_EQ(serial.probes[i].fps, parallel.probes[i].fps);
     EXPECT_EQ(serial.probes[i].feasible, parallel.probes[i].feasible);
+  }
+}
+
+// A serial search (threads = 1) evaluates its probes inline. Called from
+// the points of a parallel sweep, it runs on pool workers whose indices
+// exceed its own worker slots; its per-slot plans must still use slot 0.
+TEST(Serving, SerialMaxSustainableLoadInsideParallelSweep) {
+  const ServingScenario s;
+  std::vector<TenantWorkload> fleet = s.fleet(2, 0.0, s.healthy * 4.0);
+  for (TenantWorkload& w : fleet) w.frames = 12;
+  ServingOptions opt;
+  opt.policy = PlacementPolicy::kShared;
+  LoadSearchOptions search;
+  search.fps_lo = 0.2 / s.healthy;
+  search.fps_hi = 1.5 / s.healthy;
+  search.probes_per_round = 3;
+  search.max_rounds = 2;
+  search.threads = 1;
+  const LoadSearchResult top = max_sustainable_load(s.pkg, fleet, opt, search);
+
+  // The first two points meet at a latch, so both workers of the 2-thread
+  // sweep run a point: worker index 1 is always exercised.
+  std::latch both_workers(2);
+  std::atomic<int> started{0};
+  SweepSpec spec("nested_search");
+  spec.axis("copy", {0, 1, 2, 3});
+  const SweepResult sweep =
+      SweepRunner(SweepOptions{.threads = 2})
+          .run(spec, [&](const SweepPoint&) {
+            if (started.fetch_add(1) < 2) both_workers.arrive_and_wait();
+            const LoadSearchResult r =
+                max_sustainable_load(s.pkg, fleet, opt, search);
+            SweepRecord rec;
+            rec.set("max_fps", r.max_fps);
+            rec.set("min_infeasible_fps", r.min_infeasible_fps);
+            rec.set("probes", static_cast<double>(r.probes.size()));
+            return rec;
+          });
+  for (const SweepPointResult& p : sweep.points) {
+    ASSERT_TRUE(p.ok) << p.error;
+    EXPECT_EQ(p.record.get("max_fps"), top.max_fps);
+    EXPECT_EQ(p.record.get("min_infeasible_fps"), top.min_infeasible_fps);
+    EXPECT_EQ(p.record.get("probes"), static_cast<double>(top.probes.size()));
   }
 }
 

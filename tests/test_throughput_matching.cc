@@ -1,10 +1,12 @@
 #include "core/throughput_matching.h"
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/partition.h"
+#include "core/scaling.h"
 #include "workloads/autopilot.h"
 
 namespace cnpu {
@@ -167,6 +169,132 @@ TEST(SplitModelChain, BalancesHalves) {
   }
   // Balanced within 25%.
   EXPECT_NEAR(head / (head + tail), 0.5, 0.25);
+}
+
+// Bitwise pins of Algorithm 1, captured from the whole-schedule evaluation
+// the match ran before it priced incrementally: the trace step by step and
+// the final metrics must not move by one ulp.
+struct PinnedStep {
+  double pipe_ms;
+  double latbase_ms;
+  int chiplets_free;
+};
+
+void expect_pinned_trace(const MatchResult& r,
+                         const std::vector<PinnedStep>& steps) {
+  ASSERT_EQ(r.trace.size(), steps.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(r.trace[i].pipe_ms, steps[i].pipe_ms) << r.trace[i].action;
+    EXPECT_EQ(r.trace[i].latbase_ms, steps[i].latbase_ms) << r.trace[i].action;
+    EXPECT_EQ(r.trace[i].chiplets_free, steps[i].chiplets_free)
+        << r.trace[i].action;
+  }
+}
+
+// The Fig. 5-8 operating point: 8 cameras on the 6x6 mesh, tolerance 0.10.
+TEST(MatchingPins, SixBySixEightCamerasBitwise) {
+  AutopilotConfig cfg;
+  cfg.num_cameras = 8;
+  const PerceptionPipeline pipe = build_autopilot_pipeline(cfg);
+  const PackageConfig pkg = make_simba_package();
+  MatchOptions opt;
+  opt.tolerance = 0.10;
+  const MatchResult r = throughput_matching(pipe, pkg, opt);
+  expect_pinned_trace(
+      r, {
+             {0x1.f5517324baca7p+7, 0x1.49bc45960c464p+6, 12},  // initial
+             {0x1.efb97f122ed6bp+7, 0x1.49bc45960c464p+6, 11},
+             {0x1.0f934793cbb2ap+7, 0x1.49bc45960c464p+6, 10},
+             {0x1.f55501ba14636p+6, 0x1.49bc45960c464p+6, 9},
+             {0x1.f077d6d1328d2p+6, 0x1.49bc45960c464p+6, 8},
+             {0x1.edfccc6ed8fbap+6, 0x1.49bc45960c464p+6, 7},
+             {0x1.e7d7f3717c443p+6, 0x1.49bc45960c464p+6, 6},
+             {0x1.4e35e89f912a6p+6, 0x1.49bc45960c464p+6, 5},
+             {0x1.4b7453741b5adp+6, 0x1.49bc45960c464p+6, 4},  // absorb
+             {0x1.49bc45960c464p+6, 0x1.49bc45960c464p+6, 3},
+             {0x1.49bc45960c464p+6, 0x1.49bc45960c464p+6, 2},
+             {0x1.49bc45960c464p+6, 0x1.49bc45960c464p+6, 1},
+             {0x1.49bc45960c464p+6, 0x1.49bc45960c464p+6, 0},
+         });
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.latbase_s, 0x1.51a62a958d97dp-4);
+  EXPECT_EQ(r.metrics.e2e_s, 0x1.1985d65b99b19p-1);
+  EXPECT_EQ(r.metrics.pipe_s, 0x1.51a62a958d97dp-4);
+  EXPECT_EQ(r.metrics.energy_j(), 0x1.518a23443ef55p-1);
+}
+
+// The 2-NPU pool layout with base splitting and frozen trunks (Sec. V-B),
+// the one the DSE benchmark's 2-NPU points match.
+TEST(MatchingPins, TwoNpuBaseSplitBitwise) {
+  const ScaleOutResult s = scale_out_two_npus(AutopilotConfig{});
+  const MatchResult& r = s.match;
+  expect_pinned_trace(
+      r, {
+             {0x1.f5517324baca7p+7, 0x1.49bc45960c464p+6, 42},  // initial
+             {0x1.efb97f122ed6bp+7, 0x1.49bc45960c464p+6, 41},
+             {0x1.0f934793cbb2ap+7, 0x1.49bc45960c464p+6, 40},
+             {0x1.f55501ba14636p+6, 0x1.49bc45960c464p+6, 39},
+             {0x1.f077d6d1328d2p+6, 0x1.49bc45960c464p+6, 38},
+             {0x1.edfccc6ed8fbap+6, 0x1.49bc45960c464p+6, 37},
+             {0x1.e7d7f3717c443p+6, 0x1.49bc45960c464p+6, 36},
+             {0x1.4e35e89f912a6p+6, 0x1.49bc45960c464p+6, 35},
+             {0x1.4e35e89f912a6p+6, 0x1.49bcda10822e5p+5, 27},  // base split
+             {0x1.4b7453741b5adp+6, 0x1.49bcda10822e5p+5, 27},
+             {0x1.3c54cce0eec2dp+6, 0x1.49bcda10822e5p+5, 27},
+             {0x1.3c54cce0eec2dp+6, 0x1.49bcda10822e5p+5, 26},
+             {0x1.3c54cce0eec2dp+6, 0x1.49bcda10822e5p+5, 25},
+             {0x1.3706b9e6cf65cp+6, 0x1.49bcda10822e5p+5, 24},
+             {0x1.0ad272283b887p+6, 0x1.49bcda10822e5p+5, 23},
+             {0x1.0ad272283b887p+6, 0x1.49bcda10822e5p+5, 22},
+             {0x1.ee01d91e13e75p+5, 0x1.49bcda10822e5p+5, 21},
+             {0x1.e91796f57a6b1p+5, 0x1.49bcda10822e5p+5, 21},
+             {0x1.d3a74736f6364p+5, 0x1.49bcda10822e5p+5, 21},
+             {0x1.d3a74736f6364p+5, 0x1.49bcda10822e5p+5, 20},
+             {0x1.170bbef768c95p+6, 0x1.49bcda10822e5p+5, 20},
+             {0x1.170bbef768c95p+6, 0x1.49bcda10822e5p+5, 20},
+             {0x1.153d40e51433p+6, 0x1.49bcda10822e5p+5, 20},
+             {0x1.05213043057fep+6, 0x1.49bcda10822e5p+5, 20},
+             {0x1.f232c8aa285d2p+5, 0x1.49bcda10822e5p+5, 20},
+             {0x1.d65ccc5401091p+5, 0x1.49bcda10822e5p+5, 20},
+             {0x1.bae0bef218b6ap+5, 0x1.49bcda10822e5p+5, 20},
+             {0x1.b54ce609258a5p+5, 0x1.49bcda10822e5p+5, 20},
+             {0x1.a1d5309032597p+5, 0x1.49bcda10822e5p+5, 20},
+             {0x1.8e9a657173e09p+5, 0x1.49bcda10822e5p+5, 20},
+             {0x1.8e26b7faadb0bp+5, 0x1.49bcda10822e5p+5, 20},
+             {0x1.8e26b7faadb0bp+5, 0x1.49bcda10822e5p+5, 19},
+             {0x1.ea5229987fbe4p+5, 0x1.49bcda10822e5p+5, 19},
+             {0x1.ea5229987fbe4p+5, 0x1.49bcda10822e5p+5, 19},
+             {0x1.c2ad7d34976fcp+5, 0x1.49bcda10822e5p+5, 19},
+             {0x1.94f8a3a39701cp+5, 0x1.49bcda10822e5p+5, 19},
+             {0x1.8845c5062eee2p+5, 0x1.49bcda10822e5p+5, 19},
+             {0x1.7c56b6fbaa2ffp+5, 0x1.49bcda10822e5p+5, 19},
+             {0x1.6b5c5d1bf334p+5, 0x1.49bcda10822e5p+5, 19},
+             {0x1.690fbbee10a29p+5, 0x1.49bcda10822e5p+5, 19},
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 18},  // absorb
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 17},
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 16},
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 15},
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 14},
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 13},
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 12},
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 11},
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 10},
+             {0x1.6754b3b67b51ap+5, 0x1.49bcda10822e5p+5, 9},
+             {0x1.4f0b6c44ccb89p+5, 0x1.49bcda10822e5p+5, 8},
+             {0x1.4f0b6c44ccb89p+5, 0x1.49bcda10822e5p+5, 7},
+             {0x1.4f0b6c44ccb89p+5, 0x1.49bcda10822e5p+5, 6},
+             {0x1.4f0b6c44ccb89p+5, 0x1.49bcda10822e5p+5, 5},
+             {0x1.4f0b6c44ccb89p+5, 0x1.49bcda10822e5p+5, 4},
+             {0x1.4f0b6c44ccb89p+5, 0x1.49bcda10822e5p+5, 3},
+             {0x1.4f0b6c44ccb89p+5, 0x1.49bcda10822e5p+5, 2},
+             {0x1.4f0b6c44ccb89p+5, 0x1.49bcda10822e5p+5, 1},
+             {0x1.4f0b6c44ccb89p+5, 0x1.49bcda10822e5p+5, 0},
+         });
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.latbase_s, 0x1.51a6c2a043c4fp-5);
+  EXPECT_EQ(r.metrics.e2e_s, 0x1.4cf064f7aba69p-2);
+  EXPECT_EQ(r.metrics.pipe_s, 0x1.455319a32c4eep-4);
+  EXPECT_EQ(r.metrics.energy_j(), 0x1.7fdea2c40089dp-1);
 }
 
 TEST(MatchingExtraStages, PipelinesBeyondFourStagesShareLastPool) {
