@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analysis/validate.h"
 #include "core/evaluator.h"
 #include "dataflow/cost_model.h"
 #include "util/table.h"
@@ -38,18 +39,6 @@ std::string fmt_ratio(double r) {
   return std::string(buf);
 }
 
-// One admitted stream, resolved exactly like SimEngine's run_into resolves
-// SimOptions (implicit single stream vs explicit tenants) — the same
-// resolution validate.cc's collect_sim performs.
-struct StreamRef {
-  const Schedule* sched = nullptr;
-  std::string locus;
-  std::string name;
-  double deadline_s = 0.0;
-  double frame_interval_s = 0.0;
-  const ArrivalSpec* arrivals = nullptr;
-};
-
 // Bounds require a structurally sound stream (every item assigned, every
 // shard chiplet present): anything the S/T structural rules would flag is
 // skipped rather than re-diagnosed here.
@@ -75,13 +64,13 @@ struct StreamContribution {
   std::map<int, double> chiplet_busy;         // chiplet id -> busy s/frame
 };
 
-StreamContribution price_stream(const StreamRef& v, const PackageConfig& pkg,
-                                bool nop) {
-  const Schedule& s = *v.sched;
+StreamContribution price_stream(const StreamView& v, std::string locus,
+                                const PackageConfig& pkg, bool nop) {
+  const Schedule& s = *v.schedule;
   const int n = s.num_items();
   StreamContribution out;
-  out.bound.name = v.name;
-  out.bound.locus = v.locus;
+  out.bound.name = *v.name;
+  out.bound.locus = std::move(locus);
   out.bound.deadline_s = v.deadline_s;
   out.bound.rate_known =
       mean_arrival_rate_fps(*v.arrivals, v.frame_interval_s,
@@ -248,38 +237,25 @@ BoundsReport compute_bounds(const Schedule& schedule,
   report.nop_modeled = options.model_nop_delays;
   report.nop_mode = options.nop_mode;
 
-  // Resolve the stream list exactly like run_into.
-  std::vector<StreamRef> streams;
-  if (options.tenants.empty()) {
-    streams.push_back(StreamRef{&schedule, "schedule", "stream",
-                                options.deadline_s, options.frame_interval_s,
-                                &options.arrivals});
-  } else {
-    for (std::size_t t = 0; t < options.tenants.size(); ++t) {
-      const TenantStream& ten = options.tenants[t];
-      const Schedule* sched = ten.schedule != nullptr ? ten.schedule
-                                                      : &schedule;
-      if (&sched->package() != &pkg) continue;  // T003's job, not ours
-      streams.push_back(StreamRef{
-          sched, "tenant " + std::to_string(t) + " \"" + ten.name + "\"",
-          ten.name, ten.deadline_s, ten.frame_interval_s, &ten.arrivals});
-    }
-  }
+  std::vector<StreamView> streams;
+  resolve_streams(schedule, options, streams);
 
   const bool nop = options.model_nop_delays;
   const bool link_binding = nop && options.nop_mode == NopMode::kContended;
   std::map<NopLink, LinkBound> links;
   std::map<int, ChipletBound> chiplets;
   std::vector<const Schedule*> priced_scheds;
-  for (const StreamRef& v : streams) {
-    if (!structurally_clean(*v.sched)) continue;
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    const StreamView& v = streams[t];
+    if (&v.schedule->package() != &pkg) continue;  // T003's job, not ours
+    if (!structurally_clean(*v.schedule)) continue;
     StreamContribution c;
     try {
-      c = price_stream(v, pkg, nop);
+      c = price_stream(v, stream_locus(options, t), pkg, nop);
     } catch (const std::exception&) {
       continue;  // unpriceable (malformed bundle layer): skip the stream
     }
-    priced_scheds.push_back(v.sched);
+    priced_scheds.push_back(v.schedule);
     for (const auto& [link, bytes] : c.link_bytes) {
       LinkBound& lb = links[link];
       lb.link = link;
@@ -343,29 +319,11 @@ BoundsReport compute_bounds(const PackageConfig& package,
                             const std::vector<TenantWorkload>& tenants,
                             const ServingOptions& options) {
   // Place exactly like serve_tenants (same exceptions), then bound the
-  // placed fleet through the SimOptions shape the ServingPlan would run.
+  // placed fleet through the SimOptions the ServingPlan would run.
   const TenantPlacement placement =
       place_tenants(tenants, package, options.policy);
-  SimOptions sim;
-  sim.model_nop_delays = options.model_nop_delays;
-  sim.nop_mode = options.nop_mode;
-  sim.fault = options.fault;
-  sim.policy = options.policy;
-  sim.tenants.reserve(tenants.size());
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    TenantStream stream;
-    stream.name = tenants[t].name.empty() ? "tenant" + std::to_string(t)
-                                          : tenants[t].name;
-    stream.schedule = &placement.schedules[t];
-    stream.frames = tenants[t].frames;
-    stream.frame_interval_s = tenants[t].frame_interval_s;
-    stream.deadline_s = tenants[t].deadline_s;
-    stream.priority = tenants[t].priority;
-    stream.arrivals = tenants[t].arrivals;
-    stream.admission = tenants[t].admission;
-    sim.tenants.push_back(std::move(stream));
-  }
-  return compute_bounds(placement.schedules.front(), sim);
+  return compute_bounds(placement.schedules.front(),
+                        fleet_sim_options(tenants, placement, options));
 }
 
 void collect_bound_diagnostics(const BoundsReport& report, Diagnostics& out) {

@@ -20,25 +20,9 @@ std::string fmt_seconds(double s) {
   return std::string(buf) + " s";
 }
 
-// One admitted frame stream, resolved exactly like SimEngine's run_into
-// resolves SimOptions (implicit single stream vs explicit tenants) so the
-// validators see the same streams the simulator would admit.
-struct StreamView {
-  const Schedule* sched = nullptr;
-  std::string locus;  // "schedule" / "tenant 1 \"vit\""
-  std::string name;   // the stream name the runtime messages use
-  int frames = 1;
-  double deadline_s = 0.0;
-  const std::vector<int>* allowed = nullptr;
-  const ArrivalSpec* arrivals = nullptr;
-  const AdmissionControl* admission = nullptr;
-};
-
-const std::vector<int> kNoAllowedChiplets;
-
-std::string item_locus(const StreamView& v, int idx) {
-  const Schedule::Item& it = v.sched->item(idx);
-  return v.locus + " / item " + std::to_string(idx) + " (stage " +
+std::string item_locus(const std::string& locus, const Schedule& s, int idx) {
+  const Schedule::Item& it = s.item(idx);
+  return locus + " / item " + std::to_string(idx) + " (stage " +
          std::to_string(it.stage) + " model " + std::to_string(it.model) +
          " layer " + it.desc->name + ")";
 }
@@ -61,14 +45,14 @@ ChipletRef classify_chiplet(const PackageConfig& pkg, int chiplet_id) {
 // clean (every item assigned, every reference resolves) — the gate for the
 // route / residency / deadline analyses, which would throw on a broken
 // structure.
-bool collect_structure(const StreamView& v, Diagnostics& out) {
-  const Schedule& s = *v.sched;
+bool collect_structure(const Schedule& s, const std::string& locus,
+                       Diagnostics& out) {
   const PackageConfig& pkg = s.package();
   bool clean = true;
   for (int i = 0; i < s.num_items(); ++i) {
     const Placement& p = s.placement(i);
     if (!p.assigned()) {
-      out.add(kRuleSchedUnassigned, item_locus(v, i),
+      out.add(kRuleSchedUnassigned, item_locus(locus, s, i),
               "unassigned layer: " + s.item(i).desc->name);
       clean = false;
       continue;
@@ -80,13 +64,13 @@ bool collect_structure(const StreamView& v, Diagnostics& out) {
         case ChipletRef::kPresent:
           break;
         case ChipletRef::kDead:
-          out.add(kRuleSchedDeadChiplet, item_locus(v, i),
+          out.add(kRuleSchedDeadChiplet, item_locus(locus, s, i),
                   "shard references chiplet " + std::to_string(sh.chiplet_id) +
                       ", which without_chiplet removed from the package");
           clean = false;
           break;
         case ChipletRef::kDangling:
-          out.add(kRuleSchedDanglingChiplet, item_locus(v, i),
+          out.add(kRuleSchedDanglingChiplet, item_locus(locus, s, i),
                   "shard references chiplet " + std::to_string(sh.chiplet_id) +
                       ", which the package never had");
           clean = false;
@@ -98,7 +82,7 @@ bool collect_structure(const StreamView& v, Diagnostics& out) {
       sum += sh.fraction;
     }
     if (bad_fraction || std::abs(sum - 1.0) > 1e-6) {
-      out.add(kRuleSchedShardFraction, item_locus(v, i),
+      out.add(kRuleSchedShardFraction, item_locus(locus, s, i),
               "shard fractions sum to " + std::to_string(sum) +
                   (bad_fraction ? " with a non-positive fraction" : ""));
     }
@@ -112,8 +96,8 @@ bool collect_structure(const StreamView& v, Diagnostics& out) {
 // handed in directly). `enforced` is model_nop_delays: with NoP delays off
 // the runtime never resolves a route, so an unroutable edge is lint-only.
 // Returns true when every edge routed.
-bool collect_routes(const StreamView& v, const Schedule& sched, bool enforced,
-                    Diagnostics& out) {
+bool collect_routes(const std::string& locus, const Schedule& sched,
+                    bool enforced, Diagnostics& out) {
   const PackageConfig& pkg = sched.package();
   if (pkg.failed_sites().empty()) return true;
   bool ok = true;
@@ -125,7 +109,7 @@ bool collect_routes(const StreamView& v, const Schedule& sched, bool enforced,
           (void)pkg.hops_from_io(dst);
         } catch (const std::runtime_error& e) {
           out.add(kRuleRouteIoSevered,
-                  v.locus + " / ingress -> item " + std::to_string(item) +
+                  locus + " / ingress -> item " + std::to_string(item) +
                       " (chiplet " + std::to_string(dst) + ")",
                   e.what(), enforced);
           ok = false;
@@ -138,7 +122,7 @@ bool collect_routes(const StreamView& v, const Schedule& sched, bool enforced,
             (void)pkg.hops_between(sh.chiplet_id, dst);
           } catch (const std::runtime_error& e) {
             out.add(kRuleRouteUnreachable,
-                    v.locus + " / edge item " + std::to_string(producer) +
+                    locus + " / edge item " + std::to_string(producer) +
                         " -> item " + std::to_string(consumer) + " (chiplet " +
                         std::to_string(sh.chiplet_id) + " -> " +
                         std::to_string(dst) + ")",
@@ -164,48 +148,42 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
             "schedule has no items (empty pipeline)");
   }
 
-  // Resolve the stream list exactly like run_into: explicit tenants, or
-  // the single implicit stream described by the top-level options fields.
+  // The streams the simulator would admit, with their diagnostics loci. A
+  // tenant on another package or with an empty schedule is reported and
+  // left out: every deeper check would compare apples to oranges.
   std::vector<StreamView> streams;
-  if (options.tenants.empty()) {
-    streams.push_back(StreamView{&schedule, "schedule", "stream",
-                                 std::max(options.frames, 1),
-                                 options.deadline_s, &kNoAllowedChiplets,
-                                 &options.arrivals, &options.admission});
-  } else {
-    for (std::size_t t = 0; t < options.tenants.size(); ++t) {
-      const TenantStream& ten = options.tenants[t];
-      const Schedule* sched =
-          ten.schedule != nullptr ? ten.schedule : &schedule;
-      const std::string locus =
-          "tenant " + std::to_string(t) + " \"" + ten.name + "\"";
-      if (&sched->package() != &schedule.package()) {
-        out.add(kRuleTenantForeignPackage, locus,
-                "tenant \"" + ten.name +
-                    "\" is scheduled on a different package");
-        continue;  // every deeper check would compare apples to oranges
-      }
-      if (sched->num_items() == 0) {
-        out.add(kRuleSchedEmpty, locus,
-                "tenant \"" + ten.name + "\" has an empty schedule");
-        continue;
-      }
-      streams.push_back(StreamView{sched, locus, ten.name,
-                                   std::max(ten.frames, 1), ten.deadline_s,
-                                   &ten.allowed_chiplets, &ten.arrivals,
-                                   &ten.admission});
+  resolve_streams(schedule, options, streams);
+  std::vector<std::string> loci;
+  std::size_t kept = 0;
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    const StreamView v = streams[t];
+    std::string locus = stream_locus(options, t);
+    if (&v.schedule->package() != &pkg) {
+      out.add(kRuleTenantForeignPackage, locus,
+              "tenant \"" + *v.name +
+                  "\" is scheduled on a different package");
+      continue;
     }
+    if (!options.tenants.empty() && v.schedule->num_items() == 0) {
+      out.add(kRuleSchedEmpty, locus,
+              "tenant \"" + *v.name + "\" has an empty schedule");
+      continue;
+    }
+    streams[kept++] = v;
+    loci.push_back(std::move(locus));
   }
+  streams.resize(kept);
 
-  for (const StreamView& v : streams) {
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    const StreamView& v = streams[t];
     if (v.admission->policy != ShedPolicy::kNone &&
         v.admission->queue_capacity <= 0) {
-      out.add(kRuleAdmissionCapacity, v.locus + " / admission",
-              "stream \"" + v.name +
+      out.add(kRuleAdmissionCapacity, loci[t] + " / admission",
+              "stream \"" + *v.name +
                   "\" sets a ShedPolicy without a positive queue_capacity");
     }
     if (v.admission->shed_expired && !(v.deadline_s > 0.0)) {
-      out.add(kRuleAdmissionInertExpiry, v.locus + " / admission",
+      out.add(kRuleAdmissionInertExpiry, loci[t] + " / admission",
               "shed_expired is set but the stream has no deadline, so the "
               "knob is inert");
     }
@@ -232,9 +210,9 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
   // routes (which only a package with failed sites can break).
   std::vector<bool> clean(streams.size(), false);
   for (std::size_t t = 0; t < streams.size(); ++t) {
-    clean[t] = collect_structure(streams[t], out);
+    clean[t] = collect_structure(*streams[t].schedule, loci[t], out);
     if (clean[t]) {
-      clean[t] = collect_routes(streams[t], *streams[t].sched, nop, out);
+      clean[t] = collect_routes(loci[t], *streams[t].schedule, nop, out);
     }
   }
 
@@ -257,10 +235,11 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
         const StreamView& v = streams[t];
         try {
           const Schedule remapped = remap_schedule(
-              *v.sched, degraded, fault.chiplet_id, nullptr, *v.allowed);
-          collect_routes(v, remapped, nop, out);
+              *v.schedule, degraded, fault.chiplet_id, nullptr,
+              *v.allowed_chiplets);
+          collect_routes(loci[t], remapped, nop, out);
         } catch (const std::invalid_argument& e) {
-          out.add(kRuleFaultNoSurvivor, v.locus + " / fault remap", e.what());
+          out.add(kRuleFaultNoSurvivor, loci[t] + " / fault remap", e.what());
         }
       }
       if (pkg.io_port_attached_to(fault.chiplet_id) &&
@@ -277,11 +256,12 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
     }
   }
 
-  for (const StreamView& v : streams) {
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    const StreamView& v = streams[t];
     if (!v.arrivals->active()) continue;
     const std::string err = describe_arrival_spec_error(*v.arrivals, v.frames);
     if (!err.empty()) {
-      out.add(kRuleArrivalSpecInvalid, v.locus + " / arrivals", err);
+      out.add(kRuleArrivalSpecInvalid, loci[t] + " / arrivals", err);
     }
   }
 
@@ -292,7 +272,7 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
     scheds.reserve(streams.size());
     bool all_clean = !streams.empty();
     for (std::size_t t = 0; t < streams.size(); ++t) {
-      scheds.push_back(streams[t].sched);
+      scheds.push_back(streams[t].schedule);
       all_clean = all_clean && clean[t];
     }
     if (all_clean) {
@@ -317,18 +297,18 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
       if (!(v.deadline_s > 0.0) || !clean[t]) continue;
       double bound = -1.0;
       for (const auto& [sched, e2e] : e2e_cache) {
-        if (sched == v.sched) bound = e2e;
+        if (sched == v.schedule) bound = e2e;
       }
       if (bound < 0.0) {
         try {
-          bound = evaluate_schedule(*v.sched).e2e_s;
+          bound = evaluate_schedule(*v.schedule).e2e_s;
         } catch (...) {
           continue;  // structurally fine but unpriceable: nothing to bound
         }
-        e2e_cache.emplace_back(v.sched, bound);
+        e2e_cache.emplace_back(v.schedule, bound);
       }
       if (v.deadline_s < bound) {
-        out.add(kRuleDeadlineInfeasible, v.locus,
+        out.add(kRuleDeadlineInfeasible, loci[t],
                 "deadline " + fmt_seconds(v.deadline_s) +
                     " is below the analytical E2E lower bound " +
                     fmt_seconds(bound) + ": every frame must miss");
@@ -338,6 +318,12 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
 }
 
 }  // namespace
+
+std::string stream_locus(const SimOptions& options, std::size_t index) {
+  if (options.tenants.empty()) return "schedule";
+  return "tenant " + std::to_string(index) + " \"" +
+         options.tenants[index].name + "\"";
+}
 
 Diagnostics validate(const Schedule& schedule, const SimOptions& options) {
   Diagnostics out;
@@ -378,32 +364,10 @@ Diagnostics validate(const PackageConfig& package,
     return out;
   }
 
-  // Assemble the SimOptions the ServingPlan constructor would run, then
-  // reuse the simulate_schedule validators over it.
-  SimOptions sim;
-  sim.model_nop_delays = options.model_nop_delays;
-  sim.nop_mode = options.nop_mode;
-  sim.fault = options.fault;
-  sim.policy = options.policy;
-  sim.tenants.reserve(tenants.size());
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    TenantStream stream;
-    stream.name = tenants[t].name.empty()
-                      ? "tenant" + std::to_string(t)
-                      : tenants[t].name;
-    stream.schedule = &placement.schedules[t];
-    stream.frames = tenants[t].frames;
-    stream.frame_interval_s = tenants[t].frame_interval_s;
-    stream.deadline_s = tenants[t].deadline_s;
-    stream.priority = tenants[t].priority;
-    stream.arrivals = tenants[t].arrivals;
-    stream.admission = tenants[t].admission;
-    if (options.policy == PlacementPolicy::kPartitioned) {
-      stream.allowed_chiplets = placement.pools[t];
-    }
-    sim.tenants.push_back(std::move(stream));
-  }
-  collect_sim(placement.schedules.front(), sim, out);
+  // The simulate_schedule validators over the SimOptions the ServingPlan
+  // would run.
+  collect_sim(placement.schedules.front(),
+              fleet_sim_options(tenants, placement, options), out);
   return out;
 }
 

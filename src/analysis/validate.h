@@ -47,6 +47,7 @@
 // throws only on programmer errors (unregistered rule IDs).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,12 @@
 #include "sim/serving.h"
 
 namespace cnpu::analysis {
+
+// Diagnostics locus of stream `index` of resolve_streams(schedule,
+// options): "schedule" for the implicit stream, `tenant <index> "<name>"`
+// for a TenantStream. validate and compute_bounds report streams under it.
+[[nodiscard]] std::string stream_locus(const SimOptions& options,
+                                       std::size_t index);
 
 // Full rule evaluation over one simulation bundle (the simulate_schedule
 // input shape: the top-level schedule plus options carrying fault plan,

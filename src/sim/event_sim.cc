@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -76,14 +75,11 @@ struct Program {
 // `dense_pkg` defines the dense chiplet index space (always the ORIGINAL
 // package, so the primary and degraded programs share calendars); routes
 // and costs come from the schedule's own package, which for the degraded
-// program detours around the failed router. `link_order`, when non-null,
-// records every resolved dense link index in resolution order — the
-// engine replays these records to reconstruct the link registration order
-// a FRESH fabric would have seen, which fixes the link_stats output order
-// (see SimEngine::Impl::collect_run_links).
+// program detours around the failed router. `links`, when non-null,
+// collects every resolved dense link index (see canonicalize_links).
 Program build_program(const Schedule& sched, bool nop, bool contended,
                       NopFabric& fabric, const PackageConfig& dense_pkg,
-                      std::vector<int>* link_order) {
+                      std::vector<int>* links) {
   const PerceptionPipeline& pipe = sched.pipeline();
   const PackageConfig& pkg = sched.package();
 
@@ -100,8 +96,8 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
 
   const auto resolve_route = [&](const std::vector<NopLink>& route) {
     std::vector<int> indices = fabric.resolve(route);
-    if (link_order != nullptr) {
-      link_order->insert(link_order->end(), indices.begin(), indices.end());
+    if (links != nullptr) {
+      links->insert(links->end(), indices.begin(), indices.end());
     }
     return indices;
   };
@@ -210,6 +206,17 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
   return prog;
 }
 
+// Sorts dense link indices by the link each names and drops repeats —
+// the order SimResult::link_stats reports in. Each cached program's list
+// is canonicalized once at build; a run sorts again only when it unions
+// several programs' lists.
+void canonicalize_links(std::vector<int>& links, const NopFabric& fabric) {
+  std::sort(links.begin(), links.end(), [&](int a, int b) {
+    return fabric.link(a) < fabric.link(b);
+  });
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+}
+
 // Event kinds, in tie-break order at equal timestamps: frame admissions
 // first (so ingress messages claim links before same-instant completions),
 // then shard finishes (so freed dependents are visible), then dispatches,
@@ -243,9 +250,9 @@ struct EvAfter {
 
 // A shard waiting for its ready time on a chiplet's calendar. `rank` is
 // the owning job's dispatch rank — equal to its frame index for a single
-// stream (preserving the legacy FIFO-by-frame policy bitwise), and the
-// policy-resolved admission order across tenants otherwise. Ranks are a
-// bijection over jobs, so (rank) alone identifies the job in comparators.
+// closed-loop stream (FIFO by frame), and the policy-resolved admission
+// order across tenants otherwise. Ranks are a bijection over jobs, so
+// (rank) alone identifies the job in comparators.
 struct PendingShard {
   double ready;
   int rank;
@@ -308,29 +315,6 @@ class MinHeap {
   std::vector<T> v_;
 };
 
-// One resolved tenant stream: the explicit TenantStream list, or the
-// single implicit stream described by SimOptions' top-level fields. Holds
-// pointers into the caller's SimOptions (or the statics below) so that
-// re-resolving streams every run costs no string/vector copies.
-struct StreamSpec {
-  const Schedule* sched = nullptr;
-  const std::string* name = nullptr;
-  int frames = 1;
-  double interval = 0.0;
-  double deadline = 0.0;
-  int priority = 0;
-  const std::vector<int>* allowed = nullptr;
-  const ArrivalSpec* arrivals = nullptr;
-  const AdmissionControl* admission = nullptr;
-};
-
-const std::string kImplicitStreamName = "stream";
-const std::vector<int> kNoAllowedChiplets;
-// Defaults a StreamSpec's pointers can always dereference: an inactive
-// process / inactive admission control is indistinguishable from "unset".
-const ArrivalSpec kNoArrivalProcess;
-const AdmissionControl kNoAdmission;
-
 // Recovery metric (see SimResult::recovery_time_s), per latency/completion
 // slice: baseline = best completed latency observed before the fault
 // (slice minimum when nothing completed pre-fault); the spike ends when
@@ -365,10 +349,8 @@ double recovery_after_fault(const std::vector<double>& latency,
 // everything the drop-exclusion convention touches — completed count,
 // makespan, steady interval, percentiles (filter-then-rank: NaN latencies
 // must not poison or UB-sort into the rank), mean, peak — computed in ONE
-// place so per-tenant slices and the multi-tenant package aggregates
-// cannot diverge. The single-stream branches of run_into keep their
-// original inline code: they are bitwise-pinned to the pre-serving
-// simulator.
+// place so per-tenant slices and the package aggregates of every run,
+// single stream included, cannot diverge.
 struct TailStats {
   int completed = 0;
   double makespan_s = 0.0;  // NaN when nothing completed
@@ -425,13 +407,11 @@ TailStats reduce_tail(const std::vector<double>& latency,
 
 // Reduces one tenant's completion slice (NaN = dropped or shed) into `tr`
 // in place, overwriting every field and reusing its vectors' capacity.
-// `admit` is the tenant's realized admission-instant slice: for a
-// closed-loop stream it holds exactly f * interval (the same doubles the
-// pre-arrivals reduction multiplied inline, so latencies stay bitwise),
-// for an open-loop stream the generated arrival instants — whose periodic
-// assumption is also why `open_loop` turns the steady-interval estimate
-// into a documented NaN.
-void reduce_tenant_into(const StreamSpec& stream, const double* completion,
+// `admit` is the tenant's realized admission-instant slice: f * interval
+// for a closed-loop stream, the generated arrival instants for an
+// open-loop one — whose broken periodic assumption is why `open_loop`
+// turns the steady-interval estimate into a documented NaN.
+void reduce_tenant_into(const StreamView& stream, const double* completion,
                         const double* admit, int shed, bool open_loop,
                         double nop_wait_s, double queue_delay_mean_s,
                         double queue_delay_peak_s,
@@ -461,9 +441,9 @@ void reduce_tenant_into(const StreamSpec& stream, const double* completion,
   tr.steady_interval_s =
       open_loop ? std::numeric_limits<double>::quiet_NaN()
                 : tail.steady_interval_s;
-  if (stream.deadline > 0.0) {
+  if (stream.deadline_s > 0.0) {
     for (const double lat : tr.frame_latency_s) {
-      if (!std::isnan(lat) && lat > stream.deadline) {
+      if (!std::isnan(lat) && lat > stream.deadline_s) {
         ++tr.deadline_miss_frames;
       }
     }
@@ -491,7 +471,7 @@ struct DegradedEntry {
   std::optional<Schedule> remapped;
   Program prog;
   RemapStats remap_stats;
-  std::vector<int> build_links;  // resolved link indices, resolve order
+  std::vector<int> links;  // links routed over (reloads included), canonical
   // Weight reloads charged when this variant takes over (empty / zero with
   // the memory model inactive). fault_reloads re-home the remapped weights
   // onto the survivors at the fault instant (one aggregated transfer per
@@ -508,7 +488,7 @@ struct DegradedEntry {
 // run's TenantCtx holds raw pointers into them).
 struct ProgramEntry {
   Program prog;
-  std::vector<int> build_links;
+  std::vector<int> links;  // links routed over, canonical (contended only)
   std::vector<std::unique_ptr<DegradedEntry>> degraded;
 };
 
@@ -544,6 +524,31 @@ struct TenantCtx {
 
 using namespace evsim;
 
+namespace {
+const std::string kImplicitStreamName = "stream";
+const std::vector<int> kNoAllowedChiplets;
+}  // namespace
+
+void resolve_streams(const Schedule& schedule, const SimOptions& options,
+                     std::vector<StreamView>& out) {
+  out.clear();
+  if (options.tenants.empty()) {
+    out.push_back(StreamView{&schedule, &kImplicitStreamName,
+                             std::max(options.frames, 1),
+                             std::max(options.frame_interval_s, 0.0),
+                             options.deadline_s, 0, &kNoAllowedChiplets,
+                             &options.arrivals, &options.admission});
+    return;
+  }
+  for (const TenantStream& t : options.tenants) {
+    out.push_back(StreamView{t.schedule != nullptr ? t.schedule : &schedule,
+                             &t.name, std::max(t.frames, 1),
+                             std::max(t.frame_interval_s, 0.0), t.deadline_s,
+                             t.priority, &t.allowed_chiplets, &t.arrivals,
+                             &t.admission});
+  }
+}
+
 // All per-run state as flat reusable buffers plus the compiled-program
 // caches. Between runs nothing is deallocated: vectors are assign()ed or
 // clear()ed (capacity retained), heaps cleared in place, the fabric's
@@ -559,7 +564,7 @@ struct SimEngine::Impl {
   EngineStats stats;
 
   // --- per-run state (reset by every run_into) ---
-  std::vector<StreamSpec> streams;
+  std::vector<StreamView> streams;
   std::vector<TenantCtx> ctx;
   std::vector<int> tenant_of;
   std::vector<std::size_t> slot_of;
@@ -601,12 +606,10 @@ struct SimEngine::Impl {
   std::vector<double> chiplet_free;
   std::vector<double> chiplet_busy;
   MinHeap<Ev, EvAfter> events;
-  // Link-stats replay: the dense indices this run's programs resolved, in
-  // the order a fresh fabric would have registered them.
+  // The union of the links of this run's programs, canonical — built only
+  // when the run has more than one program (several tenants or a fault).
   std::vector<int> run_links;
-  std::vector<std::uint64_t> link_mark;
-  std::uint64_t mark_epoch = 0;
-  // Reduction scratch (reduce_tail / recovery / legacy percentiles).
+  // Reduction scratch (reduce_tail / recovery).
   std::vector<double> scr_lat;
   std::vector<double> scr_times;
   std::vector<double> scr_recovery;
@@ -621,7 +624,8 @@ struct SimEngine::Impl {
     }
     ProgramEntry e;
     e.prog = build_program(sched, nop, contended, fabric, dense_pkg,
-                           contended ? &e.build_links : nullptr);
+                           contended ? &e.links : nullptr);
+    canonicalize_links(e.links, fabric);
     ++stats.program_builds;
     // Inserted only after a successful build: a throwing build leaves the
     // cache without a half-constructed entry.
@@ -629,11 +633,12 @@ struct SimEngine::Impl {
   }
 
   const DegradedEntry& degraded_for(ProgramEntry& entry,
-                                    const StreamSpec& stream, bool nop,
+                                    const StreamView& stream, bool nop,
                                     bool contended, const PackageConfig& pkg,
                                     const FaultPlan& fault) {
     for (const auto& d : entry.degraded) {
-      if (d->fault_chiplet == fault.chiplet_id && d->allowed == *stream.allowed) {
+      if (d->fault_chiplet == fault.chiplet_id &&
+          d->allowed == *stream.allowed_chiplets) {
         ++stats.program_cache_hits;
         return *d;
       }
@@ -648,26 +653,22 @@ struct SimEngine::Impl {
     }
     auto d = std::make_unique<DegradedEntry>();
     d->fault_chiplet = fault.chiplet_id;
-    d->allowed = *stream.allowed;
-    d->remapped.emplace(remap_schedule(*stream.sched, *pit->second,
+    d->allowed = *stream.allowed_chiplets;
+    d->remapped.emplace(remap_schedule(*stream.schedule, *pit->second,
                                        fault.chiplet_id, &d->remap_stats,
-                                       *stream.allowed));
+                                       *stream.allowed_chiplets));
     d->prog = build_program(*d->remapped, nop, contended, fabric, pkg,
-                            contended ? &d->build_links : nullptr);
-    // Reload plans (memory model active only — resolving them otherwise
-    // would perturb the pinned link_stats order of the inactive model).
+                            contended ? &d->links : nullptr);
+    // Reload plans (memory model active only: with it inactive nothing is
+    // reloaded, and the reload routes' links must not join link_stats).
     if (pkg.memory_model_active()) {
-      const auto dense_of = [&](int chiplet_id) {
-        const auto& specs = pkg.chiplets();
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-          if (specs[i].id == chiplet_id) return static_cast<int>(i);
-        }
-        throw std::out_of_range("reload destination not in package");
-      };
       const auto plan = [&](const PackageConfig& routed, int chiplet_id,
                             double bytes) {
         ReloadPlan rp;
-        rp.dense_chiplet = dense_of(chiplet_id);
+        rp.dense_chiplet = pkg.position_of(chiplet_id);
+        if (rp.dense_chiplet < 0) {
+          throw std::out_of_range("reload destination not in package");
+        }
         rp.bytes = bytes;
         rp.delay_s =
             nop ? routed.transfer_cost(-1, chiplet_id, bytes).latency_s : 0.0;
@@ -676,49 +677,42 @@ struct SimEngine::Impl {
         if (bw > 0.0) rp.delay_s += bytes / bw;
         if (contended) {
           rp.route = fabric.resolve(routed.route_from_io(chiplet_id));
-          d->build_links.insert(d->build_links.end(), rp.route.begin(),
-                                rp.route.end());
+          d->links.insert(d->links.end(), rp.route.begin(), rp.route.end());
         }
         return rp;
       };
       for (const ReloadTransfer& r : d->remap_stats.reloads) {
         d->fault_reloads.push_back(plan(*pit->second, r.chiplet_id, r.bytes));
       }
-      const ResidencyReport res = compute_residency(*stream.sched);
+      const ResidencyReport res = compute_residency(*stream.schedule);
       const ChipletResidency* cr = res.find(fault.chiplet_id);
       if (cr != nullptr && cr->weight_bytes > 0.0) {
         d->recover_reload = plan(pkg, fault.chiplet_id, cr->weight_bytes);
       }
     }
+    canonicalize_links(d->links, fabric);
     ++stats.program_builds;
     entry.degraded.push_back(std::move(d));
     return *entry.degraded.back();
   }
 
-  // Reconstructs the link registration order of a FRESH fabric for this
-  // run — each program's resolution record replayed in fresh build order
-  // (primaries in tenant order, then degradeds in tenant order), first
-  // occurrence kept — so stats_into emits link_stats bitwise-identical to
-  // the one-shot path even though the persistent registry also holds
-  // links of other schedules simulated earlier.
-  void collect_run_links(bool faulted) {
-    if (link_mark.size() < static_cast<std::size_t>(fabric.num_links())) {
-      link_mark.resize(static_cast<std::size_t>(fabric.num_links()), 0);
-    }
-    ++mark_epoch;
+  // The links this run reports, canonical: the one program's own list, or
+  // the union over every tenant's primary (and, under a fault, degraded)
+  // program. The persistent registry also holds links of schedules
+  // simulated earlier, so the run names its links explicitly.
+  const std::vector<int>& run_link_list(bool faulted) {
+    if (ctx.size() == 1 && !faulted) return ctx.front().entry->links;
     run_links.clear();
-    const auto add = [&](const std::vector<int>& links) {
-      for (const int li : links) {
-        if (link_mark[static_cast<std::size_t>(li)] != mark_epoch) {
-          link_mark[static_cast<std::size_t>(li)] = mark_epoch;
-          run_links.push_back(li);
-        }
+    for (const TenantCtx& c : ctx) {
+      run_links.insert(run_links.end(), c.entry->links.begin(),
+                       c.entry->links.end());
+      if (faulted) {
+        run_links.insert(run_links.end(), c.degraded->links.begin(),
+                         c.degraded->links.end());
       }
-    };
-    for (const TenantCtx& c : ctx) add(c.entry->build_links);
-    if (faulted) {
-      for (const TenantCtx& c : ctx) add(c.degraded->build_links);
     }
+    canonicalize_links(run_links, fabric);
+    return run_links;
   }
 
   void run_into(const Schedule& schedule, const SimOptions& options,
@@ -760,8 +754,6 @@ struct SimEngine::Impl {
     chiplet_busy.clear();
     events.clear();
     run_links.clear();
-    link_mark.clear();
-    mark_epoch = 0;
     scr_lat.clear();
     scr_times.clear();
     scr_recovery.clear();
@@ -774,44 +766,26 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     throw std::invalid_argument(
         "simulate_schedule: schedule has no items (empty pipeline)");
   }
-  // Resolve the stream list: explicit tenants, or the single implicit
-  // stream described by the top-level options fields.
-  streams.clear();
-  if (options.tenants.empty()) {
-    streams.push_back(StreamSpec{&schedule, &kImplicitStreamName,
-                                 std::max(options.frames, 1),
-                                 std::max(options.frame_interval_s, 0.0),
-                                 options.deadline_s, 0, &kNoAllowedChiplets,
-                                 &options.arrivals, &options.admission});
-  } else {
-    streams.reserve(options.tenants.size());
-    for (const TenantStream& t : options.tenants) {
-      const Schedule* sched = t.schedule != nullptr ? t.schedule : &schedule;
-      if (&sched->package() != &schedule.package()) {
-        throw std::invalid_argument(
-            "simulate_schedule: tenant \"" + t.name +
-            "\" is scheduled on a different package");
-      }
-      if (sched->num_items() == 0) {
-        throw std::invalid_argument("simulate_schedule: tenant \"" + t.name +
-                                    "\" has an empty schedule");
-      }
-      streams.push_back(StreamSpec{sched, &t.name, std::max(t.frames, 1),
-                                   std::max(t.frame_interval_s, 0.0),
-                                   t.deadline_s, t.priority,
-                                   &t.allowed_chiplets, &t.arrivals,
-                                   &t.admission});
+  resolve_streams(schedule, options, streams);
+  // The implicit stream runs `schedule` itself, checked above; a tenant
+  // may name its own.
+  for (const StreamView& s : streams) {
+    if (&s.schedule->package() != &schedule.package()) {
+      throw std::invalid_argument("simulate_schedule: tenant \"" + *s.name +
+                                  "\" is scheduled on a different package");
+    }
+    if (s.schedule->num_items() == 0) {
+      throw std::invalid_argument("simulate_schedule: tenant \"" + *s.name +
+                                  "\" has an empty schedule");
     }
   }
   const int num_tenants = static_cast<int>(streams.size());
-  const bool multi = num_tenants > 1;
 
-  // Open-loop / admission-control regime of this run. Both false is the
-  // bitwise-pinned legacy regime: every new branch below is either skipped
-  // or a no-op there.
+  // Open-loop / admission-control regime of this run: with both false the
+  // arrival, shedding and steady-interval branches below are skipped.
   bool open = false;
   bool shed_any = false;
-  for (const StreamSpec& s : streams) {
+  for (const StreamView& s : streams) {
     if (s.admission->policy != ShedPolicy::kNone &&
         s.admission->queue_capacity <= 0) {
       throw std::invalid_argument(
@@ -845,11 +819,11 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   std::size_t slots = 0;
   for (int t = 0; t < num_tenants; ++t) {
     TenantCtx& c = ctx[static_cast<std::size_t>(t)];
-    ProgramEntry& e = program_for(*streams[static_cast<std::size_t>(t)].sched,
-                                  nop, contended, pkg);
+    ProgramEntry& e = program_for(
+        *streams[static_cast<std::size_t>(t)].schedule, nop, contended, pkg);
     c.entry = &e;
     c.primary = &e.prog;
-    c.items = streams[static_cast<std::size_t>(t)].sched->num_items();
+    c.items = streams[static_cast<std::size_t>(t)].schedule->num_items();
     c.job_base = jobs;
     c.slot_base = slots;
     jobs += streams[static_cast<std::size_t>(t)].frames;
@@ -859,11 +833,9 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   }
   const int nc = ctx.front().primary->num_chiplets;
 
-  int dead = -1;  // dense package-order index of the failed chiplet
+  // Dense package-order index of the failed chiplet.
+  const int dead = faulted ? pkg.position_of(fault.chiplet_id) : -1;
   if (faulted) {
-    for (std::size_t i = 0; i < pkg.chiplets().size(); ++i) {
-      if (pkg.chiplets()[i].id == fault.chiplet_id) dead = static_cast<int>(i);
-    }
     if (dead < 0) {
       throw std::invalid_argument(
           "simulate_schedule: FaultPlan chiplet " +
@@ -878,17 +850,15 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   }
 
   // Global job index space, tenant-major: tenant t's frame f is job
-  // job_base[t] + f, so a single stream's job ids equal its frame ids and
-  // every legacy code path below is bit-identical in that case.
+  // job_base[t] + f, so a single stream's job ids equal its frame ids.
   tenant_of.resize(static_cast<std::size_t>(jobs));
   slot_of.resize(static_cast<std::size_t>(jobs));
   admit_of.resize(static_cast<std::size_t>(jobs));
   for (int t = 0; t < num_tenants; ++t) {
     const TenantCtx& c = ctx[static_cast<std::size_t>(t)];
-    const StreamSpec& s = streams[static_cast<std::size_t>(t)];
-    // Open-loop streams admit at the process's generated instants; the
-    // closed-loop product below is the exact expression the pre-arrivals
-    // engine computed (bitwise-pinned latency = completion - admit).
+    const StreamView& s = streams[static_cast<std::size_t>(t)];
+    // Open-loop streams admit at the process's generated instants,
+    // closed-loop ones at f * interval.
     const bool gen = s.arrivals->active();
     if (gen) generate_arrivals(*s.arrivals, s.frames, arr_scratch);
     for (int f = 0; f < s.frames; ++f) {
@@ -897,7 +867,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
       slot_of[j] = c.slot_base + static_cast<std::size_t>(f) *
                                      static_cast<std::size_t>(c.items);
       admit_of[j] = gen ? arr_scratch[static_cast<std::size_t>(f)]
-                        : static_cast<double>(f) * s.interval;
+                        : static_cast<double>(f) * s.frame_interval_s;
     }
   }
 
@@ -905,7 +875,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // keep tenant-major job order); under kPriority a higher-priority
   // tenant's jobs rank ahead of lower-priority ones outright. For a single
   // stream admission instants are nondecreasing in frame, so the stable
-  // sort is the identity and rank == frame (the legacy dispatch policy).
+  // sort is the identity and rank == frame (FIFO by frame).
   {
     const auto before = [&](int a, int b) {
       if (options.policy == PlacementPolicy::kPriority) {
@@ -1093,7 +1063,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
       case kAdmit: {
         const int f = ev.a;
         const int tn = tenant_of[static_cast<std::size_t>(f)];
-        const StreamSpec& st = streams[static_cast<std::size_t>(tn)];
+        const StreamView& st = streams[static_cast<std::size_t>(tn)];
         const AdmissionControl& ac = *st.admission;
         if (ac.policy != ShedPolicy::kNone &&
             queue_len[static_cast<std::size_t>(tn)] >= ac.queue_capacity) {
@@ -1237,7 +1207,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           if (admit_t > now) continue;  // not yet admitted
           const double deadline =
               streams[static_cast<std::size_t>(
-                          tenant_of[static_cast<std::size_t>(f)])].deadline;
+                          tenant_of[static_cast<std::size_t>(f)])].deadline_s;
           if (deadline > 0.0 && resume - admit_t > deadline) {
             frame_dropped[static_cast<std::size_t>(f)] = 1;
             continue;
@@ -1322,9 +1292,9 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
               continue;
             }
             const int tn = tenant_of[jk];
-            const StreamSpec& st = streams[static_cast<std::size_t>(tn)];
-            if (st.admission->shed_expired && st.deadline > 0.0 &&
-                !frame_started[jk] && now - admit_of[jk] >= st.deadline) {
+            const StreamView& st = streams[static_cast<std::size_t>(tn)];
+            if (st.admission->shed_expired && st.deadline_s > 0.0 &&
+                !frame_started[jk] && now - admit_of[jk] >= st.deadline_s) {
               frame_shed[jk] = 1;
               ++shed_count[static_cast<std::size_t>(tn)];
               --queue_len[static_cast<std::size_t>(tn)];
@@ -1376,220 +1346,82 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     }
   }
 
+  // Conservation, per tenant and in aggregate: frames == completed +
+  // dropped + shed. Dropped and shed frames carry NaN; every other offered
+  // frame must have completed.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  if (faulted || shed_any) {
-    // Dropped and shed frames carry NaN; every other offered frame must
-    // have completed (conservation, per tenant and in aggregate:
-    // frames == completed + dropped + shed).
-    for (int f = 0; f < jobs; ++f) {
-      if (frame_dropped[static_cast<std::size_t>(f)] ||
-          frame_shed[static_cast<std::size_t>(f)]) {
-        result.frame_completion_s[static_cast<std::size_t>(f)] = nan;
-      } else if (!frame_done[static_cast<std::size_t>(f)]) {
-        throw std::logic_error(
-            "simulate_schedule: admitted frame neither completed nor "
-            "dropped (conservation violated)");
-      }
-    }
-  } else if (multi || open) {
-    for (int f = 0; f < jobs; ++f) {
-      if (!frame_done[static_cast<std::size_t>(f)]) {
-        throw std::logic_error(
-            "simulate_schedule: admitted frame never completed "
-            "(conservation violated)");
-      }
+  for (int f = 0; f < jobs; ++f) {
+    if (frame_dropped[static_cast<std::size_t>(f)] ||
+        frame_shed[static_cast<std::size_t>(f)]) {
+      result.frame_completion_s[static_cast<std::size_t>(f)] = nan;
+    } else if (!frame_done[static_cast<std::size_t>(f)]) {
+      throw std::logic_error(
+          "simulate_schedule: admitted frame neither completed, dropped nor "
+          "shed (conservation violated)");
     }
   }
 
-  // The generalized (multi-tenant-style) reduction handles every new
-  // regime — open-loop admission and/or active admission control — even
-  // for a single stream; the legacy single-stream branch below is entered
-  // ONLY in the bitwise-pinned pre-arrivals regime, keeping its float-op
-  // sequence untouched.
-  const bool legacy_single = !multi && !open && !shed_any;
-  if (legacy_single) {
-    // Single stream: exactly the pre-serving reductions, so an implicit
-    // single stream — and an explicit one-tenant list with the same
-    // parameters — is bitwise-identical to the legacy simulator
-    // (regression-pinned in tests/test_sim.cc). The percentile() calls of
-    // the one-shot code become one scratch sort + rank reads: identical
-    // math over the identical sorted data, minus the per-call copies.
-    const int frames = streams.front().frames;
-    const double interval = streams.front().interval;
-    if (!faulted) {
-      result.first_frame_latency_s = result.frame_completion_s.front();
-      result.makespan_s = result.frame_completion_s.back();
-      if (frames >= 4) {
-        const int half = frames / 2;
-        result.steady_interval_s =
-            (result.frame_completion_s[static_cast<std::size_t>(frames - 1)] -
-             result.frame_completion_s[static_cast<std::size_t>(half - 1)]) /
-            static_cast<double>(frames - half);
-      } else {
-        // Documented degradation (see SimResult): with no steady half to
-        // measure, fill latency folds into the mean and this is
-        // makespan / frames.
-        result.steady_interval_s =
-            result.makespan_s / static_cast<double>(frames);
-      }
-      result.frame_latency_s.reserve(static_cast<std::size_t>(frames));
-      for (int f = 0; f < frames; ++f) {
-        result.frame_latency_s.push_back(
-            result.frame_completion_s[static_cast<std::size_t>(f)] -
-            static_cast<double>(f) * interval);
-      }
-      // percentile() poisons on any NaN; mirror that (it cannot fire here
-      // — no fault means no drops — but exactness is the contract).
-      bool any_nan = false;
-      for (const double x : result.frame_latency_s) {
-        if (std::isnan(x)) any_nan = true;
-      }
-      if (any_nan) {
-        result.p50_latency_s = nan;
-        result.p95_latency_s = nan;
-        result.p99_latency_s = nan;
-      } else {
-        scr_lat.assign(result.frame_latency_s.begin(),
-                       result.frame_latency_s.end());
-        std::sort(scr_lat.begin(), scr_lat.end());
-        result.p50_latency_s = percentile_sorted(scr_lat, 50.0);
-        result.p95_latency_s = percentile_sorted(scr_lat, 95.0);
-        result.p99_latency_s = percentile_sorted(scr_lat, 99.0);
-      }
-      result.frames_completed = frames;
-      result.peak_latency_s = max_of(result.frame_latency_s);
-    } else {
-      // Fault-aware reductions: dropped frames are excluded from every
-      // aggregate.
-      result.frame_latency_s.reserve(static_cast<std::size_t>(frames));
-      scr_times.clear();
-      scr_lat.clear();
-      for (int f = 0; f < frames; ++f) {
-        const double lat =
-            result.frame_completion_s[static_cast<std::size_t>(f)] -
-            static_cast<double>(f) * interval;
-        result.frame_latency_s.push_back(lat);
-        if (frame_done[static_cast<std::size_t>(f)]) {
-          scr_times.push_back(
-              result.frame_completion_s[static_cast<std::size_t>(f)]);
-          scr_lat.push_back(lat);
-        }
-      }
-      std::sort(scr_times.begin(), scr_times.end());
-      const int n = static_cast<int>(scr_times.size());
-      result.frames_completed = n;
-      result.dropped_frames = frames - n;
-      result.first_frame_latency_s = result.frame_latency_s.front();
-      result.makespan_s = n > 0 ? scr_times.back() : nan;
-      if (n >= 4) {
-        const int half = n / 2;
-        result.steady_interval_s =
-            (scr_times[static_cast<std::size_t>(n - 1)] -
-             scr_times[static_cast<std::size_t>(half - 1)]) /
-            static_cast<double>(n - half);
-      } else if (n > 0) {
-        result.steady_interval_s = result.makespan_s / static_cast<double>(n);
-      } else {
-        result.steady_interval_s = nan;
-      }
-      // scr_lat holds the NaN-free completed latencies; peak before the
-      // sort is max_of either way (order-independent).
-      result.peak_latency_s = max_of(scr_lat);
-      std::sort(scr_lat.begin(), scr_lat.end());
-      result.p50_latency_s = percentile_sorted(scr_lat, 50.0);
-      result.p95_latency_s = percentile_sorted(scr_lat, 95.0);
-      result.p99_latency_s = percentile_sorted(scr_lat, 99.0);
-      result.remapped_items =
-          ctx.front().degraded_used
-              ? ctx.front().degraded->remap_stats.touched_items
-              : 0;
-      result.recovery_time_s = recovery_after_fault(
-          result.frame_latency_s, result.frame_completion_s, fault.fail_time_s,
-          scr_recovery);
-    }
-    if (streams.front().deadline > 0.0) {
-      for (int f = 0; f < frames; ++f) {
-        if (!std::isnan(result.frame_latency_s[static_cast<std::size_t>(f)]) &&
-            result.frame_latency_s[static_cast<std::size_t>(f)] >
-                streams.front().deadline) {
-          ++result.deadline_miss_frames;
-        }
-      }
-    }
-  } else {
-    // Generalized package-level reductions over the tenant-major job
-    // stream: aggregates cover every completed frame of every tenant,
-    // through the same reduce_tail the per-tenant slices use. Latency is
-    // measured from the REALIZED admission instant (admit_of), which for
-    // closed-loop streams holds exactly the legacy f * interval products.
-    result.frame_latency_s.reserve(static_cast<std::size_t>(jobs));
-    for (int f = 0; f < jobs; ++f) {
-      result.frame_latency_s.push_back(
-          result.frame_completion_s[static_cast<std::size_t>(f)] -
-          admit_of[static_cast<std::size_t>(f)]);
-    }
-    const TailStats tail = reduce_tail(result.frame_latency_s,
-                                       result.frame_completion_s, scr_lat,
-                                       scr_times);
-    int shed_total = 0;
-    for (int t = 0; t < num_tenants; ++t) {
-      shed_total += shed_count[static_cast<std::size_t>(t)];
-    }
-    result.frames_completed = tail.completed;
-    result.shed_frames = shed_total;
-    result.dropped_frames = jobs - tail.completed - shed_total;
-    result.first_frame_latency_s = result.frame_latency_s.front();
-    result.makespan_s = tail.makespan_s;
-    // The steady-interval estimator assumes periodic admission; under any
-    // open-loop stream it would conflate queueing with the service
-    // interval, so it is a documented NaN (see SimResult).
-    result.steady_interval_s = open ? nan : tail.steady_interval_s;
-    result.p50_latency_s = tail.p50_s;
-    result.p95_latency_s = tail.p95_s;
-    result.p99_latency_s = tail.p99_s;
-    result.peak_latency_s = tail.peak_s;
+  // Package-level reductions over the tenant-major job stream: aggregates
+  // cover every completed frame of every tenant, through the same
+  // reduce_tail the per-tenant slices use. Latency is measured from the
+  // REALIZED admission instant (admit_of).
+  result.frame_latency_s.reserve(static_cast<std::size_t>(jobs));
+  for (int f = 0; f < jobs; ++f) {
+    result.frame_latency_s.push_back(
+        result.frame_completion_s[static_cast<std::size_t>(f)] -
+        admit_of[static_cast<std::size_t>(f)]);
   }
+  const TailStats tail = reduce_tail(result.frame_latency_s,
+                                     result.frame_completion_s, scr_lat,
+                                     scr_times);
+  result.frames_completed = tail.completed;
+  result.first_frame_latency_s = result.frame_latency_s.front();
+  result.makespan_s = tail.makespan_s;
+  // The steady-interval estimator assumes periodic admission; under any
+  // open-loop stream it would conflate queueing with the service
+  // interval, so it is a documented NaN (see SimResult).
+  result.steady_interval_s = open ? nan : tail.steady_interval_s;
+  result.p50_latency_s = tail.p50_s;
+  result.p95_latency_s = tail.p95_s;
+  result.p99_latency_s = tail.p99_s;
+  result.peak_latency_s = tail.peak_s;
 
-  // Per-tenant slices (one entry even for single-stream runs).
+  // Per-tenant slices (one entry even for single-stream runs); the
+  // package counts are their sums. Under a fault, remap accounting and the
+  // recovery spike are per tenant too (latency scales differ across
+  // tenants, so a package-level baseline would be meaningless); the
+  // package recovers when its slowest tenant has.
   for (int t = 0; t < num_tenants; ++t) {
     const TenantCtx& c = ctx[static_cast<std::size_t>(t)];
     const std::size_t tk = static_cast<std::size_t>(t);
     const double qd_mean =
         qd_count[tk] > 0 ? qd_sum[tk] / static_cast<double>(qd_count[tk])
                          : nan;
+    TenantResult& tr = result.tenants[tk];
     reduce_tenant_into(streams[tk],
                        result.frame_completion_s.data() + c.job_base,
                        admit_of.data() + c.job_base, shed_count[tk],
                        streams[tk].arrivals->active(), tenant_wait[tk],
                        qd_mean, qd_count[tk] > 0 ? qd_peak[tk] : nan,
-                       scr_lat, scr_times, result.tenants[tk]);
-  }
-  if (!legacy_single) {
-    for (const TenantResult& tr : result.tenants) {
-      result.deadline_miss_frames += tr.deadline_miss_frames;
-    }
+                       scr_lat, scr_times, tr);
+    result.dropped_frames += tr.dropped_frames;
+    result.shed_frames += tr.shed_frames;
+    result.deadline_miss_frames += tr.deadline_miss_frames;
     if (faulted) {
-      // Remap accounting and the recovery spike, per tenant (latency
-      // scales differ across tenants, so a package-level baseline would
-      // be meaningless); the package recovers when its slowest tenant has.
-      for (int t = 0; t < num_tenants; ++t) {
-        const TenantCtx& c = ctx[static_cast<std::size_t>(t)];
-        if (c.degraded_used) {
-          result.remapped_items += c.degraded->remap_stats.touched_items;
-        }
-        const TenantResult& tr = result.tenants[static_cast<std::size_t>(t)];
-        result.recovery_time_s = std::max(
-            result.recovery_time_s,
-            recovery_after_fault(tr.frame_latency_s, tr.frame_completion_s,
-                                 fault.fail_time_s, scr_recovery));
+      if (c.degraded_used) {
+        result.remapped_items += c.degraded->remap_stats.touched_items;
       }
+      result.recovery_time_s = std::max(
+          result.recovery_time_s,
+          recovery_after_fault(tr.frame_latency_s, tr.frame_completion_s,
+                               fault.fail_time_s, scr_recovery));
     }
   }
   result.chiplet_busy_s.assign(chiplet_busy.begin(),
                                chiplet_busy.begin() + nc);
   if (contended) {
-    collect_run_links(faulted);
-    fabric.stats_into(result.makespan_s, run_links, result.link_stats);
+    fabric.stats_into(result.makespan_s, run_link_list(faulted),
+                      result.link_stats);
   }
   ++stats.runs;
 }

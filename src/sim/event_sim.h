@@ -58,18 +58,20 @@
 // (ties: tenant order, then frame); under PlacementPolicy::kPriority a
 // higher-priority tenant's ready work preempts that admission order
 // (running tasks are never preempted — admission-order preemption only).
-// With a single stream — implicit (empty `tenants`) or an explicit
-// one-entry list under kShared — the engine is bitwise-identical to the
-// pre-serving single-stream simulator (regression-pinned in
-// tests/test_sim.cc). A FaultPlan composes with multi-tenancy: every
-// tenant's schedule is independently remapped (restricted to the tenant's
-// allowed_chiplets when set, so the REMAP cannot leak work across a
-// partition). The fault TRANSIENT itself is package-wide by design — the
-// reconfiguration stall halts every chiplet and flushes every tenant's
-// incomplete frames (a pool-clean tenant's remapped schedule equals its
-// primary, so its placements are untouched, but it still restarts the
-// flushed frames and can deadline-drop them). Partitioned isolation is a
-// steady-state load guarantee, not a fault-transient one.
+// A single stream is not a special case: resolve_streams turns the
+// implicit stream (empty `tenants`) and an explicit list alike into one
+// stream list, and every run goes through the same event loop, the same
+// conservation check and the same tail reduction (single-stream outputs
+// are hexfloat-pinned in tests/test_sim.cc). A FaultPlan composes with
+// multi-tenancy: every tenant's schedule is independently remapped
+// (restricted to the tenant's allowed_chiplets when set, so the REMAP
+// cannot leak work across a partition). The fault TRANSIENT itself is
+// package-wide by design — the reconfiguration stall halts every chiplet
+// and flushes every tenant's incomplete frames (a pool-clean tenant's
+// remapped schedule equals its primary, so its placements are untouched,
+// but it still restarts the flushed frames and can deadline-drop them).
+// Partitioned isolation is a steady-state load guarantee, not a
+// fault-transient one.
 //
 // Open-loop arrivals (TenantStream::arrivals / SimOptions::arrivals): a
 // tenant with an active ArrivalSpec (src/sim/arrivals.h) admits its frames
@@ -77,9 +79,8 @@
 // or rate-profiled — instead of the closed-loop f * frame_interval_s
 // schedule. Frame latency is measured from the REALIZED admission instant;
 // steady_interval_s is NaN for open-loop streams (the estimator assumes
-// periodic admission, see SimResult). When no process is set the closed-
-// loop path is bitwise-identical to the pre-arrivals simulator
-// (regression-pinned in tests/test_sim.cc).
+// periodic admission, see SimResult). When no process is set, frame f is
+// admitted at exactly f * frame_interval_s.
 //
 // Continuous-batching dispatch + admission control (AdmissionControl):
 // the dispatch set is re-formed at every task completion from the
@@ -114,8 +115,7 @@ enum class NopMode {
 };
 
 // A runtime chiplet failure. Inactive (chiplet_id < 0) by default, in which
-// case simulate_schedule behaves exactly as before the fault subsystem
-// existed (regression-pinned bitwise in tests/test_sim.cc).
+// case no chiplet fails, no program is remapped and no frame is dropped.
 struct FaultPlan {
   int chiplet_id = -1;     // chiplet (package id) that dies; < 0 = no fault
   double fail_time_s = 0.0;
@@ -160,8 +160,7 @@ enum class ShedPolicy {
 };
 
 // Per-tenant admission control for the continuous-batching dispatcher.
-// Inactive by default: the closed-loop dispatch path is bitwise-identical
-// to the pre-arrivals engine when neither knob is set.
+// Inactive by default: with neither knob set no frame is ever shed.
 struct AdmissionControl {
   // Maximum queued (admitted, not yet started) frames; <= 0 = unbounded.
   // A ShedPolicy other than kNone requires a positive capacity.
@@ -228,11 +227,38 @@ struct SimOptions {
   // Dispatch tie-break policy between tenants; inert with a single stream.
   PlacementPolicy policy = PlacementPolicy::kShared;
   // Multi-tenant serving: when non-empty, these streams are admitted
-  // concurrently and the top-level frames / frame_interval_s / deadline_s
-  // are ignored (each stream carries its own). Empty = the legacy single
-  // stream described by the fields above.
+  // concurrently and the top-level frames / frame_interval_s / deadline_s /
+  // arrivals / admission are ignored (each stream carries its own). Empty =
+  // one implicit stream described by those fields (see resolve_streams).
   std::vector<TenantStream> tenants;
 };
+
+// One frame stream of a run, resolved from SimOptions: an explicit
+// TenantStream, or the implicit stream of the top-level fields. The
+// pointers refer into the SimOptions (or to static defaults), so a view
+// costs no string or vector copy and lives as long as the options do.
+struct StreamView {
+  const Schedule* schedule = nullptr;
+  const std::string* name = nullptr;
+  int frames = 1;                 // clamped to >= 1
+  double frame_interval_s = 0.0;  // clamped to >= 0
+  double deadline_s = 0.0;
+  int priority = 0;
+  const std::vector<int>* allowed_chiplets = nullptr;
+  const ArrivalSpec* arrivals = nullptr;
+  const AdmissionControl* admission = nullptr;
+};
+
+// The one reading of what SimOptions' streams mean, shared by SimEngine,
+// analysis::validate and analysis::compute_bounds. Clears `out`, then
+// appends one view per TenantStream in order (a null TenantStream::schedule
+// resolves to `schedule`) or, when `tenants` is empty, the implicit stream
+// "stream" over `schedule` with no allowed-chiplet restriction and the
+// top-level frames / frame_interval_s / deadline_s / arrivals / admission.
+// Checks nothing: a tenant on another package or with an empty schedule
+// is resolved as given. Allocation-free once `out` has the capacity.
+void resolve_streams(const Schedule& schedule, const SimOptions& options,
+                     std::vector<StreamView>& out);
 
 // Per-tenant slice of a multi-tenant run (also filled, with one entry, for
 // single-stream runs). Aggregates cover the tenant's completed frames;
@@ -307,7 +333,9 @@ struct SimResult {
   double p99_latency_s = 0.0;
   std::vector<double> chiplet_busy_s;  // indexed as package order
   // Per-directed-link occupancy (kContended only; empty otherwise),
-  // utilization normalized by the makespan.
+  // utilization normalized by the makespan. One entry per link any of the
+  // run's programs routes over (fault runs include the degraded programs'
+  // links), strictly increasing by NopLink.
   std::vector<LinkStats> link_stats;
   // Tasks dispatched, including work later revoked by a fault flush.
   int tasks_executed = 0;
@@ -381,7 +409,8 @@ struct EngineStats {
 // of compiled Programs (keyed by schedule identity × NoP mode, including
 // fault-remapped degraded variants keyed by failed chiplet × allowed
 // pool). Results are bitwise-identical to simulate_schedule: same event
-// order, same float operation order, same link_stats order (fuzz-pinned in
+// order, same float operation order, and link_stats sorted by link
+// whatever the engine simulated before (fuzz-pinned in
 // tests/test_fuzz_properties.cc). After a warm-up run on a workload shape,
 // subsequent run_into() calls of that shape perform zero heap allocations
 // (asserted in tests/test_sim_engine.cc), which is what makes

@@ -61,22 +61,6 @@ double NopFabric::inject(const std::vector<int>& route, double bytes,
   return waited;
 }
 
-std::vector<LinkStats> NopFabric::stats(double horizon_s) const {
-  std::vector<LinkStats> out;
-  out.reserve(links_.size());
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    LinkStats s;
-    s.link = links_[i];
-    s.busy_s = busy_[i];
-    s.utilization = horizon_s > 0.0 ? busy_[i] / horizon_s : 0.0;
-    s.max_queue_wait_s = max_wait_[i];
-    s.total_queue_wait_s = total_wait_[i];
-    s.messages = messages_[i];
-    out.push_back(s);
-  }
-  return out;
-}
-
 void NopFabric::stats_into(double horizon_s, const std::vector<int>& links,
                            std::vector<LinkStats>& out) const {
   out.clear();

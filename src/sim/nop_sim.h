@@ -46,17 +46,16 @@ struct LinkStats {
 };
 
 // The most-utilized link of a contended run; nullptr when `stats` is empty.
+// Ties go to the earlier entry, which in SimResult::link_stats (sorted by
+// link) is the smaller link.
 const LinkStats* hottest_link(const std::vector<LinkStats>& stats);
 
 class NopFabric {
  public:
-  // A default-constructed fabric carries the default NopParams; engines
-  // that persist one fabric across runs call set_params() per run (the
-  // bandwidth may differ between the packages of successive runs; the link
-  // registry is geometry-keyed, so links of distinct packages coexist).
-  NopFabric() = default;
-  explicit NopFabric(const NopParams& params) : params_(params) {}
-
+  // A fabric carries the default NopParams until set_params(); engines
+  // that persist one fabric across runs call it per run (the bandwidth may
+  // differ between the packages of successive runs; the link registry is
+  // geometry-keyed, so links of distinct packages coexist).
   void set_params(const NopParams& params) { params_ = params; }
 
   // Clears the per-run occupancy/wait/message state of every registered
@@ -77,17 +76,15 @@ class NopFabric {
   // was free). Calls must be made in nondecreasing `time` order.
   double inject(const std::vector<int>& route, double bytes, double time);
 
-  int num_links() const { return static_cast<int>(links_.size()); }
-  // Per-link statistics; `horizon_s` (typically the simulated makespan)
-  // normalizes busy time into utilization. Ordered by dense index, i.e.
-  // first-use order.
-  std::vector<LinkStats> stats(double horizon_s) const;
-  // Statistics restricted to `links` (dense indices, emitted in the given
-  // order) appended into a caller-owned vector that is cleared first — the
-  // reused-engine path reports exactly the links its current run's
-  // programs resolved, in their registration order, so its link_stats are
-  // bitwise-identical to a fresh fabric's. Allocation-free once `out` has
-  // capacity.
+  // The link registered under dense index `index`.
+  const NopLink& link(int index) const {
+    return links_[static_cast<std::size_t>(index)];
+  }
+  // Statistics of `links` (dense indices, emitted in the given order) into
+  // a caller-owned vector that is cleared first; `horizon_s` (typically the
+  // simulated makespan) normalizes busy time into utilization. A reused
+  // fabric also holds links of earlier runs, so the caller names the links
+  // its run used. Allocation-free once `out` has capacity.
   void stats_into(double horizon_s, const std::vector<int>& links,
                   std::vector<LinkStats>& out) const;
 

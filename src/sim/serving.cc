@@ -17,10 +17,6 @@
 namespace cnpu {
 namespace {
 
-std::string tenant_name(const TenantWorkload& w, int index) {
-  return w.name.empty() ? "tenant" + std::to_string(index) : w.name;
-}
-
 void validate_tenants(const std::vector<TenantWorkload>& tenants) {
   if (tenants.empty()) {
     throw std::invalid_argument("serve_tenants: no tenant workloads");
@@ -97,36 +93,44 @@ TenantPlacement place_tenants(const std::vector<TenantWorkload>& tenants,
   return placement;
 }
 
+SimOptions fleet_sim_options(const std::vector<TenantWorkload>& tenants,
+                             const TenantPlacement& placement,
+                             const ServingOptions& options) {
+  SimOptions sim;
+  sim.model_nop_delays = options.model_nop_delays;
+  sim.nop_mode = options.nop_mode;
+  sim.fault = options.fault;
+  sim.policy = options.policy;
+  sim.tenants.reserve(tenants.size());
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    const TenantWorkload& w = tenants[t];
+    TenantStream stream;
+    stream.name = w.name.empty() ? "tenant" + std::to_string(t) : w.name;
+    stream.schedule = &placement.schedules[t];
+    stream.frames = w.frames;
+    stream.frame_interval_s = w.frame_interval_s;
+    stream.deadline_s = w.deadline_s;
+    stream.priority = w.priority;
+    stream.arrivals = w.arrivals;
+    stream.admission = w.admission;
+    if (options.policy == PlacementPolicy::kPartitioned) {
+      stream.allowed_chiplets = placement.pools[t];
+    }
+    sim.tenants.push_back(std::move(stream));
+  }
+  return sim;
+}
+
+// The schedule pointers in sim_ stay valid when the plan is moved: vector
+// moves transfer the heap buffer holding placement_'s Schedule objects.
 ServingPlan::ServingPlan(const PackageConfig& package,
                          const std::vector<TenantWorkload>& tenants,
                          const ServingOptions& options)
-    : placement_(place_tenants(tenants, package, options.policy)) {
-  sim_.model_nop_delays = options.model_nop_delays;
-  sim_.nop_mode = options.nop_mode;
-  sim_.fault = options.fault;
-  sim_.policy = options.policy;
-  sim_.tenants.reserve(tenants.size());
-  base_interval_s_.reserve(tenants.size());
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    TenantStream stream;
-    stream.name = tenant_name(tenants[t], static_cast<int>(t));
-    // Pointers into placement_ stay valid when the plan is moved: vector
-    // moves transfer the heap buffer holding the Schedule objects.
-    stream.schedule = &placement_.schedules[t];
-    stream.frames = tenants[t].frames;
-    stream.frame_interval_s = tenants[t].frame_interval_s;
-    stream.deadline_s = tenants[t].deadline_s;
-    stream.priority = tenants[t].priority;
-    stream.arrivals = tenants[t].arrivals;
-    stream.admission = tenants[t].admission;
-    // Restrict fault remaps to the tenant's pool only when the pool is a
-    // genuine partition; under shared placement any survivor may help.
-    if (options.policy == PlacementPolicy::kPartitioned) {
-      stream.allowed_chiplets = placement_.pools[t];
-    }
-    base_interval_s_.push_back(tenants[t].frame_interval_s);
-    base_rate_fps_.push_back(tenants[t].arrivals.rate_fps);
-    sim_.tenants.push_back(std::move(stream));
+    : placement_(place_tenants(tenants, package, options.policy)),
+      sim_(fleet_sim_options(tenants, placement_, options)) {
+  for (const TenantStream& stream : sim_.tenants) {
+    base_interval_s_.push_back(stream.frame_interval_s);
+    base_rate_fps_.push_back(stream.arrivals.rate_fps);
   }
 }
 

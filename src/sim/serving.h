@@ -95,6 +95,18 @@ struct ServingOptions {
 // and artifacts.
 const char* placement_policy_name(PlacementPolicy policy);
 
+// The SimOptions a placed fleet runs under — what ServingPlan simulates and
+// what validate(package, fleet) and compute_bounds(package, fleet) check:
+// options' NoP model, fault and policy, and one TenantStream per workload
+// in order, scheduled on placement.schedules[t] (so `placement` must
+// outlive the result), named "tenant<t>" when the workload is unnamed,
+// with the workload's frames, interval, deadline, priority, arrivals and
+// admission. Under kPartitioned the tenant's pool also restricts its fault
+// remap (allowed_chiplets); under shared placement any survivor may help.
+SimOptions fleet_sim_options(const std::vector<TenantWorkload>& tenants,
+                             const TenantPlacement& placement,
+                             const ServingOptions& options);
+
 // A placed, engine-backed serving configuration: place the tenants ONCE
 // (placement depends only on pipeline × package × policy, never on the
 // injection rate) and re-simulate many times with compiled programs,

@@ -1,6 +1,6 @@
-// Bitwise SimResult comparison, shared by the engine-identity unit tests
-// (tests/test_sim_engine.cc) and the reused-engine fuzz property
-// (tests/test_fuzz_properties.cc).
+// Bitwise SimResult comparison and the link_stats order check, shared by
+// the engine-identity unit tests (tests/test_sim_engine.cc) and the
+// reused-engine fuzz property (tests/test_fuzz_properties.cc).
 //
 // EXPECT_EQ on raw doubles cannot express the contract: dropped frames
 // legitimately carry NaN, and NaN != NaN. Comparing every double by its
@@ -63,6 +63,18 @@ inline void expect_tenants_bits_eq(const TenantResult& a,
                      "tenant frame_completion_s");
   expect_vec_bits_eq(a.frame_latency_s, b.frame_latency_s,
                      "tenant frame_latency_s");
+}
+
+// The documented link_stats order: strictly increasing by NopLink (sorted,
+// no link listed twice).
+inline void expect_links_strictly_increasing(const SimResult& r) {
+  for (std::size_t i = 1; i < r.link_stats.size(); ++i) {
+    const NopLink& prev = r.link_stats[i - 1].link;
+    const NopLink& next = r.link_stats[i].link;
+    EXPECT_TRUE(prev < next) << "link_stats[" << i - 1 << "] "
+                             << prev.describe() << " is not below link_stats["
+                             << i << "] " << next.describe();
+  }
 }
 
 // Every field, every frame, every link — bit for bit.

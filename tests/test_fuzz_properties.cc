@@ -623,6 +623,7 @@ TEST_P(FuzzSeed, ReusedEngineBitwiseIdenticalToOneShot) {
 
     SCOPED_TRACE("trial " + std::to_string(trial));
     const SimResult fresh = serve_tenants(pkg, fleet, opt);
+    testutil::expect_links_strictly_increasing(fresh);
     ServingPlan plan(pkg, fleet, opt);
     const SimResult warm1 = plan.run();
     SimResult warm2;

@@ -26,10 +26,12 @@
 #include <new>
 #include <vector>
 
+#include "core/baselines.h"
 #include "dataflow/layer.h"
 #include "sim/serving.h"
 #include "sim_result_eq.h"
 #include "workloads/model.h"
+#include "workloads/zoo.h"
 
 namespace {
 // Counts every global operator new (scalar and array) on this thread.
@@ -211,6 +213,40 @@ TEST(SimEngine, MultiTenantRunsBitwiseIdenticalToOneShot) {
   const SimResult warm2 = engine.run(s0, opt);
   expect_sim_results_bits_eq(fresh, warm1);
   expect_sim_results_bits_eq(fresh, warm2);
+}
+
+// link_stats are sorted by link whatever a warm engine's link registry
+// already holds. The engine first simulates another contended schedule,
+// which registers its links in first-use order, then a faulted contended
+// fan-in whose run unions its primary and degraded programs' links. Both
+// outputs must be strictly increasing by NopLink, and the warm fault run
+// bitwise-equal to a one-shot run.
+TEST(SimEngine, LinkStatsSortedByLinkAfterOtherSchedules) {
+  const PackageConfig pkg = make_simba_package();
+  const PerceptionPipeline other_pipe = build_fanin_pipeline(8);
+  const Schedule other = build_chainwise_schedule(other_pipe, pkg);
+  const PerceptionPipeline pipe = build_fanin_pipeline(2);
+  const Schedule sched = build_fanin_schedule(pipe, pkg);
+
+  SimOptions contended;
+  contended.frames = 6;
+  contended.nop_mode = NopMode::kContended;
+  SimOptions faulted = contended;
+  faulted.frame_interval_s = 1e-3;
+  faulted.fault.chiplet_id = 1;  // a producer; the I/O port is elsewhere
+  faulted.fault.fail_time_s = 2e-3;
+  faulted.fault.recover_time_s = 4e-3;
+  faulted.fault.reschedule_penalty_s = 1e-4;
+
+  SimEngine engine;
+  const SimResult first = engine.run(other, contended);
+  ASSERT_FALSE(first.link_stats.empty());
+  testutil::expect_links_strictly_increasing(first);
+  const SimResult warm = engine.run(sched, faulted);
+  EXPECT_GT(warm.remapped_items, 0);  // the degraded program really ran
+  ASSERT_FALSE(warm.link_stats.empty());
+  testutil::expect_links_strictly_increasing(warm);
+  expect_sim_results_bits_eq(simulate_schedule(sched, faulted), warm);
 }
 
 // run_into must overwrite EVERY field of a dirty output object.
