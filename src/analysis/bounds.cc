@@ -40,19 +40,17 @@ std::string fmt_ratio(double r) {
 }
 
 // Bounds require a structurally sound stream (every item assigned, every
-// shard chiplet present): anything the S/T structural rules would flag is
-// skipped rather than re-diagnosed here.
+// shard chiplet present, every fraction positive): anything the S/T
+// structural rules would flag is skipped rather than re-diagnosed here.
 bool structurally_clean(const Schedule& s) {
-  const PackageConfig& pkg = s.package();
-  for (int i = 0; i < s.num_items(); ++i) {
-    const Placement& p = s.placement(i);
-    if (!p.assigned()) return false;
-    for (const ShardAssignment& sh : p.shards) {
+  bool clean = s.num_items() > 0;
+  for_each_unplaced(s, [&](int, const ShardAssignment*) { clean = false; });
+  for (int i = 0; clean && i < s.num_items(); ++i) {
+    for (const ShardAssignment& sh : s.placement(i).shards) {
       if (!(sh.fraction > 0.0) || !std::isfinite(sh.fraction)) return false;
-      if (pkg.position_of(sh.chiplet_id) < 0) return false;
     }
   }
-  return s.num_items() > 0;
+  return clean;
 }
 
 // Everything one stream contributes, accumulated locally so a stream that
@@ -90,35 +88,25 @@ StreamContribution price_stream(const StreamView& v, std::string locus,
     lat[static_cast<std::size_t>(i)] = item_lat;
   }
 
-  // One enumeration pass builds both the dependency DAG (analytical edge
-  // delays, matching build_program's e.delay_s) and the per-link byte
-  // injection (matching the contended simulator's one-message-per-shard
-  // fraction-scaled routing). Unroutable edges on a degraded package are
-  // skipped — R001/R002 report them; skipping only lowers the bound.
-  std::vector<std::vector<std::pair<int, double>>> preds(
-      static_cast<std::size_t>(n));
-  std::vector<double> ingress_delay(static_cast<std::size_t>(n), 0.0);
+  out.bound.latency_bound_s = critical_path_s(s, lat, nop);
+
+  // Per-link byte injection, matching the contended simulator's
+  // one-message-per-shard fraction-scaled routing. Unroutable edges on a
+  // degraded package are skipped — R001/R002 report them.
   auto add_route = [&](const std::vector<NopLink>& route, double bytes) {
     for (const NopLink& l : route) out.link_bytes[l] += bytes;
   };
-  for_each_schedule_edge(
-      s,
-      [&](int item) {
-        const int dst = s.placement(item).primary_chiplet();
-        if (!nop) return;
-        ingress_delay[static_cast<std::size_t>(item)] =
-            nop_ingress_cost(pkg, dst).latency_s;
-        try {
-          add_route(pkg.route_from_io(dst), kCameraInputBytes);
-        } catch (const std::runtime_error&) {
-        }
-      },
-      [&](int producer, int consumer, double bytes) {
-        double delay = 0.0;
-        if (nop) {
-          delay = nop_gather_cost(pkg, s.placement(producer),
-                                  s.placement(consumer), bytes)
-                      .latency_s;
+  if (nop) {
+    for_each_schedule_edge(
+        s,
+        [&](int item) {
+          try {
+            add_route(pkg.route_from_io(s.placement(item).primary_chiplet()),
+                      kCameraInputBytes);
+          } catch (const std::runtime_error&) {
+          }
+        },
+        [&](int producer, int consumer, double bytes) {
           const int dst = s.placement(consumer).primary_chiplet();
           for (const ShardAssignment& sh : s.placement(producer).shards) {
             try {
@@ -128,56 +116,7 @@ StreamContribution price_stream(const StreamView& v, std::string locus,
             } catch (const std::runtime_error&) {
             }
           }
-        }
-        preds[static_cast<std::size_t>(consumer)].emplace_back(producer,
-                                                               delay);
-      });
-
-  // Longest path over the DAG: complete(i) = ready(i) + lat(i), ready(i) =
-  // max(ingress delay, max over deps of complete(p) + edge delay).
-  // Enumeration order is NOT topological (a prefix model may be listed
-  // after its consumers), so memoize with an explicit DFS stack. The
-  // schedule DAG is acyclic by construction; a pred found mid-expansion
-  // (which only a malformed input could produce) is ignored — ignoring a
-  // dependency can only lower the bound, keeping it sound.
-  std::vector<double> complete(static_cast<std::size_t>(n), -1.0);
-  std::vector<char> expanding(static_cast<std::size_t>(n), 0);
-  std::vector<int> stack;
-  for (int root = 0; root < n; ++root) {
-    if (complete[static_cast<std::size_t>(root)] >= 0.0) continue;
-    stack.push_back(root);
-    while (!stack.empty()) {
-      const int t = stack.back();
-      const auto ti = static_cast<std::size_t>(t);
-      if (complete[ti] >= 0.0) {
-        stack.pop_back();
-        continue;
-      }
-      expanding[ti] = 1;
-      bool deps_ready = true;
-      for (const auto& [p, delay] : preds[ti]) {
-        const auto pi = static_cast<std::size_t>(p);
-        if (complete[pi] < 0.0 && expanding[pi] == 0) {
-          stack.push_back(p);
-          deps_ready = false;
-        }
-      }
-      if (!deps_ready) continue;
-      double ready = ingress_delay[ti];
-      for (const auto& [p, delay] : preds[ti]) {
-        const auto pi = static_cast<std::size_t>(p);
-        if (complete[pi] < 0.0) continue;  // malformed-input cycle guard
-        ready = std::max(ready, complete[pi] + delay);
-      }
-      complete[ti] = ready + lat[ti];
-      expanding[ti] = 0;
-      stack.pop_back();
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    out.bound.latency_bound_s =
-        std::max(out.bound.latency_bound_s,
-                 complete[static_cast<std::size_t>(i)]);
+        });
   }
 
   for (const auto& [link, bytes] : out.link_bytes) {
@@ -190,6 +129,78 @@ StreamContribution price_stream(const StreamView& v, std::string locus,
 }
 
 }  // namespace
+
+double critical_path_s(const Schedule& schedule,
+                       const std::vector<double>& item_latency, bool nop) {
+  const PackageConfig& pkg = schedule.package();
+  const auto n = static_cast<std::size_t>(schedule.num_items());
+  // The dependency DAG with analytical edge delays, matching
+  // build_program's e.delay_s.
+  std::vector<std::vector<std::pair<int, double>>> preds(n);
+  std::vector<double> ingress_delay(n, 0.0);
+  for_each_schedule_edge(
+      schedule,
+      [&](int item) {
+        if (!nop) return;
+        ingress_delay[static_cast<std::size_t>(item)] =
+            nop_ingress_cost(pkg, schedule.placement(item).primary_chiplet())
+                .latency_s;
+      },
+      [&](int producer, int consumer, double bytes) {
+        const double delay =
+            nop ? nop_gather_cost(pkg, schedule.placement(producer),
+                                  schedule.placement(consumer), bytes)
+                      .latency_s
+                : 0.0;
+        preds[static_cast<std::size_t>(consumer)].emplace_back(producer, delay);
+      });
+
+  // Longest path: complete(i) = ready(i) + latency(i), ready(i) =
+  // max(ingress delay, max over deps of complete(p) + edge delay).
+  // Enumeration order is NOT topological (a prefix model may be listed
+  // after its consumers), so memoize with an explicit DFS stack. Each item
+  // carries its own state: any double, a negative one included, is a valid
+  // completion time. The schedule DAG is acyclic by construction; a pred
+  // found mid-expansion (which only a malformed input could produce) is
+  // ignored — ignoring a dependency can only lower the bound, keeping it
+  // sound.
+  enum : char { kNew, kExpanding, kDone };
+  std::vector<char> state(n, kNew);
+  std::vector<double> complete(n, 0.0);
+  std::vector<int> stack;
+  double bound = 0.0;
+  for (std::size_t root = 0; root < n; ++root) {
+    if (state[root] == kDone) continue;
+    stack.push_back(static_cast<int>(root));
+    while (!stack.empty()) {
+      const auto ti = static_cast<std::size_t>(stack.back());
+      if (state[ti] == kDone) {
+        stack.pop_back();
+        continue;
+      }
+      state[ti] = kExpanding;
+      bool deps_ready = true;
+      for (const auto& [p, delay] : preds[ti]) {
+        if (state[static_cast<std::size_t>(p)] == kNew) {
+          stack.push_back(p);
+          deps_ready = false;
+        }
+      }
+      if (!deps_ready) continue;
+      double ready = ingress_delay[ti];
+      for (const auto& [p, delay] : preds[ti]) {
+        const auto pi = static_cast<std::size_t>(p);
+        if (state[pi] != kDone) continue;  // malformed-input cycle guard
+        ready = std::max(ready, complete[pi] + delay);
+      }
+      complete[ti] = ready + item_latency[ti];
+      state[ti] = kDone;
+      bound = std::max(bound, complete[ti]);
+      stack.pop_back();
+    }
+  }
+  return bound;
+}
 
 bool mean_arrival_rate_fps(const ArrivalSpec& arrivals,
                            double frame_interval_s, double& rate_fps) {

@@ -139,6 +139,16 @@ struct BoundsReport {
 bool mean_arrival_rate_fps(const ArrivalSpec& arrivals,
                            double frame_interval_s, double& rate_fps);
 
+// Critical path of one frame through `schedule` (seconds): item i costs
+// item_latency[i], chained through the analytical NoP delay of every
+// for_each_schedule_edge edge, camera ingress included (no delays when
+// `nop` is false). With the simulator's task costs (item_latency_s in
+// core/evaluator.h) it is a lower bound on every fault-free frame's
+// latency, the one P001 and D001 judge deadlines against.
+[[nodiscard]] double critical_path_s(const Schedule& schedule,
+                                     const std::vector<double>& item_latency,
+                                     bool nop);
+
 // Static bounds for the simulate_schedule input shape. Streams resolve
 // exactly like SimEngine::run_into (implicit single stream vs explicit
 // tenants); structurally broken streams are skipped (see file comment).

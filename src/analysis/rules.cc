@@ -48,6 +48,9 @@ const std::vector<RuleInfo>& rule_registry() {
       {kRuleRouteIoSevered, "route-io-severed", Severity::kError,
        ThrowKind::kRuntimeError,
        "the I/O-port router is dead or unreachable: ingress is severed"},
+      {kRuleNopParams, "nop-params", Severity::kError,
+       ThrowKind::kInvalidArgument,
+       "NoP link bandwidth is not positive or hop latency is negative"},
       {kRuleResidencyOverflow, "residency-overflow", Severity::kError,
        ThrowKind::kInvalidArgument,
        "combined resident weights/activations overflow a chiplet's memory"},
@@ -74,8 +77,8 @@ const std::vector<RuleInfo>& rule_registry() {
        "shed_expired is set but the stream has no deadline (inert)"},
       {kRuleDeadlineInfeasible, "deadline-infeasible", Severity::kError,
        ThrowKind::kNone,
-       "deadline is below the analytical E2E lower bound: every frame "
-       "must miss"},
+       "deadline is below the static critical-path latency bound: every "
+       "frame must miss"},
       {kRuleReportWidth, "report-width", Severity::kError, ThrowKind::kNone,
        "a report CSV row width disagrees with its header"},
       {kRuleSweepZipMismatch, "sweep-zip-mismatch", Severity::kError,

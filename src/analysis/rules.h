@@ -5,7 +5,9 @@
 // stable rule ID here. src/analysis/validate.h evaluates the rules over a
 // Package + Schedule(s) + SimOptions / TenantWorkload fleet BEFORE any
 // simulated second is spent; tools/cnpu_lint.cc renders the results as a
-// diagnostics table or machine-readable JSON.
+// diagnostics table or machine-readable JSON. This header is a leaf (no
+// project includes), so the simulator's own checks (check_run in
+// sim/event_sim.h) name their failures with the same IDs.
 //
 // Severities:
 //  * kError   - the configuration is rejected (by validate_or_throw for
@@ -14,12 +16,12 @@
 //               cnpu_lint prints it and exits 0 (unless --werror).
 //  * kNote    - informational (e.g. a knob documented to be inert).
 //
-// Throw mapping: validate_or_throw must be drop-in compatible with the
-// scattered ad-hoc throws it replaced, so each runtime-enforced rule
-// records the exact exception type the legacy throw-site used
-// (regression-pinned in tests/test_sim.cc and tests/test_analysis.cc).
-// Lint-only rules map to ThrowKind::kNone and never reject at run time —
-// keeping validation behavior-preserving for currently-accepted inputs.
+// Throw mapping: each runtime-enforced rule records the exception type the
+// runtime raises for it, so validate_or_throw and a bare SimEngine run
+// reject an input the same way (pinned in tests/test_sim.cc,
+// tests/test_analysis.cc and the ValidatorAgreesWithEngineAcceptance fuzz
+// property). Lint-only rules map to ThrowKind::kNone and never reject at
+// run time.
 #pragma once
 
 #include <string>
@@ -78,6 +80,7 @@ inline constexpr const char* kRuleTenantForeignPackage = "T003";
 // Route reachability.
 inline constexpr const char* kRuleRouteUnreachable = "R001";
 inline constexpr const char* kRuleRouteIoSevered = "R002";
+inline constexpr const char* kRuleNopParams = "R003";
 // Memory residency.
 inline constexpr const char* kRuleResidencyOverflow = "M001";
 // Fault-plan sanity.
@@ -89,7 +92,7 @@ inline constexpr const char* kRuleFaultNoSurvivor = "F004";
 inline constexpr const char* kRuleArrivalSpecInvalid = "A001";
 inline constexpr const char* kRuleAdmissionCapacity = "A002";
 inline constexpr const char* kRuleAdmissionInertExpiry = "A003";
-// Deadline feasibility (analytical lower bound).
+// Deadline feasibility (critical-path lower bound).
 inline constexpr const char* kRuleDeadlineInfeasible = "D001";
 // Report/CSV width contracts.
 inline constexpr const char* kRuleReportWidth = "C001";
@@ -109,7 +112,7 @@ inline constexpr const char* kRuleBoundResidency = "P004";
 // and the human-readable explanation. `enforced` marks whether THIS
 // instance is rejected at run time: it defaults from the rule (error
 // severity with a non-kNone ThrowKind), but a validator may demote an
-// instance the legacy entry point accepts — e.g. residency overflow is
+// instance the runtime entry point accepts — e.g. residency overflow is
 // enforced by the serving placement path yet only linted on the
 // simulate_schedule path, and an unroutable edge only throws when NoP
 // delays are modeled.
@@ -128,7 +131,7 @@ class Diagnostics {
  public:
   // Records a finding. Enforcement defaults from the rule (kError severity
   // with a mapped exception type); the second overload pins it explicitly
-  // for instances the legacy entry point accepts (see Diagnostic).
+  // for instances the runtime entry point accepts (see Diagnostic).
   void add(const char* rule_id, std::string locus, std::string message);
   void add(const char* rule_id, std::string locus, std::string message,
            bool enforced);
@@ -153,8 +156,8 @@ class Diagnostics {
   void write_json(JsonWriter& w) const;
 
   // Throws the mapped exception of the FIRST enforced finding (in
-  // insertion order, which validators keep aligned with the legacy
-  // throw-site order); returns normally when every finding is lint-only.
+  // insertion order, which validators keep aligned with the order the
+  // runtime checks in); returns normally when every finding is lint-only.
   // The exception message is "[<id> <name>] <locus>: <message>".
   void throw_if_enforced() const;
 

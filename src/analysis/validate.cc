@@ -1,10 +1,13 @@
 #include "analysis/validate.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "analysis/bounds.h"
 #include "core/evaluator.h"
 #include "core/remap.h"
 #include "core/report.h"
@@ -27,55 +30,38 @@ std::string item_locus(const std::string& locus, const Schedule& s, int idx) {
          " layer " + it.desc->name + ")";
 }
 
-// True when `chiplet_id` resolves on `pkg`; classifies the miss.
-enum class ChipletRef { kPresent, kDead, kDangling };
-ChipletRef classify_chiplet(const PackageConfig& pkg, int chiplet_id) {
-  for (const ChipletSpec& c : pkg.chiplets()) {
-    if (c.id == chiplet_id) return ChipletRef::kPresent;
-  }
-  for (const FailedSite& f : pkg.failed_sites()) {
-    if (f.chiplet_id == chiplet_id) return ChipletRef::kDead;
-  }
-  return ChipletRef::kDangling;
-}
-
-// Per-item structural walk, mirroring build_program's item loop
-// (sim/event_sim.cc): unassigned first, then every shard's chiplet
-// reference, in item order. Returns true when the stream is structurally
-// clean (every item assigned, every reference resolves) — the gate for the
-// route / residency / deadline analyses, which would throw on a broken
-// structure.
+// Structure of one stream: every placement build_program would reject
+// (S002-S004, in its order), then shard fractions that do not sum to 1
+// (S005, lint-only). Returns true when every placement resolves — the gate
+// for the route / residency / deadline analyses, which would throw on a
+// broken structure.
 bool collect_structure(const Schedule& s, const std::string& locus,
                        Diagnostics& out) {
-  const PackageConfig& pkg = s.package();
   bool clean = true;
-  for (int i = 0; i < s.num_items(); ++i) {
-    const Placement& p = s.placement(i);
-    if (!p.assigned()) {
+  for_each_unplaced(s, [&](int i, const ShardAssignment* sh) {
+    clean = false;
+    if (sh == nullptr) {
       out.add(kRuleSchedUnassigned, item_locus(locus, s, i),
               "unassigned layer: " + s.item(i).desc->name);
-      clean = false;
-      continue;
+      return;
     }
+    const std::vector<FailedSite>& failed = s.package().failed_sites();
+    const bool dead =
+        std::any_of(failed.begin(), failed.end(), [&](const FailedSite& f) {
+          return f.chiplet_id == sh->chiplet_id;
+        });
+    out.add(dead ? kRuleSchedDeadChiplet : kRuleSchedDanglingChiplet,
+            item_locus(locus, s, i),
+            "shard references chiplet " + std::to_string(sh->chiplet_id) +
+                (dead ? ", which without_chiplet removed from the package"
+                      : ", which the package never had"));
+  });
+  for (int i = 0; i < s.num_items(); ++i) {
+    const Placement& p = s.placement(i);
+    if (!p.assigned()) continue;
     double sum = 0.0;
     bool bad_fraction = false;
     for (const ShardAssignment& sh : p.shards) {
-      switch (classify_chiplet(pkg, sh.chiplet_id)) {
-        case ChipletRef::kPresent:
-          break;
-        case ChipletRef::kDead:
-          out.add(kRuleSchedDeadChiplet, item_locus(locus, s, i),
-                  "shard references chiplet " + std::to_string(sh.chiplet_id) +
-                      ", which without_chiplet removed from the package");
-          clean = false;
-          break;
-        case ChipletRef::kDangling:
-          out.add(kRuleSchedDanglingChiplet, item_locus(locus, s, i),
-                  "shard references chiplet " + std::to_string(sh.chiplet_id) +
-                      ", which the package never had");
-          clean = false;
-          break;
-      }
       if (!(sh.fraction > 0.0) || !std::isfinite(sh.fraction)) {
         bad_fraction = true;
       }
@@ -134,76 +120,63 @@ bool collect_routes(const std::string& locus, const Schedule& sched,
   return ok;
 }
 
-// Rule evaluation over the simulate_schedule input shape. Findings are
-// inserted in the legacy throw-site order of SimEngine's run_into ->
-// build_program -> degraded_for -> generate_arrivals sequence, so
-// throw_if_enforced surfaces the same violation the runtime would have.
+// Diagnostics locus of a check_run failure.
+std::string run_check_locus(const SimOptions& options, std::string_view rule,
+                            int stream) {
+  if (stream >= 0) {
+    std::string locus =
+        stream_locus(options, static_cast<std::size_t>(stream));
+    return rule == kRuleAdmissionCapacity ? locus + " / admission" : locus;
+  }
+  if (rule == kRuleSchedEmpty) return "schedule";
+  if (rule == kRuleNopParams) return "package.nop";
+  return "options.fault";
+}
+
+// Rule evaluation over the simulate_schedule input shape: the engine's own
+// check_run first, then the deep checks in the order SimEngine meets them
+// (build_program per stream, degraded_for, generate_arrivals), so
+// throw_if_enforced surfaces the violation the engine would have thrown.
 void collect_sim(const Schedule& schedule, const SimOptions& options,
                  Diagnostics& out) {
   const PackageConfig& pkg = schedule.package();
   const bool nop = options.model_nop_delays;
+  const FaultPlan& fault = options.fault;
 
-  if (schedule.num_items() == 0) {
-    out.add(kRuleSchedEmpty, "schedule",
-            "schedule has no items (empty pipeline)");
-  }
-
-  // The streams the simulator would admit, with their diagnostics loci. A
-  // tenant on another package or with an empty schedule is reported and
-  // left out: every deeper check would compare apples to oranges.
+  // A stream on another package or with an empty schedule is reported
+  // and left out: every deeper check would compare apples to oranges.
   std::vector<StreamView> streams;
   resolve_streams(schedule, options, streams);
+  std::vector<char> left_out(streams.size(), 0);
+  check_run(schedule, options, streams,
+            [&](const char* rule, int stream, const std::string& what) {
+              const std::string_view id = rule;
+              if (stream >= 0 && id != kRuleAdmissionCapacity) {
+                left_out[static_cast<std::size_t>(stream)] = 1;
+              }
+              out.add(rule, run_check_locus(options, id, stream), what);
+            });
   std::vector<std::string> loci;
   std::size_t kept = 0;
   for (std::size_t t = 0; t < streams.size(); ++t) {
-    const StreamView v = streams[t];
-    std::string locus = stream_locus(options, t);
-    if (&v.schedule->package() != &pkg) {
-      out.add(kRuleTenantForeignPackage, locus,
-              "tenant \"" + *v.name +
-                  "\" is scheduled on a different package");
-      continue;
-    }
-    if (!options.tenants.empty() && v.schedule->num_items() == 0) {
-      out.add(kRuleSchedEmpty, locus,
-              "tenant \"" + *v.name + "\" has an empty schedule");
-      continue;
-    }
-    streams[kept++] = v;
-    loci.push_back(std::move(locus));
+    if (left_out[t]) continue;
+    streams[kept++] = streams[t];
+    loci.push_back(stream_locus(options, t));
   }
   streams.resize(kept);
 
   for (std::size_t t = 0; t < streams.size(); ++t) {
     const StreamView& v = streams[t];
-    if (v.admission->policy != ShedPolicy::kNone &&
-        v.admission->queue_capacity <= 0) {
-      out.add(kRuleAdmissionCapacity, loci[t] + " / admission",
-              "stream \"" + *v.name +
-                  "\" sets a ShedPolicy without a positive queue_capacity");
-    }
     if (v.admission->shed_expired && !(v.deadline_s > 0.0)) {
       out.add(kRuleAdmissionInertExpiry, loci[t] + " / admission",
               "shed_expired is set but the stream has no deadline, so the "
               "knob is inert");
     }
   }
-
-  const FaultPlan& fault = options.fault;
-  if (fault.active()) {
-    if (fault.fail_time_s < 0.0) {
-      out.add(kRuleFaultOrder, "options.fault", "negative fail_time_s");
-    }
-    if (fault.recover_time_s >= 0.0 &&
-        fault.recover_time_s < fault.fail_time_s) {
-      out.add(kRuleFaultOrder, "options.fault",
-              "recover_time_s precedes fail_time_s");
-    }
-    if (fault.reschedule_penalty_s < 0.0) {
-      out.add(kRuleFaultPenaltySign, "options.fault",
-              "reschedule_penalty_s is negative (a backwards-in-time "
-              "reconfiguration stall)");
-    }
+  if (fault.active() && fault.reschedule_penalty_s < 0.0) {
+    out.add(kRuleFaultPenaltySign, "options.fault",
+            "reschedule_penalty_s is negative (a backwards-in-time "
+            "reconfiguration stall)");
   }
 
   // Program-build order: per stream, structure first, then the priced
@@ -216,43 +189,36 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
     }
   }
 
-  if (fault.active()) {
-    const bool known =
-        classify_chiplet(pkg, fault.chiplet_id) == ChipletRef::kPresent;
-    if (!known) {
-      out.add(kRuleFaultUnknownChiplet, "options.fault",
-              "FaultPlan chiplet " + std::to_string(fault.chiplet_id) +
-                  " is not in the package");
-    } else if (fault.fail_time_s >= 0.0) {
-      // Mirror degraded_for: remap every structurally-clean stream onto the
-      // degraded package, then check the remapped routes (which include the
-      // ingress re-route around the dead router). remap failure order
-      // matches the runtime: no-survivor fires before the severed-I/O-port
-      // route error.
-      const PackageConfig degraded = pkg.without_chiplet(fault.chiplet_id);
-      for (std::size_t t = 0; t < streams.size(); ++t) {
-        if (!clean[t]) continue;
-        const StreamView& v = streams[t];
-        try {
-          const Schedule remapped = remap_schedule(
-              *v.schedule, degraded, fault.chiplet_id, nullptr,
-              *v.allowed_chiplets);
-          collect_routes(loci[t], remapped, nop, out);
-        } catch (const std::invalid_argument& e) {
-          out.add(kRuleFaultNoSurvivor, loci[t] + " / fault remap", e.what());
-        }
+  if (fault.active() && fault.fail_time_s >= 0.0 &&
+      !out.has_rule(kRuleFaultUnknownChiplet)) {
+    // Mirror degraded_for: remap every structurally-clean stream onto the
+    // degraded package, then check the remapped routes (which include the
+    // ingress re-route around the dead router). remap failure order
+    // matches the runtime: no-survivor fires before the severed-I/O-port
+    // route error.
+    const PackageConfig degraded = pkg.without_chiplet(fault.chiplet_id);
+    for (std::size_t t = 0; t < streams.size(); ++t) {
+      if (!clean[t]) continue;
+      const StreamView& v = streams[t];
+      try {
+        const Schedule remapped =
+            remap_schedule(*v.schedule, degraded, fault.chiplet_id, nullptr,
+                           *v.allowed_chiplets);
+        collect_routes(loci[t], remapped, nop, out);
+      } catch (const std::invalid_argument& e) {
+        out.add(kRuleFaultNoSurvivor, loci[t] + " / fault remap", e.what());
       }
-      if (pkg.io_port_attached_to(fault.chiplet_id) &&
-          !out.has_rule(kRuleRouteIoSevered)) {
-        // Belt-and-braces: the remap itself may park every placement on
-        // survivors, but ingress still has no route into ANY of them when
-        // the dead router carries the I/O port.
-        out.add(kRuleRouteIoSevered, "options.fault",
-                "chiplet " + std::to_string(fault.chiplet_id) +
-                    " hosts the west-edge I/O port router; removing it "
-                    "severs ingress",
-                nop);
-      }
+    }
+    if (pkg.io_port_attached_to(fault.chiplet_id) &&
+        !out.has_rule(kRuleRouteIoSevered)) {
+      // Belt-and-braces: the remap itself may park every placement on
+      // survivors, but ingress still has no route into ANY of them when
+      // the dead router carries the I/O port.
+      out.add(kRuleRouteIoSevered, "options.fault",
+              "chiplet " + std::to_string(fault.chiplet_id) +
+                  " hosts the west-edge I/O port router; removing it "
+                  "severs ingress",
+              nop);
     }
   }
 
@@ -287,31 +253,35 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
   }
 
   if (nop) {
-    // The analytical evaluator's E2E is an uncongested lower bound on any
-    // frame's latency (contention and queueing only add); a deadline below
-    // it cannot be met by a single frame. Metrics are cached per schedule:
-    // N identical tenants evaluate once.
-    std::vector<std::pair<const Schedule*, double>> e2e_cache;
+    // The static critical path (bounds.h) is a lower bound on every
+    // frame's latency: contention and queueing only add. A deadline below
+    // it cannot be met by any frame. Bounds are cached per schedule: N
+    // identical tenants price once.
+    std::vector<std::pair<const Schedule*, double>> bound_cache;
+    std::vector<double> item_latency;
     for (std::size_t t = 0; t < streams.size(); ++t) {
       const StreamView& v = streams[t];
       if (!(v.deadline_s > 0.0) || !clean[t]) continue;
-      double bound = -1.0;
-      for (const auto& [sched, e2e] : e2e_cache) {
-        if (sched == v.schedule) bound = e2e;
-      }
-      if (bound < 0.0) {
+      const Schedule& s = *v.schedule;
+      auto it = std::find_if(bound_cache.begin(), bound_cache.end(),
+                             [&](const auto& e) { return e.first == &s; });
+      if (it == bound_cache.end()) {
         try {
-          bound = evaluate_schedule(*v.schedule).e2e_s;
+          item_latency.clear();
+          for (int i = 0; i < s.num_items(); ++i) {
+            item_latency.push_back(item_latency_s(s, i));
+          }
+          it = bound_cache.emplace(bound_cache.end(), &s,
+                                   critical_path_s(s, item_latency, nop));
         } catch (...) {
           continue;  // structurally fine but unpriceable: nothing to bound
         }
-        e2e_cache.emplace_back(v.schedule, bound);
       }
-      if (v.deadline_s < bound) {
+      if (v.deadline_s < it->second) {
         out.add(kRuleDeadlineInfeasible, loci[t],
                 "deadline " + fmt_seconds(v.deadline_s) +
-                    " is below the analytical E2E lower bound " +
-                    fmt_seconds(bound) + ": every frame must miss");
+                    " is below the static critical-path latency bound " +
+                    fmt_seconds(it->second) + ": every frame must miss");
       }
     }
   }

@@ -5,38 +5,39 @@
 // the findings as a Diagnostics collection — the engine behind the
 // cnpu_lint CLI (tools/cnpu_lint.cc). validate_or_throw() is the single
 // enforcement entry point the runtime calls (simulate_schedule,
-// serve_tenants / ServingPlan, SweepRunner): it replays the legacy
-// scattered ad-hoc throws exactly — same exception types, same precedence
-// order — so currently-accepted inputs keep simulating and currently-
-// rejected inputs fail with the same type they always did (the `what()`
-// text gains a "[<rule-id> <name>] <locus>: " prefix).
+// serve_tenants / ServingPlan, SweepRunner): it raises the exception type
+// the engine raises for the same input, with the `what()` text prefixed
+// by "[<rule-id> <name>] <locus>: ".
 //
-// The checks mirror the structures the simulator actually builds:
-//  * schedule structure  — the per-item walk of build_program
-//    (sim/event_sim.cc): unassigned items (S002), chiplet references that
-//    dangle (S003) or point at a without_chiplet casualty (S004), shard
-//    fractions that do not sum to 1 (S005).
-//  * route reachability  — the exact edge set build_program and the
-//    analytical evaluator price (ingress into every stage-0 model, stage
+// The engine's cheap checks are not restated here: validate() calls the
+// engine's own check_run (sim/event_sim.h) and records every failure it
+// reports (S001, T003, A002, F002, F001, R003). The deep checks below
+// follow the structures the simulator builds, in the order it meets them:
+//  * schedule structure  — for_each_unplaced (core/schedule.h), the walk
+//    build_program rejects placements with: unassigned items (S002),
+//    chiplet references that dangle (S003) or point at a without_chiplet
+//    casualty (S004); then shard fractions that do not sum to 1 (S005).
+//  * route reachability  — the edge set build_program wires
+//    (for_each_schedule_edge: ingress into every stage-0 model, stage
 //    prefix handoffs, cross-stage gathers, intra-model chains): each
 //    shard -> consumer-primary pair must have a route on the schedule's
 //    package, including post-fault BFS detours on the degraded copy (R001)
 //    and the severed-I/O-port case (R002). Only enforced when
 //    model_nop_delays is set — with NoP delays off the runtime never
 //    resolves routes, so an unroutable edge is lint-only there.
-//  * fault plans         — sane fail/recover ordering (F002), a victim
-//    that exists (F001), a surviving remap target (F004, via
+//  * fault plans         — a surviving remap target (F004, via
 //    core/remap.h), non-negative penalties (F003, lint-only).
 //  * arrivals/admission  — generate_arrivals' precondition via
-//    describe_arrival_spec_error (A001), ShedPolicy vs queue_capacity
-//    (A002), inert shed_expired knobs (A003, note).
+//    describe_arrival_spec_error (A001), inert shed_expired knobs (A003,
+//    note).
 //  * residency           — compute_residency (core/residency.h) overflow
 //    (M001): enforced on the serving placement path (place_tenants
 //    rejects it), lint-only on the simulate_schedule path (the simulator
 //    deliberately runs overflowing remaps — degraded beats refusing).
-//  * deadlines           — deadline_s strictly below the analytical
-//    evaluator's E2E (the uncongested lower bound on any frame's latency):
-//    every frame must miss (D001, lint-only — the runtime accepts it).
+//  * deadlines           — deadline_s strictly below the static critical
+//    path (critical_path_s, analysis/bounds.h), a lower bound on every
+//    frame's latency: every frame must miss (D001, lint-only — the runtime
+//    accepts it; checked only when model_nop_delays is set).
 //  * sweeps              — zipped axis length mismatches (W001), cartesian
 //    overflow past INT_MAX points (W002), duplicate axis names (W003),
 //    empty axes (W004).
@@ -71,8 +72,8 @@ namespace cnpu::analysis {
 // arrivals, admission control, and tenant streams).
 [[nodiscard]] Diagnostics validate(const Schedule& schedule,
                                    const SimOptions& options = {});
-// throw_if_enforced() over the same findings: drop-in for the legacy
-// scattered throws (simulate_schedule calls this before running).
+// throw_if_enforced() over the same findings (simulate_schedule calls this
+// before running).
 void validate_or_throw(const Schedule& schedule, const SimOptions& options = {});
 
 // Full rule evaluation over a tenant fleet BEFORE placement (the

@@ -94,15 +94,32 @@ class Schedule {
 // LayerDesc for one weighted shard of `layer` (`fraction` of its rows).
 LayerDesc shard_fraction(const LayerDesc& layer, double fraction);
 
+// Calls `bad(item, shard)`, in item order, for every unassigned item
+// (`shard` nullptr) and every shard whose chiplet id the schedule's
+// package lacks: the placements build_program (sim/event_sim.cc) rejects,
+// reported by the validator as S002-S004.
+template <typename BadFn>
+void for_each_unplaced(const Schedule& s, BadFn&& bad) {
+  for (int i = 0; i < s.num_items(); ++i) {
+    const Placement& p = s.placement(i);
+    if (!p.assigned()) bad(i, nullptr);
+    for (const ShardAssignment& sh : p.shards) {
+      if (s.package().position_of(sh.chiplet_id) < 0) bad(i, &sh);
+    }
+  }
+}
+
 // The exact edge set the simulator wires (build_program in
-// sim/event_sim.cc) and the analytical evaluator prices: camera ingress
-// into every stage-0 model's first item, intra-model chain edges, stage
-// prefix handoffs, and cross-stage gathers into the models that receive
-// stage input. `ingress(item)` fires for each stage-0 model's first item
-// (the payload is the camera frame — callers price kCameraInputBytes);
-// `edge(producer, consumer, bytes)` fires for every inter-item edge with
-// the payload bytes the producer emits. Enumeration order matches
-// build_program so consumers see edges in runtime order — note it is NOT
+// sim/event_sim.cc): camera ingress into every stage-0 model's first item,
+// intra-model chain edges, stage prefix handoffs, and cross-stage gathers
+// into the models that receive stage input (a stage's prefix model when it
+// has one, else every model). The analytical evaluator prices a different
+// set: for example, in a stage with a prefix model it charges the previous
+// stage's gathers into every non-prefix model. `ingress(item)` fires for each
+// stage-0 model's first item (the payload is the camera frame — callers
+// price kCameraInputBytes); `edge(producer, consumer, bytes)` fires for
+// every inter-item edge with the payload bytes the producer emits.
+// Enumeration order is the simulator's wiring order — note it is NOT
 // topological (a stage's prefix model may be enumerated after the models
 // that consume its output).
 template <typename IngressFn, typename EdgeFn>

@@ -25,7 +25,6 @@ int ThreadPool::recommended_threads() {
 
 ThreadPool::ThreadPool(int threads) {
   const int n = threads > 0 ? threads : recommended_threads();
-  queues_.resize(static_cast<std::size_t>(n));
   threads_.reserve(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
     threads_.emplace_back(
@@ -42,8 +41,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queues_[next_queue_].push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
+    queue_.push_back(std::move(task));
     ++unfinished_;
   }
   work_cv_.notify_one();
@@ -59,34 +57,6 @@ void ThreadPool::wait_idle() {
     lock.unlock();
     std::rethrow_exception(err);
   }
-}
-
-bool ThreadPool::any_queued() const {
-  for (const auto& q : queues_) {
-    if (!q.empty()) return true;
-  }
-  return false;
-}
-
-bool ThreadPool::try_pop(std::size_t self, std::function<void()>& out) {
-  if (!queues_[self].empty()) {
-    out = std::move(queues_[self].front());
-    queues_[self].pop_front();
-    return true;
-  }
-  // Steal from the deepest sibling queue to balance remaining work.
-  std::size_t victim = self;
-  std::size_t depth = 0;
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    if (i != self && queues_[i].size() > depth) {
-      victim = i;
-      depth = queues_[i].size();
-    }
-  }
-  if (depth == 0) return false;
-  out = std::move(queues_[victim].back());
-  queues_[victim].pop_back();
-  return true;
 }
 
 void ThreadPool::worker_loop(std::stop_token stop, std::size_t self) {
@@ -107,11 +77,10 @@ void ThreadPool::worker_loop(std::stop_token stop, std::size_t self) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, stop, [this] { return any_queued(); });
-      if (!try_pop(self, task)) {
-        if (stop.stop_requested()) return;
-        continue;  // spurious wake or a sibling won the race
-      }
+      work_cv_.wait(lock, stop, [this] { return !queue_.empty(); });
+      if (queue_.empty()) return;  // stop requested and nothing left to drain
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     {
       TaskGuard guard{this};

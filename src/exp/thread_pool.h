@@ -1,12 +1,10 @@
-// Work-stealing thread pool for coarse-grained sweep evaluations.
+// Thread pool for coarse-grained sweep evaluations.
 //
-// Each worker owns a deque: submit() deals tasks round-robin across the
-// deques, a worker pops from the front of its own deque, and when that runs
-// dry it steals from the back of a sibling's. Sweep points are milliseconds
-// to seconds of work, so a single mutex/condvar pair guards all deques —
-// contention is negligible at that granularity and keeps the invariants
-// simple. Workers are std::jthread: the destructor requests stop, drains
-// tasks already queued, and joins.
+// One FIFO queue under one mutex/condvar pair: submit() appends, and each
+// idle worker takes the oldest task. Sweep points are milliseconds to
+// seconds of work, so contention on the one lock is negligible at that
+// granularity. Workers are std::jthread: the destructor requests stop,
+// drains tasks already queued, and joins.
 //
 // The pool makes no ordering promises between tasks; callers that need
 // deterministic output (SweepRunner) write results into preallocated slots
@@ -86,18 +84,12 @@ class ThreadPool {
 
  private:
   void worker_loop(std::stop_token stop, std::size_t self);
-  // True when any worker deque holds a task. Caller holds mu_.
-  bool any_queued() const;
-  // Pops the next task for worker `self` (own front first, then steal from
-  // the back of the busiest sibling). Caller holds mu_.
-  bool try_pop(std::size_t self, std::function<void()>& out);
 
-  std::vector<std::deque<std::function<void()>>> queues_;
+  std::deque<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable_any work_cv_;  // _any: waits with a stop_token
   std::condition_variable idle_cv_;
   std::size_t unfinished_ = 0;  // queued + running tasks
-  std::size_t next_queue_ = 0;  // round-robin submit cursor
   // First exception a task threw since the last wait_idle; guarded by mu_.
   std::exception_ptr first_error_;
   std::vector<std::jthread> threads_;

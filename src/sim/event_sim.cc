@@ -10,11 +10,13 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/rules.h"
 #include "analysis/validate.h"
 #include "core/evaluator.h"
 #include "core/remap.h"
 #include "core/residency.h"
 #include "util/stats.h"
+#include "util/strings.h"
 
 namespace cnpu {
 // Engine internals. A named namespace (not anonymous) because these types
@@ -80,19 +82,25 @@ struct Program {
 Program build_program(const Schedule& sched, bool nop, bool contended,
                       NopFabric& fabric, const PackageConfig& dense_pkg,
                       std::vector<int>* links) {
-  const PerceptionPipeline& pipe = sched.pipeline();
   const PackageConfig& pkg = sched.package();
+  // The schedule's package is `dense_pkg` or a without_chiplet copy of it,
+  // so every placement that passes here has a dense index.
+  for_each_unplaced(sched, [&](int item, const ShardAssignment* shard) {
+    if (shard != nullptr) throw std::out_of_range("chiplet id not in package");
+    throw std::logic_error("unassigned layer: " + sched.item(item).desc->name);
+  });
 
   Program prog;
   prog.num_chiplets = dense_pkg.num_chiplets();
   prog.shards_of_item.resize(static_cast<std::size_t>(sched.num_items()));
   prog.deps.resize(static_cast<std::size_t>(sched.num_items()));
-
-  const auto dense_of = [&](int chiplet_id) {
-    const int pos = dense_pkg.position_of(chiplet_id);
-    if (pos < 0) throw std::out_of_range("chiplet id not in package");
-    return pos;
-  };
+  for (int i = 0; i < sched.num_items(); ++i) {
+    for (const auto& sh : sched.placement(i).shards) {
+      const CostReport r = analyze_shard(pkg, *sched.item(i).desc, sh);
+      prog.shards_of_item[static_cast<std::size_t>(i)].push_back(
+          ShardTask{dense_pkg.position_of(sh.chiplet_id), r.latency_s});
+    }
+  }
 
   const auto resolve_route = [&](const std::vector<NopLink>& route) {
     std::vector<int> indices = fabric.resolve(route);
@@ -101,91 +109,38 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
     }
     return indices;
   };
-
-  for (int i = 0; i < sched.num_items(); ++i) {
-    const Placement& p = sched.placement(i);
-    if (!p.assigned()) {
-      throw std::logic_error("unassigned layer: " + sched.item(i).desc->name);
-    }
-    for (const auto& sh : p.shards) {
-      const CostReport r = analyze_shard(pkg, *sched.item(i).desc, sh);
-      prog.shards_of_item[static_cast<std::size_t>(i)].push_back(
-          ShardTask{dense_of(sh.chiplet_id), r.latency_s});
-    }
-  }
-
-  auto add_dep = [&](int consumer, int producer, double bytes) {
-    const Placement& from = sched.placement(producer);
-    const Placement& to = sched.placement(consumer);
-    Edge e;
-    e.producer = producer;
-    e.delay_s = nop ? nop_gather_cost(pkg, from, to, bytes).latency_s : 0.0;
-    if (contended) {
-      for (const auto& sh : from.shards) {
-        std::vector<NopLink> route =
-            pkg.route_between(sh.chiplet_id, to.primary_chiplet());
-        if (route.empty()) continue;
-        e.msgs.push_back(EdgeMsg{resolve_route(route), sh.fraction * bytes});
-      }
-    }
-    prog.deps[static_cast<std::size_t>(consumer)].push_back(std::move(e));
-  };
-
-  for (int st = 0; st < pipe.num_stages(); ++st) {
-    const Stage& stage = pipe.stages[static_cast<std::size_t>(st)];
-    for (int mod = 0; mod < stage.num_models(); ++mod) {
-      const StageModel& sm = stage.models[static_cast<std::size_t>(mod)];
-      const std::vector<int>& items = sched.items_of_model(st, mod);
-      if (items.empty()) continue;
-      // Camera ingress into every stage-0 model (the edge evaluate_schedule
-      // prices as nop_transfer(kCameraInputBytes, hops_from_io)).
-      if (st == 0) {
-        const Placement& first = sched.placement(items.front());
+  for_each_schedule_edge(
+      sched,
+      [&](int item) {
+        // Camera ingress (the edge evaluate_schedule prices as
+        // nop_transfer(kCameraInputBytes, hops_from_io)).
+        const int dst = sched.placement(item).primary_chiplet();
         Ingress in;
-        in.item = items.front();
-        in.delay_s =
-            nop ? nop_ingress_cost(pkg, first.primary_chiplet()).latency_s
-                : 0.0;
+        in.item = item;
+        in.delay_s = nop ? nop_ingress_cost(pkg, dst).latency_s : 0.0;
         if (contended) {
-          in.msg = EdgeMsg{
-              resolve_route(pkg.route_from_io(first.primary_chiplet())),
-              kCameraInputBytes};
+          in.msg = EdgeMsg{resolve_route(pkg.route_from_io(dst)),
+                           kCameraInputBytes};
         }
         prog.ingress.push_back(std::move(in));
-      }
-      // Intra-model chain.
-      for (std::size_t li = 1; li < items.size(); ++li) {
-        add_dep(items[li], items[li - 1],
-                sm.model.layers[li - 1].output_bytes());
-      }
-      // Stage prefix -> parallel models.
-      if (!sm.prefix) {
-        for (int pm = 0; pm < stage.num_models(); ++pm) {
-          if (!stage.models[static_cast<std::size_t>(pm)].prefix) continue;
-          const std::vector<int>& pre = sched.items_of_model(st, pm);
-          if (!pre.empty()) {
-            add_dep(items.front(), pre.back(),
-                    stage.models[static_cast<std::size_t>(pm)].model.output_bytes());
+      },
+      [&](int producer, int consumer, double bytes) {
+        const Placement& from = sched.placement(producer);
+        const Placement& to = sched.placement(consumer);
+        Edge e;
+        e.producer = producer;
+        e.delay_s = nop ? nop_gather_cost(pkg, from, to, bytes).latency_s : 0.0;
+        if (contended) {
+          for (const auto& sh : from.shards) {
+            std::vector<NopLink> route =
+                pkg.route_between(sh.chiplet_id, to.primary_chiplet());
+            if (route.empty()) continue;
+            e.msgs.push_back(
+                EdgeMsg{resolve_route(route), sh.fraction * bytes});
           }
         }
-      }
-      // Previous stage parallel outputs -> this model's first layer (or the
-      // prefix model's first layer, which then gates the rest).
-      const bool receives_stage_input =
-          sm.prefix || stage.prefix_models().empty();
-      if (st > 0 && receives_stage_input) {
-        const Stage& prev = pipe.stages[static_cast<std::size_t>(st - 1)];
-        for (int pm = 0; pm < prev.num_models(); ++pm) {
-          if (prev.models[static_cast<std::size_t>(pm)].prefix) continue;
-          const std::vector<int>& src = sched.items_of_model(st - 1, pm);
-          if (!src.empty()) {
-            add_dep(items.front(), src.back(),
-                    prev.models[static_cast<std::size_t>(pm)].model.output_bytes());
-          }
-        }
-      }
-    }
-  }
+        prog.deps[static_cast<std::size_t>(consumer)].push_back(std::move(e));
+      });
 
   prog.base_deps.resize(static_cast<std::size_t>(sched.num_items()), 0);
   for (int i = 0; i < sched.num_items(); ++i) {
@@ -549,6 +504,63 @@ void resolve_streams(const Schedule& schedule, const SimOptions& options,
   }
 }
 
+void check_run(const Schedule& schedule, const SimOptions& options,
+               const std::vector<StreamView>& streams,
+               const RunCheckFail& fail) {
+  const PackageConfig& pkg = schedule.package();
+  if (schedule.num_items() == 0) {
+    fail(analysis::kRuleSchedEmpty, -1,
+         "schedule has no items (empty pipeline)");
+  }
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    const StreamView& s = streams[t];
+    const int index = static_cast<int>(t);
+    if (&s.schedule->package() != &pkg) {
+      fail(analysis::kRuleTenantForeignPackage, index,
+           "tenant \"" + *s.name + "\" is scheduled on a different package");
+      continue;
+    }
+    // The implicit stream runs `schedule` itself, checked above.
+    if (!options.tenants.empty() && s.schedule->num_items() == 0) {
+      fail(analysis::kRuleSchedEmpty, index,
+           "tenant \"" + *s.name + "\" has an empty schedule");
+      continue;
+    }
+    if (s.admission->policy != ShedPolicy::kNone &&
+        s.admission->queue_capacity <= 0) {
+      fail(analysis::kRuleAdmissionCapacity, index,
+           "stream \"" + *s.name +
+               "\" sets a ShedPolicy without a positive queue_capacity");
+    }
+  }
+  const FaultPlan& fault = options.fault;
+  if (fault.active()) {
+    if (fault.fail_time_s < 0.0) {
+      fail(analysis::kRuleFaultOrder, -1, "negative fail_time_s");
+    }
+    if (fault.recover_time_s >= 0.0 &&
+        fault.recover_time_s < fault.fail_time_s) {
+      fail(analysis::kRuleFaultOrder, -1,
+           "recover_time_s precedes fail_time_s");
+    }
+    if (pkg.position_of(fault.chiplet_id) < 0) {
+      fail(analysis::kRuleFaultUnknownChiplet, -1,
+           "FaultPlan chiplet " + std::to_string(fault.chiplet_id) +
+               " is not in the package");
+    }
+  }
+  // Other values give negative, infinite or NaN transfer times; the engine
+  // reads these only with NoP delays on.
+  const NopParams& nop = pkg.nop();
+  if (options.model_nop_delays &&
+      !(nop.bandwidth_bytes_per_s > 0.0 && nop.hop_latency_s >= 0.0)) {
+    fail(analysis::kRuleNopParams, -1,
+         "NoP bandwidth " + format_si(nop.bandwidth_bytes_per_s) +
+             "B/s and hop latency " + format_seconds(nop.hop_latency_s) +
+             ": bandwidth must be > 0 and hop latency >= 0");
+  }
+}
+
 // All per-run state as flat reusable buffers plus the compiled-program
 // caches. Between runs nothing is deallocated: vectors are assign()ed or
 // clear()ed (capacity retained), heaps cleared in place, the fabric's
@@ -717,68 +729,15 @@ struct SimEngine::Impl {
 
   void run_into(const Schedule& schedule, const SimOptions& options,
                 SimResult& result);
-
-  void reset() {
-    programs.clear();
-    degraded_pkgs.clear();
-    fabric = NopFabric();
-    stats = EngineStats{};
-    streams.clear();
-    ctx.clear();
-    tenant_of.clear();
-    slot_of.clear();
-    admit_of.clear();
-    order.clear();
-    rank_of.clear();
-    deps_left.clear();
-    ready_time.clear();
-    shards_left.clear();
-    frame_items_left.clear();
-    prog_of.clear();
-    epoch_of.clear();
-    frame_done.clear();
-    frame_dropped.clear();
-    frame_started.clear();
-    frame_qd_done.clear();
-    frame_shed.clear();
-    queue_len.clear();
-    shed_count.clear();
-    qd_count.clear();
-    qd_sum.clear();
-    qd_peak.clear();
-    arr_scratch.clear();
-    tenant_wait.clear();
-    pending.clear();
-    ready.clear();
-    chiplet_free.clear();
-    chiplet_busy.clear();
-    events.clear();
-    run_links.clear();
-    scr_lat.clear();
-    scr_times.clear();
-    scr_recovery.clear();
-  }
 };
 
 void SimEngine::Impl::run_into(const Schedule& schedule,
                                const SimOptions& options, SimResult& result) {
-  if (schedule.num_items() == 0) {
-    throw std::invalid_argument(
-        "simulate_schedule: schedule has no items (empty pipeline)");
-  }
   resolve_streams(schedule, options, streams);
-  // The implicit stream runs `schedule` itself, checked above; a tenant
-  // may name its own.
-  for (const StreamView& s : streams) {
-    if (&s.schedule->package() != &schedule.package()) {
-      throw std::invalid_argument("simulate_schedule: tenant \"" + *s.name +
-                                  "\" is scheduled on a different package");
-    }
-    if (s.schedule->num_items() == 0) {
-      throw std::invalid_argument("simulate_schedule: tenant \"" + *s.name +
-                                  "\" has an empty schedule");
-    }
-  }
+  check_run(schedule, options, streams,
+            [](const char*, int, const std::string& what) {
+              throw std::invalid_argument("simulate_schedule: " + what);
+            });
   const int num_tenants = static_cast<int>(streams.size());
 
   // Open-loop / admission-control regime of this run: with both false the
@@ -786,28 +745,12 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   bool open = false;
   bool shed_any = false;
   for (const StreamView& s : streams) {
-    if (s.admission->policy != ShedPolicy::kNone &&
-        s.admission->queue_capacity <= 0) {
-      throw std::invalid_argument(
-          "simulate_schedule: stream \"" + *s.name +
-          "\" sets a ShedPolicy without a positive queue_capacity");
-    }
     open = open || s.arrivals->active();
     shed_any = shed_any || s.admission->active();
   }
 
   const FaultPlan& fault = options.fault;
   const bool faulted = fault.active();
-  if (faulted) {
-    if (fault.fail_time_s < 0.0) {
-      throw std::invalid_argument("simulate_schedule: negative fail_time_s");
-    }
-    if (fault.recover_time_s >= 0.0 &&
-        fault.recover_time_s < fault.fail_time_s) {
-      throw std::invalid_argument(
-          "simulate_schedule: recover_time_s precedes fail_time_s");
-    }
-  }
   const bool nop = options.model_nop_delays;
   const bool contended = nop && options.nop_mode == NopMode::kContended;
   const PackageConfig& pkg = schedule.package();
@@ -836,11 +779,6 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // Dense package-order index of the failed chiplet.
   const int dead = faulted ? pkg.position_of(fault.chiplet_id) : -1;
   if (faulted) {
-    if (dead < 0) {
-      throw std::invalid_argument(
-          "simulate_schedule: FaultPlan chiplet " +
-          std::to_string(fault.chiplet_id) + " is not in the package");
-    }
     for (int t = 0; t < num_tenants; ++t) {
       TenantCtx& c = ctx[static_cast<std::size_t>(t)];
       c.degraded = &degraded_for(*c.entry,
@@ -1442,17 +1380,17 @@ void SimEngine::run_into(const Schedule& schedule, const SimOptions& options,
   impl_->run_into(schedule, options, out);
 }
 
-void SimEngine::reset() { impl_->reset(); }
+void SimEngine::reset() { impl_ = std::make_unique<Impl>(); }
 
 const EngineStats& SimEngine::stats() const { return impl_->stats; }
 
 SimResult simulate_schedule(const Schedule& schedule, const SimOptions& options) {
-  // Full static verification up front (src/analysis/validate.h): every
-  // enforced rule replays the legacy in-engine throw (same type, same
-  // precedence), so this rejects exactly what the engine always rejected —
-  // with a rule ID and locus. The engine's own cheap precondition checks
-  // below then never fire on this path; SimEngine::run keeps them because
-  // DSE loops calling a warm engine cannot afford the deep analyses.
+  // Full static verification up front (src/analysis/validate.h): it runs
+  // the engine's own check_run and then the deep checks in the order the
+  // engine meets them, so this rejects exactly what the engine rejects,
+  // with the same exception type plus a rule ID and locus. SimEngine::run
+  // calls only check_run, because DSE loops calling a warm engine cannot
+  // afford the deep analyses.
   analysis::validate_or_throw(schedule, options);
   SimEngine engine;
   return engine.run(schedule, options);

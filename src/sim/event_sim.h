@@ -99,6 +99,7 @@
 // dispatch) is attributed per tenant in TenantResult.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -259,6 +260,26 @@ struct StreamView {
 // is resolved as given. Allocation-free once `out` has the capacity.
 void resolve_streams(const Schedule& schedule, const SimOptions& options,
                      std::vector<StreamView>& out);
+
+// Receives each failed check_run check: its rule ID (analysis/rules.h),
+// the index into `streams` of the stream it concerns (-1 for the
+// schedule, the fault plan and the NoP parameters), and a message.
+using RunCheckFail = std::function<void(const char* rule_id, int stream,
+                                         const std::string& what)>;
+
+// The engine's cheap input checks, one implementation each: SimEngine runs
+// them before it builds a program and throws std::invalid_argument on the
+// first failure; analysis::validate records every failure, then adds the
+// deep checks. In order: S001 (empty top-level schedule); per stream, T003
+// (another package) or, for a TenantStream, S001 (empty) — either skips
+// the stream's last check — then A002 (a ShedPolicy without a positive
+// queue_capacity); for an active fault plan, F002 (fails before t = 0,
+// recovers before it fails) and F001 (names a chiplet the package lacks);
+// with NoP delays modeled, R003 (bandwidth not > 0 or hop latency not
+// >= 0). `streams` is resolve_streams(schedule, options).
+void check_run(const Schedule& schedule, const SimOptions& options,
+               const std::vector<StreamView>& streams,
+               const RunCheckFail& fail);
 
 // Per-tenant slice of a multi-tenant run (also filled, with one entry, for
 // single-stream runs). Aggregates cover the tenant's completed frames;
@@ -456,11 +477,13 @@ class SimEngine {
 // PackageConfig than `schedule`, a FaultPlan naming a chiplet not in the
 // package (or with no survivor to remap onto), a negative fail time,
 // recover_time_s in [0, fail_time_s), an invalid ArrivalSpec (see
-// generate_arrivals), or a ShedPolicy other than kNone with a
-// non-positive queue_capacity; throws std::logic_error when any
-// item is unassigned (matching evaluate_schedule). A fault on the chiplet
-// whose router hosts the I/O port propagates the routing layer's
-// std::runtime_error — ingress has no route around that position.
+// generate_arrivals), a ShedPolicy other than kNone with a
+// non-positive queue_capacity, or — with model_nop_delays set — NoP
+// parameters with a non-positive (or NaN) link bandwidth or a negative (or
+// NaN) hop latency; throws std::logic_error when any item is unassigned
+// (matching evaluate_schedule). A fault on the chiplet whose router hosts
+// the I/O port propagates the routing layer's std::runtime_error — ingress
+// has no route around that position.
 //
 // One-shot convenience wrapper over SimEngine: constructs a fresh engine,
 // runs once, discards it. Callers running many points should hold a

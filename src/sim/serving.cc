@@ -172,8 +172,8 @@ SimResult serve_tenants(const PackageConfig& package,
                         const std::vector<TenantWorkload>& tenants,
                         const ServingOptions& options) {
   // Full static verification up front (src/analysis/validate.h); enforced
-  // rules replay the legacy placement/engine throws type-for-type, so only
-  // always-rejected fleets are refused. The warm ServingPlan path skips it:
+  // rules raise the placement/engine exception types, so only fleets the
+  // runtime would reject are refused. The warm ServingPlan path skips it:
   // max_sustainable_load builds one plan per worker slot and revalidating
   // an unchanged fleet per slot would be pure setup churn.
   analysis::validate_or_throw(package, tenants, options);

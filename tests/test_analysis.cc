@@ -1,18 +1,21 @@
 // Static verification layer: registry integrity, one triggering + one clean
-// fixture per rule ID, validate_or_throw's drop-in exception compatibility
-// with the legacy scattered throws, the table/JSON renderings, and the
-// schedule-bundle round trip that feeds tools/cnpu_lint.
+// fixture per rule ID, validate_or_throw raising the engine's exception
+// types, the table/JSON renderings, and the schedule-bundle round trip that
+// feeds tools/cnpu_lint.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/rules.h"
 #include "analysis/validate.h"
 #include "arch/package.h"
 #include "core/baselines.h"
+#include "core/evaluator.h"
 #include "core/schedule.h"
 #include "core/schedule_io.h"
 #include "dataflow/layer.h"
@@ -86,6 +89,7 @@ TEST(RuleRegistryTest, IdsAndNamesAreUniqueAndStable) {
         analysis::kRuleSchedShardFraction, analysis::kRuleFleetEmpty,
         analysis::kRuleTenantNoPipeline, analysis::kRuleTenantForeignPackage,
         analysis::kRuleRouteUnreachable, analysis::kRuleRouteIoSevered,
+        analysis::kRuleNopParams,
         analysis::kRuleResidencyOverflow, analysis::kRuleFaultUnknownChiplet,
         analysis::kRuleFaultOrder, analysis::kRuleFaultPenaltySign,
         analysis::kRuleFaultNoSurvivor, analysis::kRuleArrivalSpecInvalid,
@@ -229,6 +233,43 @@ TEST_F(ValidateScheduleTest, R002SeveredIoPortIsRuntimeError) {
   EXPECT_THROW(validate_or_throw(sched_, opt), std::runtime_error);
 }
 
+TEST_F(ValidateScheduleTest, R003BadNopParamsAreInvalidArgument) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const NopParams good = pkg_.nop();
+  for (const auto& [bandwidth, hop] :
+       {std::pair{-1.0, good.hop_latency_s}, {0.0, good.hop_latency_s},
+        {nan, good.hop_latency_s}, {good.bandwidth_bytes_per_s, -1e-3},
+        {good.bandwidth_bytes_per_s, nan}}) {
+    SCOPED_TRACE("bandwidth " + std::to_string(bandwidth) + " hop " +
+                 std::to_string(hop));
+    PackageConfig bad = pkg_;
+    bad.set_nop(NopParams{bandwidth, hop, good.energy_per_bit_pj});
+    Schedule s(pipe_, bad);
+    s.assign(0, bad.chiplets()[0].id);
+    s.assign(1, bad.chiplets()[1].id);
+    EXPECT_TRUE(validate(s).has_rule(analysis::kRuleNopParams));
+    EXPECT_THROW(validate_or_throw(s), std::invalid_argument);
+    for (const NopMode mode : {NopMode::kAnalytical, NopMode::kContended}) {
+      SimOptions opt;
+      opt.nop_mode = mode;
+      EXPECT_THROW((void)SimEngine().run(s, opt), std::invalid_argument);
+    }
+    // With NoP delays unmodeled the engine never reads the parameters.
+    SimOptions no_nop;
+    no_nop.model_nop_delays = false;
+    EXPECT_FALSE(validate(s, no_nop).has_rule(analysis::kRuleNopParams));
+    EXPECT_NO_THROW((void)simulate_schedule(s, no_nop));
+  }
+  // Infinite bandwidth is the contention-free fabric, not an error.
+  PackageConfig ideal = pkg_;
+  ideal.set_nop(NopParams{std::numeric_limits<double>::infinity(),
+                          good.hop_latency_s, good.energy_per_bit_pj});
+  Schedule s(pipe_, ideal);
+  s.assign(0, ideal.chiplets()[0].id);
+  s.assign(1, ideal.chiplets()[1].id);
+  EXPECT_TRUE(validate(s).empty());
+}
+
 TEST_F(ValidateScheduleTest, M001IsLintOnlyOnTheSimPath) {
   PackageConfig tight = pkg_;
   MemorySpec mem;
@@ -316,7 +357,7 @@ TEST_F(ValidateScheduleTest, A003InertShedExpiredIsNote) {
 
 TEST_F(ValidateScheduleTest, D001InfeasibleDeadlineIsLintOnly) {
   SimOptions opt;
-  opt.deadline_s = 1e-12;  // far below the analytical lower bound
+  opt.deadline_s = 1e-12;  // far below the critical-path bound
   const Diagnostics diags = validate(sched_, opt);
   EXPECT_TRUE(diags.has_rule(analysis::kRuleDeadlineInfeasible));
   EXPECT_TRUE(diags.has_errors());
@@ -325,6 +366,45 @@ TEST_F(ValidateScheduleTest, D001InfeasibleDeadlineIsLintOnly) {
   opt.deadline_s = 10.0;
   EXPECT_FALSE(
       validate(sched_, opt).has_rule(analysis::kRuleDeadlineInfeasible));
+}
+
+// D001's bound is the static critical path, which every frame's latency
+// reaches, not the evaluator's E2E, which adds each stage's largest input
+// edge on top of its longest chain. Two stage-0 models on a 1x4 row: a big
+// GEMM on the chiplet the I/O port attaches to, a small one three hops
+// away. The first frame finishes at the critical path, 0.08 ms under the
+// E2E, so a deadline between the two is met.
+TEST(ValidateDeadlineTest, D001JudgesTheCriticalPathNotTheEvaluatorE2E) {
+  const PackageConfig pkg = make_simba_package(1, 4);
+  PerceptionPipeline pipe;
+  pipe.name = "two-gemm";
+  Stage stage;
+  stage.name = "stage0";
+  for (const LayerDesc& layer :
+       {gemm("A", 4096, 256, 256), gemm("B", 64, 64, 64)}) {
+    StageModel sm;
+    sm.model.name = layer.name;
+    sm.model.layers.push_back(layer);
+    stage.models.push_back(std::move(sm));
+  }
+  pipe.stages.push_back(std::move(stage));
+  Schedule s(pipe, pkg);
+  ASSERT_TRUE(pkg.io_port_attached_to(chiplet_at_col(pkg, 0)));
+  s.assign(0, chiplet_at_col(pkg, 0));
+  s.assign(1, chiplet_at_col(pkg, 3));
+
+  SimOptions opt;
+  opt.frames = 1;
+  EXPECT_NEAR(evaluate_schedule(s).e2e_s, 1.2817e-3, 1e-7);
+  EXPECT_NEAR(simulate_schedule(s, opt).first_frame_latency_s, 1.1986e-3,
+              1e-7);
+  opt.deadline_s = 1.2401e-3;
+  EXPECT_FALSE(
+      validate(s, opt).has_rule(analysis::kRuleDeadlineInfeasible));
+  EXPECT_EQ(simulate_schedule(s, opt).deadline_miss_frames, 0);
+  opt.deadline_s = 1.1985e-3;  // just under the critical path
+  EXPECT_TRUE(validate(s, opt).has_rule(analysis::kRuleDeadlineInfeasible));
+  EXPECT_EQ(simulate_schedule(s, opt).deadline_miss_frames, 1);
 }
 
 TEST_F(ValidateScheduleTest, T003ForeignTenantPackageIsInvalidArgument) {

@@ -9,12 +9,14 @@
 
 #include "analysis/bounds.h"
 #include "arch/package.h"
+#include "core/baselines.h"
 #include "core/evaluator.h"
 #include "dataflow/cost_model.h"
 #include "dataflow/layer.h"
 #include "sim/event_sim.h"
 #include "sim/serving.h"
 #include "workloads/model.h"
+#include "workloads/zoo.h"
 
 namespace cnpu {
 namespace {
@@ -131,6 +133,22 @@ TEST(BoundsLatencyTest, BoundEqualsUncontendedFirstFrame) {
   const SimResult sim = simulate_schedule(s, opt);
   EXPECT_DOUBLE_EQ(rep.streams[0].latency_bound_s,
                    sim.first_frame_latency_s);
+}
+
+TEST(BoundsLatencyTest, NegativeEdgeDelaysStillReturn) {
+  // A negative hop latency (rejected at run time as R003, but lintable)
+  // makes edge delays and completion times negative; the longest-path
+  // search must still finish.
+  const PerceptionPipeline pipe = build_fault_probe_pipeline(2);
+  PackageConfig pkg = make_simba_package(2, 2);
+  NopParams nop = pkg.nop();
+  nop.hop_latency_s = -1e-3;
+  pkg.set_nop(nop);
+  const Schedule s = build_chainwise_schedule(pipe, pkg);
+
+  const BoundsReport rep = compute_bounds(s);
+  ASSERT_EQ(rep.streams.size(), 1u);
+  EXPECT_TRUE(std::isfinite(rep.streams[0].latency_bound_s));
 }
 
 TEST(BoundsLatencyTest, StructurallyBrokenStreamIsSkipped) {

@@ -862,8 +862,9 @@ TEST_P(FuzzSeed, CapacityAwarePlacementRespectsResidency) {
   }
 }
 
-// The static verifier (src/analysis/validate.h) must agree with the legacy
-// runtime checks in BOTH directions, over arbitrary configurations:
+// The static verifier (src/analysis/validate.h) must agree with the
+// engine's own checks in BOTH directions, over arbitrary configurations
+// (random NoP parameters and tenant lists included):
 //  * any config validate() accepts (no enforced finding) must run through
 //    SimEngine::run without throwing — the linter never green-lights a
 //    config the engine rejects;
@@ -875,7 +876,7 @@ TEST_P(FuzzSeed, CapacityAwarePlacementRespectsResidency) {
 TEST_P(FuzzSeed, ValidatorAgreesWithEngineAcceptance) {
   using analysis::ThrowKind;
   Lcg rng(static_cast<std::uint64_t>(GetParam()) * 88811u + 5u);
-  for (int trial = 0; trial < 12; ++trial) {
+  for (int trial = 0; trial < 24; ++trial) {
     SCOPED_TRACE("seed " + std::to_string(GetParam()) + " trial " +
                  std::to_string(trial));
     // Small random package, sometimes degraded (possibly disconnected or
@@ -944,6 +945,43 @@ TEST_P(FuzzSeed, ValidatorAgreesWithEngineAcceptance) {
       opt.admission.queue_capacity = static_cast<int>(rng.range(0, 2));
     }
     if (rng.range(0, 3) == 0) opt.deadline_s = 1e-12;  // infeasible: lint-only
+
+    // Random NoP parameters, sometimes ones the engine cannot run (R003);
+    // infinite bandwidth is valid.
+    if (rng.range(0, 1) == 0) {
+      NopParams nop = pkg.nop();
+      const std::int64_t kind = rng.range(0, 4);
+      if (kind == 0) nop.bandwidth_bytes_per_s = -1e9;
+      if (kind == 1) nop.bandwidth_bytes_per_s = 0.0;
+      if (kind == 2) nop.hop_latency_s = -1e-3;
+      if (kind == 3) nop.hop_latency_s = std::nan("");
+      if (kind == 4) {
+        nop.bandwidth_bytes_per_s = std::numeric_limits<double>::infinity();
+      }
+      pkg.set_nop(nop);
+    }
+    // Random tenant lists: a tenant on a second package (T003), one with
+    // an empty pipeline (S001), capacity-less shedding on one (A002).
+    const PackageConfig other_pkg = make_simba_package(1, 1);
+    Schedule foreign(pipe, other_pkg);
+    for (int i = 0; i < foreign.num_items(); ++i) {
+      foreign.assign(i, other_pkg.chiplets()[0].id);
+    }
+    const PerceptionPipeline no_layers;
+    const Schedule empty(no_layers, pkg);
+    if (rng.range(0, 2) == 0) {
+      const int tenants = static_cast<int>(rng.range(1, 3));
+      for (int t = 0; t < tenants; ++t) {
+        TenantStream ts;
+        ts.name = "t" + std::to_string(t);
+        ts.frames = 2;
+        const std::int64_t kind = rng.range(0, 5);
+        if (kind == 0) ts.schedule = &foreign;
+        if (kind == 1) ts.schedule = &empty;
+        if (kind == 2) ts.admission.policy = ShedPolicy::kRejectNew;
+        opt.tenants.push_back(std::move(ts));
+      }
+    }
 
     const analysis::Diagnostics diags = analysis::validate(sched, opt);
     const analysis::Diagnostic* expected = nullptr;

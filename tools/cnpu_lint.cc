@@ -64,7 +64,8 @@ void print_usage(std::FILE* out) {
       "  --deadline-ms X  per-frame deadline for the D001 lower-bound check\n"
       "                   (default: no deadline)\n"
       "  --no-nop         lint as if NoP delays were unmodeled (route rules\n"
-      "                   R001/R002 demote to lint-only, D001 is skipped)\n"
+      "                   R001/R002 demote to lint-only, R003 and D001\n"
+      "                   are skipped)\n"
       "  --bounds         additionally run the static performance-bound\n"
       "                   analyzer (analysis/bounds.h): advisory P-rule\n"
       "                   findings join the diagnostics, plus a bounds\n"
@@ -234,6 +235,18 @@ std::vector<Fixture> build_fixtures() {
         "route-io-severed", cnpu::analysis::kRuleRouteIoSevered, true, s,
         opt));
   }
+  {  // R003: a negative link bandwidth would deliver transfers before
+     // they are sent.
+    PackageConfig bad = pkg;
+    cnpu::NopParams nop = bad.nop();
+    nop.bandwidth_bytes_per_s = -1.0;
+    bad.set_nop(nop);
+    Schedule s(pipe, bad);
+    s.assign(0, bad.chiplets()[0].id);
+    s.assign(1, bad.chiplets()[1].id);
+    fixtures.push_back(schedule_fixture(
+        "nop-params", cnpu::analysis::kRuleNopParams, true, s));
+  }
   {  // M001: resident weights exceed a 16-byte weight budget.
     PackageConfig tight = pkg;
     cnpu::MemorySpec mem;
@@ -300,7 +313,7 @@ std::vector<Fixture> build_fixtures() {
         "admission-capacity", cnpu::analysis::kRuleAdmissionCapacity, true, s,
         opt));
   }
-  {  // D001: a 1 ps deadline is below the uncongested analytical bound.
+  {  // D001: a 1 ps deadline is below the critical-path bound.
     Schedule s(pipe, pkg);
     s.assign(0, pkg.chiplets()[0].id);
     s.assign(1, pkg.chiplets()[1].id);
