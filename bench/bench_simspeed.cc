@@ -33,9 +33,14 @@
 //     modest (kServingSpeedupFloor); the sharp check is bitwise identity
 //     of every warm probe against a fresh plan.
 //
+// Both sections also read the warm engine's event-loop counters
+// (EngineStats): event-heap pushes and no-op dispatch wake-ups per executed
+// task. These are counts, not timings, so their gate is deterministic: the
+// bench FAILS when pushes per task exceed kPushesPerTaskCeiling.
+//
 // Artifacts: bench_simspeed.csv / bench_simspeed.json (points, elapsed,
-// points/sec, speedups per section; the JSON is uploaded by the Release
-// and ASan CI jobs). --smoke runs reduced grids for CTest.
+// points/sec, speedups and loop counts per section; the JSON is uploaded
+// by the Release and ASan CI jobs). --smoke runs reduced grids for CTest.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -69,6 +74,11 @@ constexpr double kGridSpeedupFloor = 1.3;
 // event loop (identical in both paths) dominates; plan reuse must still
 // be a measurable win, never a regression.
 constexpr double kServingSpeedupFloor = 1.1;
+// Event-heap pushes per executed task, warm engine, either section. The
+// loop pushes one finish per task plus the dispatch wake-ups it cannot
+// serve at the current instant: 1.06 (grid) and 1.31 (serving) here,
+// against 3.0 and 3.1 when every admission and every wake-up was an event.
+constexpr double kPushesPerTaskCeiling = 1.4;
 
 struct Timing {
   long long points = 0;
@@ -91,6 +101,32 @@ Timing measure(int points_per_pass, double min_elapsed_s, Fn&& pass) {
   return t;
 }
 
+// Event-loop work per executed task, from a warm engine's EngineStats.
+struct LoopCounts {
+  double pushes_per_task = 0.0;
+  double busy_per_task = 0.0;  // dispatches that found the chiplet busy
+  double idle_per_task = 0.0;  // dispatches that found nothing ready
+  double noop_per_task() const { return busy_per_task + idle_per_task; }
+};
+
+// Computes the section's loop counts and prints them with the raw ledger.
+LoopCounts report_loop_counts(const EngineStats& s) {
+  LoopCounts c;
+  if (s.tasks_executed > 0) {
+    const double tasks = static_cast<double>(s.tasks_executed);
+    c.pushes_per_task = static_cast<double>(s.pushes.total()) / tasks;
+    c.busy_per_task = static_cast<double>(s.busy_dispatches) / tasks;
+    c.idle_per_task = static_cast<double>(s.idle_dispatches) / tasks;
+  }
+  std::printf("  event loop: %.3f heap pushes/task (finish %lld, dispatch "
+              "%lld), %.3f no-op dispatches/task (busy %.3f, idle %.3f), "
+              "%lld stale finishes, heap peak %lld\n",
+              c.pushes_per_task, s.pushes.finish, s.pushes.dispatch,
+              c.noop_per_task(), c.busy_per_task, c.idle_per_task,
+              s.stale_finishes, s.event_heap_peak);
+  return c;
+}
+
 struct SectionResult {
   std::string name;
   Timing stateless;           // per-point fresh construction
@@ -98,6 +134,7 @@ struct SectionResult {
   Timing warm;                // hoisted design, reused engine
   double parallel_pps = 0.0;  // SweepRunner path; 0 when not measured
   double floor = 0.0;
+  LoopCounts loop;  // warm engine
   // The floor applies to warm vs one-shot (grid) or warm vs stateless.
   bool floor_vs_oneshot = false;
   double speedup() const {
@@ -229,9 +266,11 @@ SectionResult run_grid_section(bool smoke) {
               "slots)\n",
               sec.parallel_pps, runner.worker_slots());
   std::printf("  engine ledger: %lld runs, %lld program builds, %lld cache "
-              "hits, %lld warm starts\n\n",
+              "hits, %lld warm starts\n",
               stats.runs, stats.program_builds, stats.program_cache_hits,
               stats.warm_starts);
+  sec.loop = report_loop_counts(stats);
+  std::printf("\n");
   return sec;
 }
 
@@ -313,8 +352,10 @@ SectionResult run_serving_section(bool smoke) {
               "%.2f s) -> %.2fx (floor %.1fx)\n",
               sec.warm.pps(), sec.warm.points, sec.warm.elapsed_s,
               sec.speedup(), sec.floor);
-  std::printf("  warm bitwise == fresh at every rate: %s\n\n",
+  std::printf("  warm bitwise == fresh at every rate: %s\n",
               mismatches == 0 ? "yes" : "NO - BUG");
+  sec.loop = report_loop_counts(plan.engine_stats());
+  std::printf("\n");
   if (mismatches != 0) {
     std::fprintf(stderr, "bench_simspeed: warm ServingPlan diverged from "
                          "fresh plans at %d rates\n",
@@ -338,12 +379,14 @@ void write_artifacts(const std::vector<SectionResult>& sections, bool pass) {
   csv.set_header({"section", "stateless_points_per_sec",
                   "oneshot_points_per_sec", "warm_points_per_sec",
                   "speedup_vs_stateless", "speedup_vs_oneshot",
-                  "parallel_points_per_sec", "speedup_floor"});
+                  "parallel_points_per_sec", "speedup_floor",
+                  "heap_pushes_per_task", "noop_dispatches_per_task"});
   for (const SectionResult& s : sections) {
     csv.add_row({s.name, fmt(s.stateless.pps()), fmt(s.oneshot.pps()),
                  fmt(s.warm.pps()), fmt(s.speedup()),
                  fmt(s.speedup_vs_oneshot()), fmt(s.parallel_pps),
-                 fmt(s.floor)});
+                 fmt(s.floor), fmt(s.loop.pushes_per_task),
+                 fmt(s.loop.noop_per_task())});
   }
   const bool csv_ok = csv.write_file(bench::artifact_path("bench_simspeed.csv"));
 
@@ -362,6 +405,11 @@ void write_artifacts(const std::vector<SectionResult>& sections, bool pass) {
     w.key("speedup_vs_oneshot").value(s.speedup_vs_oneshot());
     w.key("parallel_points_per_sec").value(s.parallel_pps);
     w.key("speedup_floor").value(s.floor);
+    w.key("heap_pushes_per_task").value(s.loop.pushes_per_task);
+    w.key("heap_pushes_per_task_ceiling").value(kPushesPerTaskCeiling);
+    w.key("noop_dispatches_per_task").value(s.loop.noop_per_task());
+    w.key("busy_dispatches_per_task").value(s.loop.busy_per_task);
+    w.key("idle_dispatches_per_task").value(s.loop.idle_per_task);
     w.end_object();
   }
   w.end_array();
@@ -397,13 +445,18 @@ void print_tables(bool smoke) {
                 s.floor_vs_oneshot ? "the one-shot simulator"
                                    : "per-point fresh construction",
                 s.floor, ok ? "pass" : "FAIL");
-    if (!ok) pass = false;
+    const bool lean = s.loop.pushes_per_task <= kPushesPerTaskCeiling;
+    std::printf("%s: %.3f event-heap pushes per task (ceiling %.2f) - %s\n",
+                s.name.c_str(), s.loop.pushes_per_task, kPushesPerTaskCeiling,
+                lean ? "pass" : "FAIL");
+    if (!ok || !lean) pass = false;
   }
   std::printf("\n");
   write_artifacts(sections, pass);
   if (!pass) {
     std::fprintf(stderr, "bench_simspeed: engine-reuse speedup fell below "
-                         "its floor\n");
+                         "its floor, or event-heap pushes per task rose "
+                         "above their ceiling\n");
     std::exit(1);
   }
 }

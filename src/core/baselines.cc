@@ -108,14 +108,21 @@ Schedule build_pool_schedule(const PerceptionPipeline& pipeline,
   if (pool.empty()) {
     throw std::invalid_argument("build_pool_schedule: empty chiplet pool");
   }
+  // A member with no positive capacity takes any chain. When every member
+  // is like that, the preferred member always fits, so the chains'
+  // footprints are never summed.
+  bool always_fits = true;
   for (const int id : pool) {
-    bool found = false;
-    for (const auto& c : package.chiplets()) found = found || c.id == id;
-    if (!found) {
+    const int pos = package.position_of(id);
+    if (pos < 0) {
       throw std::invalid_argument("build_pool_schedule: chiplet " +
                                   std::to_string(id) +
                                   " is not in the package");
     }
+    const MemorySpec& mem =
+        package.chiplets()[static_cast<std::size_t>(pos)].memory;
+    always_fits = always_fits && mem.weight_capacity_bytes <= 0.0 &&
+                  mem.activation_capacity_bytes <= 0.0;
   }
   Schedule sched(pipeline, package);
   // Capacity tracking per pool member: resident weight bytes accumulate
@@ -134,10 +141,12 @@ Schedule build_pool_schedule(const PerceptionPipeline& pipeline,
       const auto& items = sched.items_of_model(st, mod);
       double chain_weight = 0.0;
       double chain_act = 0.0;
-      for (const int item : items) {
-        const LayerDesc& desc = *sched.item(item).desc;
-        chain_weight += layer_weight_bytes(desc);
-        chain_act = std::max(chain_act, shard_activation_bytes(desc, 1.0));
+      if (!always_fits) {
+        for (const int item : items) {
+          const LayerDesc& desc = *sched.item(item).desc;
+          chain_weight += layer_weight_bytes(desc);
+          chain_act = std::max(chain_act, shard_activation_bytes(desc, 1.0));
+        }
       }
       // Round-robin preference with spill: probe forward from the preferred
       // member to the first one with room (deterministic; the round-robin

@@ -1,6 +1,8 @@
 #include "core/schedule_io.h"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -186,6 +188,11 @@ void emit_chiplet(JsonWriter& w, const ChipletSpec& c) {
   w.end_object();
 }
 
+// The cost model multiplies tile dimensions in int64 (tile_h * tile_w in
+// analyze_os, analyze_ws and mapping_cost): below 2^31 each, the product
+// fits.
+constexpr std::int64_t kMaxArrayDim = (std::int64_t{1} << 31) - 1;
+
 ChipletSpec parse_chiplet(const JsonValue& j) {
   ChipletSpec c;
   c.id = static_cast<int>(j.at("id").as_int());
@@ -193,12 +200,24 @@ ChipletSpec parse_chiplet(const JsonValue& j) {
   c.coord.row = static_cast<int>(j.at("row").as_int());
   c.coord.col = static_cast<int>(j.at("col").as_int());
   const JsonValue& a = j.at("array");
+  const auto in_range = [&](const char* key, std::int64_t max) {
+    const std::int64_t v = a.at(key).as_int();
+    if (v < 1 || v > max) {
+      throw std::invalid_argument("schedule bundle: chiplet " +
+                                  std::to_string(c.id) + " array." + key +
+                                  " = " + std::to_string(v) +
+                                  " is outside [1, " + std::to_string(max) +
+                                  "]");
+    }
+    return v;
+  };
   c.array.dataflow = dataflow_from_name(a.at("dataflow").as_string());
-  c.array.num_pes = a.at("num_pes").as_int();
-  c.array.array_h = a.at("array_h").as_int();
-  c.array.array_w = a.at("array_w").as_int();
-  c.array.tile_h = a.at("tile_h").as_int();
-  c.array.tile_w = a.at("tile_w").as_int();
+  c.array.num_pes =
+      in_range("num_pes", std::numeric_limits<std::int64_t>::max());
+  c.array.array_h = in_range("array_h", kMaxArrayDim);
+  c.array.array_w = in_range("array_w", kMaxArrayDim);
+  c.array.tile_h = in_range("tile_h", kMaxArrayDim);
+  c.array.tile_w = in_range("tile_w", kMaxArrayDim);
   c.array.frequency_hz = a.at("frequency_hz").as_double();
   c.array.gb_bandwidth = a.at("gb_bandwidth").as_double();
   const JsonValue& m = j.at("memory");

@@ -45,8 +45,10 @@ struct ScheduleBundle {
 std::string bundle_to_json(const Schedule& schedule);
 
 // Parses a bundle document. Throws std::invalid_argument on malformed JSON,
-// an unknown format tag, or structurally inconsistent contents (placement
-// count != schedule item count, unknown op/dataflow names). Semantic
+// an unknown format tag, structurally inconsistent contents (placement
+// count != schedule item count, unknown op/dataflow names), or a chiplet
+// array the cost model cannot price without int64 overflow (array_h,
+// array_w, tile_h or tile_w outside [1, 2^31), num_pes <= 0). Semantic
 // problems that parse cleanly (dangling chiplet ids, overfull residency)
 // are deliberately NOT rejected here — that is the linter's job
 // (src/analysis/validate.h), and cnpu_lint needs to load such bundles to

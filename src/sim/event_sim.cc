@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -174,9 +175,12 @@ void canonicalize_links(std::vector<int>& links, const NopFabric& fabric) {
 
 // Event kinds, in tie-break order at equal timestamps: frame admissions
 // first (so ingress messages claim links before same-instant completions),
-// then shard finishes (so freed dependents are visible), then dispatches,
-// then the fault flush (so same-instant work lands before the machine is
-// flushed, keeping the boundary well-defined), then recovery.
+// then shard finishes (so freed dependents are visible), then dispatches
+// in chiplet order, then the fault flush (so same-instant work lands before
+// the machine is flushed, keeping the boundary well-defined), then
+// recovery. Only finishes, future dispatch wake-ups, the fault and the
+// recovery live in the event heap; run_into merges admissions and the
+// current instant's dispatches into this order (see there).
 enum EvKind : int {
   kAdmit = 0,
   kFinish = 1,
@@ -191,6 +195,7 @@ struct Ev {
   int a;  // admit: frame; finish: frame; dispatch: dense chiplet
   int b;  // finish: item
   int c;  // finish: frame epoch at dispatch (stale-event filter)
+  int d;  // finish: dense chiplet the task ran on
 };
 
 struct EvAfter {
@@ -199,7 +204,8 @@ struct EvAfter {
     if (x.kind != y.kind) return x.kind > y.kind;
     if (x.a != y.a) return x.a > y.a;
     if (x.b != y.b) return x.b > y.b;
-    return x.c > y.c;
+    if (x.c != y.c) return x.c > y.c;
+    return x.d > y.d;
   }
 };
 
@@ -256,6 +262,7 @@ class MinHeap {
  public:
   bool empty() const { return v_.empty(); }
   const T& top() const { return v_.front(); }
+  std::size_t size() const { return v_.size(); }
   void push(T x) {
     v_.push_back(std::move(x));
     std::push_heap(v_.begin(), v_.end(), After{});
@@ -618,6 +625,14 @@ struct SimEngine::Impl {
   std::vector<double> chiplet_free;
   std::vector<double> chiplet_busy;
   MinHeap<Ev, EvAfter> events;
+  // Jobs in admission order, (instant, job id), when `order` is not it.
+  std::vector<int> admit_seq;
+  // Dispatch wake-ups at the current instant, by chiplet (see run_into).
+  MinHeap<int, std::greater<int>> due;
+  std::vector<char> is_due;
+  // Per chiplet: instant of its latest dispatch wake-up still in `events`
+  // (-inf when none), so an identical wake-up is not queued twice.
+  std::vector<double> wake_at;
   // The union of the links of this run's programs, canonical — built only
   // when the run has more than one program (several tenants or a fault).
   std::vector<int> run_links;
@@ -910,6 +925,10 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   chiplet_free.assign(static_cast<std::size_t>(nc), 0.0);
   chiplet_busy.assign(static_cast<std::size_t>(nc), 0.0);
   events.clear();
+  due.clear();
+  is_due.assign(static_cast<std::size_t>(nc), 0);
+  wake_at.assign(static_cast<std::size_t>(nc),
+                 -std::numeric_limits<double>::infinity());
 
   // Reset every field of the caller's result object (run_into reuses its
   // buffers; a stale field from a previous run must not leak through).
@@ -935,15 +954,51 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   result.reload_time_s = 0.0;
   result.tenants.resize(static_cast<std::size_t>(num_tenants));
 
+  // The instant of the event being processed. Every wake-up and release
+  // the loop makes is at or after it.
+  double now = 0.0;
+
+  // Every event-heap push goes through here, so EngineStats counts them.
+  const auto push_event = [&](const Ev& e, long long& pushes_of_kind) {
+    events.push(e);
+    ++pushes_of_kind;
+    const long long held = static_cast<long long>(events.size());
+    if (held > stats.event_heap_peak) stats.event_heap_peak = held;
+  };
+
+  // Requests a dispatch on chiplet `c` at instant `t` >= now. A wake-up
+  // for `now` joins the due list; a later one goes to the event heap
+  // unless the chiplet's latest queued heap wake-up is already at `t`.
+  const auto wake = [&](double t, int c) {
+    const std::size_t k = static_cast<std::size_t>(c);
+    if (wake_at[k] == t) return;
+    if (t == now) {
+      if (!is_due[k]) {
+        is_due[k] = 1;
+        due.push(c);
+      }
+      return;
+    }
+    wake_at[k] = t;
+    push_event(Ev{t, kDispatch, c, 0, 0, 0}, stats.pushes.dispatch);
+  };
+
+  // A shard ready by the current instant goes straight to its chiplet's
+  // ready heap: the next dispatch there would move it from `pending` first.
   const auto enqueue_item_shards = [&](int job, int item, double at) {
     const auto& shards =
         prog_of[static_cast<std::size_t>(job)]
             ->shards_of_item[static_cast<std::size_t>(item)];
+    const int rank = rank_of[static_cast<std::size_t>(job)];
     for (int s = 0; s < static_cast<int>(shards.size()); ++s) {
       const int c = shards[static_cast<std::size_t>(s)].chiplet;
-      pending[static_cast<std::size_t>(c)].push(PendingShard{
-          at, rank_of[static_cast<std::size_t>(job)], job, item, s});
-      events.push(Ev{at, kDispatch, c, 0, 0});
+      if (at <= now + kTimeEps) {
+        ready[static_cast<std::size_t>(c)].push(ReadyShard{rank, job, item, s});
+      } else {
+        pending[static_cast<std::size_t>(c)].push(
+            PendingShard{at, rank, job, item, s});
+      }
+      wake(at, c);
     }
   };
 
@@ -983,20 +1038,77 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     }
   };
 
-  for (int j = 0; j < jobs; ++j) {
-    events.push(Ev{admit_of[static_cast<std::size_t>(j)], kAdmit, j, 0, 0});
+  // Admissions are read from a cursor over the jobs in (instant, job id)
+  // order — the order their kAdmit events would pop in. `order` is that
+  // order unless kPriority ranked tenants by priority first.
+  const std::vector<int>* admits = &order;
+  if (options.policy == PlacementPolicy::kPriority) {
+    admit_seq.resize(static_cast<std::size_t>(jobs));
+    for (int j = 0; j < jobs; ++j) admit_seq[static_cast<std::size_t>(j)] = j;
+    if (!std::is_sorted(admit_of.begin(), admit_of.end())) {
+      std::sort(admit_seq.begin(), admit_seq.end(), [&](int a, int b) {
+        const double ta = admit_of[static_cast<std::size_t>(a)];
+        const double tb = admit_of[static_cast<std::size_t>(b)];
+        return ta < tb || (ta == tb && a < b);
+      });
+    }
+    admits = &admit_seq;
   }
+  std::size_t next_admit = 0;
+
   if (faulted) {
-    events.push(Ev{fault.fail_time_s, kFault, 0, 0, 0});
+    push_event(Ev{fault.fail_time_s, kFault, 0, 0, 0, 0}, stats.pushes.fault);
     if (fault.recover_time_s >= 0.0) {
-      events.push(Ev{fault.recover_time_s, kRecover, 0, 0, 0});
+      push_event(Ev{fault.recover_time_s, kRecover, 0, 0, 0, 0},
+                 stats.pushes.recover);
     }
   }
 
-  while (!events.empty()) {
-    const Ev ev = events.top();
-    events.pop();
-    const double now = ev.time;
+  // The next event in (time, kind, ...) order, from three sources: the
+  // admission cursor, the due list (dispatches at `now`, by chiplet) and
+  // the event heap (every other event is at or after `now`).
+  const auto next_event = [&](Ev& ev) {
+    const bool admit_left = next_admit < admits->size();
+    const double admit_t =
+        admit_left ? admit_of[static_cast<std::size_t>((*admits)[next_admit])]
+                   : 0.0;
+    bool heap_first = false;
+    if (!events.empty()) {
+      const Ev& top = events.top();
+      if (due.empty()) {
+        // An admission goes first at equal time.
+        heap_first = !admit_left || top.time < admit_t;
+      } else {
+        // Due wake-ups are at `now`: after admissions at `now`, the heap's
+        // finishes at `now` and its dispatches at `now` on lower chiplets.
+        heap_first = !(admit_left && admit_t <= now) && top.time == now &&
+                     (top.kind == kFinish ||
+                      (top.kind == kDispatch && top.a < due.top()));
+      }
+    }
+    if (heap_first) {
+      ev = events.top();
+      events.pop();
+      if (ev.kind == kDispatch &&
+          wake_at[static_cast<std::size_t>(ev.a)] == ev.time) {
+        wake_at[static_cast<std::size_t>(ev.a)] =
+            -std::numeric_limits<double>::infinity();
+      }
+    } else if (admit_left && (due.empty() || admit_t <= now)) {
+      ev = Ev{admit_t, kAdmit, (*admits)[next_admit++], 0, 0, 0};
+    } else if (!due.empty()) {
+      ev = Ev{now, kDispatch, due.top(), 0, 0, 0};
+      is_due[static_cast<std::size_t>(due.top())] = 0;
+      due.pop();
+    } else {
+      return false;
+    }
+    return true;
+  };
+
+  Ev ev{};
+  while (next_event(ev)) {
+    now = ev.time;
     switch (ev.kind) {
       case kAdmit: {
         const int f = ev.a;
@@ -1057,9 +1169,15 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
       case kFinish: {
         const int f = ev.a;
         const int item = ev.b;
+        // The task's chiplet is free: dispatch there once this instant's
+        // finishes are in, stale or not.
+        wake(now, ev.d);
         // Stale: the frame was flushed (and possibly dropped) after this
         // task was dispatched.
-        if (ev.c != epoch_of[static_cast<std::size_t>(f)]) break;
+        if (ev.c != epoch_of[static_cast<std::size_t>(f)]) {
+          ++stats.stale_finishes;
+          break;
+        }
         const std::size_t key = idx(f, item);
         // The last shard's finish event carries the item's completion time
         // (events pop in nondecreasing time order).
@@ -1106,7 +1224,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           ready[static_cast<std::size_t>(c)].clear();
           chiplet_free[static_cast<std::size_t>(c)] =
               c == dead ? std::numeric_limits<double>::infinity() : resume;
-          if (c != dead) events.push(Ev{resume, kDispatch, c, 0, 0});
+          if (c != dead) wake(resume, c);
         }
         // Cold-start weight reloads (memory model active only; the plans
         // are empty otherwise): every tenant's remap destinations refill
@@ -1127,7 +1245,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
             const double delay = rp.delay_s + wait;
             const std::size_t c = static_cast<std::size_t>(rp.dense_chiplet);
             chiplet_free[c] += delay;
-            events.push(Ev{chiplet_free[c], kDispatch, rp.dense_chiplet, 0, 0});
+            wake(chiplet_free[c], rp.dense_chiplet);
             result.reload_bytes += rp.bytes;
             result.reload_time_s += delay;
           }
@@ -1163,8 +1281,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         }
         // The flush invalidated the incremental queue accounting (started
         // flags were reset, deadline drops left the queue): recompute it
-        // wholesale. Every kAdmit at time <= now has already popped (kAdmit
-        // sorts before kFault at equal timestamps).
+        // wholesale. Every admission at time <= now has already been
+        // processed (kAdmit sorts before kFault at equal timestamps).
         std::fill(queue_len.begin(), queue_len.end(), 0);
         for (int f = 0; f < jobs; ++f) {
           const std::size_t k = static_cast<std::size_t>(f);
@@ -1180,7 +1298,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         // schedule again (the kAdmit regime check), frames in flight keep
         // their degraded placement — no second flush. The dispatch kick is
         // required: a frame admitted at this exact instant already enqueued
-        // work here (kAdmit and its kDispatch both sort before kRecover at
+        // work here (kAdmit and its dispatch both sort before kRecover at
         // equal timestamps) and bounced off the still-infinite calendar.
         chiplet_free[static_cast<std::size_t>(dead)] = now;
         // Cold SRAM (memory model active only): the revived chiplet
@@ -1200,16 +1318,17 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           result.reload_bytes += rp.bytes;
           result.reload_time_s += delay;
         }
-        events.push(
-            Ev{chiplet_free[static_cast<std::size_t>(dead)], kDispatch, dead,
-               0, 0});
+        wake(chiplet_free[static_cast<std::size_t>(dead)], dead);
         break;
       }
       case kDispatch:
       default: {
         const std::size_t c = static_cast<std::size_t>(ev.a);
-        // Busy: the dispatch pushed at this task's completion will re-check.
-        if (chiplet_free[c] > now + kTimeEps) break;
+        // Busy: the running task's finish wakes this chiplet again.
+        if (chiplet_free[c] > now + kTimeEps) {
+          ++stats.busy_dispatches;
+          break;
+        }
         auto& pend = pending[c];
         auto& rdy = ready[c];
         while (!pend.empty() && pend.top().ready <= now + kTimeEps) {
@@ -1243,9 +1362,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           }
         }
         if (rdy.empty()) {
-          if (!pend.empty()) {
-            events.push(Ev{pend.top().ready, kDispatch, ev.a, 0, 0});
-          }
+          ++stats.idle_dispatches;
+          if (!pend.empty()) wake(pend.top().ready, ev.a);
           break;
         }
         const ReadyShard task = rdy.top();
@@ -1276,9 +1394,9 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         chiplet_free[c] = done;
         chiplet_busy[c] += service;
         ++result.tasks_executed;
-        events.push(Ev{done, kDispatch, ev.a, 0, 0});
-        events.push(Ev{done, kFinish, task.job, task.item,
-                       epoch_of[static_cast<std::size_t>(task.job)]});
+        push_event(Ev{done, kFinish, task.job, task.item,
+                      epoch_of[static_cast<std::size_t>(task.job)], ev.a},
+                   stats.pushes.finish);
         break;
       }
     }
@@ -1361,6 +1479,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     fabric.stats_into(result.makespan_s, run_link_list(faulted),
                       result.link_stats);
   }
+  stats.tasks_executed += result.tasks_executed;
   ++stats.runs;
 }
 

@@ -421,6 +421,27 @@ struct EngineStats {
   // admission instants, so no sort — and no sort scratch allocation — was
   // needed).
   long long warm_starts = 0;
+
+  // Event-loop counters (docs/METRICS.md), summed over runs. They only
+  // count: no result depends on them.
+  long long tasks_executed = 0;  // SimResult::tasks_executed, summed
+  // Event-heap pushes by event kind. Admissions and dispatches at the
+  // instant being processed never enter the heap.
+  struct EventPushes {
+    long long finish = 0;
+    long long dispatch = 0;
+    long long fault = 0;
+    long long recover = 0;
+    long long total() const { return finish + dispatch + fault + recover; }
+  } pushes;
+  // Dispatch wake-ups that found the chiplet still running a task, and
+  // ones that found it free but no shard ready to start.
+  long long busy_dispatches = 0;
+  long long idle_dispatches = 0;
+  // Finish events of tasks a fault flush revoked after their dispatch.
+  long long stale_finishes = 0;
+  // Most events the heap held at once, over all runs.
+  long long event_heap_peak = 0;
 };
 
 // Reusable simulation engine: simulate_schedule with all per-run state —

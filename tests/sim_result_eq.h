@@ -1,6 +1,7 @@
-// Bitwise SimResult comparison and the link_stats order check, shared by
-// the engine-identity unit tests (tests/test_sim_engine.cc) and the
-// reused-engine fuzz property (tests/test_fuzz_properties.cc).
+// Bitwise SimResult comparison, the link_stats order check and a bitwise
+// SimResult digest for pinning results, shared by the engine-identity unit
+// tests (tests/test_sim_engine.cc) and the reused-engine fuzz property
+// (tests/test_fuzz_properties.cc).
 //
 // EXPECT_EQ on raw doubles cannot express the contract: dropped frames
 // legitimately carry NaN, and NaN != NaN. Comparing every double by its
@@ -123,6 +124,95 @@ inline void expect_sim_results_bits_eq(const SimResult& a, const SimResult& b) {
     SCOPED_TRACE("tenant " + std::to_string(t));
     expect_tenants_bits_eq(a.tenants[t], b.tenants[t]);
   }
+}
+
+// 64-bit FNV-1a over a value stream: doubles by bit pattern, integers
+// sign-extended to 64 bits, strings and vectors length-prefixed.
+class Fnv64 {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(int v) { add(static_cast<std::uint64_t>(std::int64_t{v})); }
+  void add(double v) { add(dbits(v)); }
+  void add(const std::string& s) {
+    add(std::uint64_t{s.size()});
+    for (const char c : s) add(static_cast<int>(c));
+  }
+  void add(const std::vector<double>& v) {
+    add(std::uint64_t{v.size()});
+    for (const double x : v) add(x);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+// Every field of a SimResult, bit for bit, in declaration order (tenant
+// slices and link_stats included): pinning this one number pins the whole
+// result, NaN slots and all.
+inline std::uint64_t sim_result_digest(const SimResult& r) {
+  Fnv64 h;
+  h.add(r.first_frame_latency_s);
+  h.add(r.steady_interval_s);
+  h.add(r.makespan_s);
+  h.add(r.frame_completion_s);
+  h.add(r.frame_latency_s);
+  h.add(r.p50_latency_s);
+  h.add(r.p95_latency_s);
+  h.add(r.p99_latency_s);
+  h.add(r.chiplet_busy_s);
+  h.add(std::uint64_t{r.link_stats.size()});
+  for (const LinkStats& l : r.link_stats) {
+    h.add(static_cast<int>(l.link.kind));
+    h.add(l.link.npu);
+    h.add(l.link.npu_to);
+    h.add(l.link.from.row);
+    h.add(l.link.from.col);
+    h.add(l.link.to.row);
+    h.add(l.link.to.col);
+    h.add(l.link.substrate_step);
+    h.add(l.busy_s);
+    h.add(l.utilization);
+    h.add(l.max_queue_wait_s);
+    h.add(l.total_queue_wait_s);
+    h.add(l.messages);
+  }
+  h.add(r.tasks_executed);
+  h.add(r.frames_completed);
+  h.add(r.dropped_frames);
+  h.add(r.shed_frames);
+  h.add(r.deadline_miss_frames);
+  h.add(r.peak_latency_s);
+  h.add(r.recovery_time_s);
+  h.add(r.remapped_items);
+  h.add(r.reload_bytes);
+  h.add(r.reload_time_s);
+  h.add(std::uint64_t{r.tenants.size()});
+  for (const TenantResult& t : r.tenants) {
+    h.add(t.name);
+    h.add(t.frames);
+    h.add(t.frames_completed);
+    h.add(t.dropped_frames);
+    h.add(t.shed_frames);
+    h.add(t.deadline_miss_frames);
+    h.add(t.p50_latency_s);
+    h.add(t.p95_latency_s);
+    h.add(t.p99_latency_s);
+    h.add(t.mean_latency_s);
+    h.add(t.peak_latency_s);
+    h.add(t.steady_interval_s);
+    h.add(t.mean_queue_delay_s);
+    h.add(t.peak_queue_delay_s);
+    h.add(t.nop_wait_s);
+    h.add(t.frame_completion_s);
+    h.add(t.frame_latency_s);
+  }
+  return h.value();
 }
 
 }  // namespace testutil

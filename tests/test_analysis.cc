@@ -4,6 +4,7 @@
 // feeds tools/cnpu_lint.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -598,6 +599,50 @@ TEST(ScheduleBundleTest, MalformedDocumentsThrow) {
   ASSERT_NE(pos, std::string::npos);
   doc.replace(pos, needle.size(), "\"placements\":[[],[");
   EXPECT_THROW(bundle_from_json(doc), std::invalid_argument);
+}
+
+// Hostile array dimensions: tile_h = 2^62 used to overflow int64 in the
+// cost model (tile_h * tile_w) once the bundle was analyzed. The loader now
+// refuses every array dimension outside [1, 2^31) and a non-positive
+// num_pes, naming the chiplet.
+TEST(ScheduleBundleTest, HostileArrayDimensionsAreRejected) {
+  const PerceptionPipeline pipe = two_conv_pipeline();
+  const PackageConfig pkg = make_simba_package(2, 4);
+  Schedule sched(pipe, pkg);
+  sched.assign(0, pkg.chiplets()[0].id);
+  sched.assign(1, pkg.chiplets()[1].id);
+  const std::string doc = bundle_to_json(sched);
+  const std::string chiplet = "chiplet " + std::to_string(pkg.chiplets()[0].id);
+  const auto with = [&](const std::string& field, const std::string& value) {
+    const std::string needle = "\"" + field + "\":";
+    std::string out = doc;
+    const auto pos = out.find(needle);  // the first chiplet's array
+    EXPECT_NE(pos, std::string::npos) << field;
+    const auto end = out.find_first_of(",}", pos);
+    out.replace(pos + needle.size(), end - pos - needle.size(), value);
+    return out;
+  };
+  const std::string two62 = "4611686018427387904";
+  for (const char* field : {"tile_h", "tile_w", "array_h", "array_w"}) {
+    for (const std::string& value : {two62, std::string("2147483648"),
+                                     std::string("0"), std::string("-1")}) {
+      SCOPED_TRACE(std::string(field) + " = " + value);
+      try {
+        (void)bundle_from_json(with(field, value));
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(chiplet), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_THROW(bundle_from_json(with("num_pes", "0")), std::invalid_argument);
+  // The largest accepted tile still loads and analyzes without overflow.
+  const ScheduleBundle big =
+      bundle_from_json(with("tile_h", "2147483647"));
+  EXPECT_TRUE(std::isfinite(evaluate_schedule(*big.schedule).e2e_s));
 }
 
 TEST(ScheduleBundleTest, MalformedPlacementsSurviveLoadForTheLinter) {

@@ -22,6 +22,7 @@
 #endif
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -282,12 +283,20 @@ TEST(SimEngine, ResetRestoresFreshlyConstructedBehavior) {
   (void)engine.run(s0, tenant_options(s0, s1, pkg));  // fault + tenants
   EXPECT_GT(engine.stats().runs, 0);
   EXPECT_GT(engine.stats().program_builds, 0);
+  EXPECT_GT(engine.stats().pushes.total(), 0);
+  EXPECT_GT(engine.stats().event_heap_peak, 0);
 
   engine.reset();
   EXPECT_EQ(engine.stats().runs, 0);
   EXPECT_EQ(engine.stats().program_builds, 0);
   EXPECT_EQ(engine.stats().program_cache_hits, 0);
   EXPECT_EQ(engine.stats().warm_starts, 0);
+  EXPECT_EQ(engine.stats().tasks_executed, 0);
+  EXPECT_EQ(engine.stats().pushes.total(), 0);
+  EXPECT_EQ(engine.stats().busy_dispatches, 0);
+  EXPECT_EQ(engine.stats().idle_dispatches, 0);
+  EXPECT_EQ(engine.stats().stale_finishes, 0);
+  EXPECT_EQ(engine.stats().event_heap_peak, 0);
 
   SimOptions clean;
   clean.frames = 8;
@@ -336,6 +345,40 @@ TEST(SimEngine, StatsAccountCacheHitsAndWarmStarts) {
   EXPECT_EQ(engine.stats().runs, 4);
 }
 
+// The event-loop counters add up: each executed task pushes exactly one
+// finish event, a fault adds its own two events, and admissions and
+// wake-ups at the instant being processed stay out of the heap, so a
+// burst pushes well under two events per task.
+TEST(SimEngine, StatsCountTheEventLoop) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule sched = make_schedule(pipe, pkg, 0);
+
+  SimOptions burst;
+  burst.frames = 8;
+  SimEngine engine;
+  const SimResult r = engine.run(sched, burst);
+  const EngineStats& s = engine.stats();
+  EXPECT_EQ(s.tasks_executed, r.tasks_executed);
+  EXPECT_EQ(s.pushes.finish, r.tasks_executed);
+  EXPECT_EQ(s.pushes.fault + s.pushes.recover, 0);
+  EXPECT_EQ(s.stale_finishes, 0);
+  EXPECT_GT(s.event_heap_peak, 0);
+  EXPECT_LT(s.pushes.total(), 2 * s.tasks_executed);
+
+  // A fault while the burst's later frames run revokes in-flight tasks:
+  // their finish events pop stale.
+  SimOptions faulted = burst;
+  faulted.fault = make_fault(pkg);
+  faulted.fault.fail_time_s = r.frame_completion_s[0];
+  const SimResult f = engine.run(sched, faulted);
+  EXPECT_EQ(s.tasks_executed, r.tasks_executed + f.tasks_executed);
+  EXPECT_EQ(s.pushes.finish, s.tasks_executed);
+  EXPECT_EQ(s.pushes.fault, 1);
+  EXPECT_EQ(s.pushes.recover, 1);
+  EXPECT_GT(s.stale_finishes, 0);
+}
+
 // The acceptance criterion of the refactor: after two warm-up passes on a
 // shape, a further run_into performs ZERO heap allocations — analytical,
 // contended, and multi-tenant-with-fault alike.
@@ -363,6 +406,152 @@ TEST(SimEngine, SteadyStateRunsAreAllocationFree) {
     const long long allocs = g_new_calls - before;
     EXPECT_EQ(allocs, 0) << label << ": steady-state run allocated";
   }
+}
+
+// --- Event-order corner cases, pinned by whole-result digest --------------
+//
+// Each case sits where same-instant events interleave: a fault flush on a
+// completion instant, wake-ups at the flush instant itself, evictions on
+// the admission grid, zero-delay arrivals, and tied admissions reordered
+// by priority. The digests (testutil::sim_result_digest) were captured
+// while every admission and every dispatch wake-up was an event-heap
+// entry, so they pin that keeping them out of the heap changes nothing
+// observable. A warm engine must reproduce the one-shot result.
+void expect_pinned(const Schedule& sched, const SimOptions& opt,
+                   std::uint64_t digest) {
+  const SimResult fresh = simulate_schedule(sched, opt);
+  SimEngine engine;
+  expect_sim_results_bits_eq(fresh, engine.run(sched, opt));
+  expect_sim_results_bits_eq(fresh, engine.run(sched, opt));
+  EXPECT_EQ(testutil::sim_result_digest(fresh), digest)
+      << std::hex << "digest 0x" << testutil::sim_result_digest(fresh);
+}
+
+// Contended, memory model active: the chiplet fails at the instant a frame
+// completes (the finish lands first) and recovers at an admission instant.
+// It hosts the first layer, so the frame admitted there queues work on a
+// chiplet that is still reloading its weights, and only the recovery's
+// wake-up dispatches it.
+TEST(SimEngineCorner, FaultOnCompletionRecoverOnAdmission) {
+  const PerceptionPipeline pipe = make_pipe();
+  PackageConfig pkg = make_simba_package(2, 2);
+  MemorySpec mem;
+  mem.reload_bandwidth_bytes_per_s = 25.0e9;
+  pkg.set_memory(mem);
+  const Schedule sched = make_schedule(pipe, pkg, 3);
+  ASSERT_EQ(sched.placement(0).primary_chiplet(), pick_victim(pkg));
+
+  SimOptions opt;
+  opt.frames = 16;
+  opt.frame_interval_s = 8e-5;
+  opt.nop_mode = NopMode::kContended;
+  const SimResult healthy = simulate_schedule(sched, opt);
+  opt.fault.chiplet_id = pick_victim(pkg);
+  opt.fault.fail_time_s = healthy.frame_completion_s[2];
+  // Frame f is admitted at exactly f * frame_interval_s.
+  const int recover_frame =
+      static_cast<int>(opt.fault.fail_time_s / opt.frame_interval_s) + 2;
+  ASSERT_LT(recover_frame, opt.frames);
+  opt.fault.recover_time_s =
+      static_cast<double>(recover_frame) * opt.frame_interval_s;
+  opt.fault.reschedule_penalty_s = 3e-5;
+
+  const SimResult r = simulate_schedule(sched, opt);
+  EXPECT_GT(r.remapped_items, 0);
+  EXPECT_GT(r.reload_bytes, 0.0);
+  EXPECT_FALSE(r.link_stats.empty());
+  EXPECT_EQ(r.frame_completion_s[2], opt.fault.fail_time_s);
+  expect_pinned(sched, opt, 0xe620586bf429a68full);
+}
+
+// No reconfiguration stall: every survivor's wake-up lands on the fault
+// instant itself, after that instant's finishes and before the flush.
+TEST(SimEngineCorner, ZeroReschedulePenalty) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule sched = make_schedule(pipe, pkg, 1);
+  SimOptions opt;
+  opt.frames = 10;
+  opt.frame_interval_s = 3e-5;
+  opt.deadline_s = 4e-4;
+  opt.fault = make_fault(pkg);
+  opt.fault.fail_time_s = 1e-4;
+  opt.fault.reschedule_penalty_s = 0.0;
+
+  const SimResult r = simulate_schedule(sched, opt);
+  EXPECT_GT(r.remapped_items, 0);
+  expect_pinned(sched, opt, 0x467ccd940072aa05ull);
+}
+
+// An overloaded stream with a bounded drop-newest queue and expired-frame
+// eviction, its deadline a whole number of frame intervals: evictions and
+// admissions fall on the same instants.
+TEST(SimEngineCorner, ShedExpiredDropNewestOnTheIntervalGrid) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule sched = make_schedule(pipe, pkg, 0);
+  SimOptions opt;
+  opt.frames = 24;
+  opt.frame_interval_s = 1e-5;
+  opt.deadline_s = 6.0 * opt.frame_interval_s;
+  opt.admission.queue_capacity = 2;
+  opt.admission.policy = ShedPolicy::kDropNewest;
+  opt.admission.shed_expired = true;
+
+  const SimResult r = simulate_schedule(sched, opt);
+  EXPECT_GT(r.shed_frames, 0);
+  EXPECT_GT(r.frames_completed, 0);
+  expect_pinned(sched, opt, 0x8025e7b4eb7c1dafull);
+}
+
+// Sharded items without NoP delays: every arrival is zero-delay, the even
+// shards of an item finish at one instant on several chiplets, and the
+// last of those finishes releases the successors' shards at that instant.
+TEST(SimEngineCorner, ShardedItemsWithZeroDelayArrivals) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  Schedule sched(pipe, pkg);
+  sched.assign_sharded(0, {0, 1, 2, 3});
+  sched.assign_sharded(1, {0, 1});
+  sched.assign_sharded(2, {2, 3});
+  SimOptions opt;
+  opt.frames = 6;
+  opt.frame_interval_s = 2e-5;
+  opt.model_nop_delays = false;
+
+  const SimResult r = simulate_schedule(sched, opt);
+  EXPECT_EQ(r.frames_completed, opt.frames);
+  expect_pinned(sched, opt, 0x8796c75031d4847full);
+}
+
+// kPriority with two tenants admitted at identical instants: the tied
+// admissions run in job order, so their ingress messages queue on the
+// contended links in that order, while the higher-priority tenant (listed
+// second) dispatches first.
+TEST(SimEngineCorner, PriorityTenantsAdmittedTogether) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule s0 = make_schedule(pipe, pkg, 0);
+  const Schedule s1 = make_schedule(pipe, pkg, 1);
+  SimOptions opt;
+  opt.policy = PlacementPolicy::kPriority;
+  opt.nop_mode = NopMode::kContended;
+  TenantStream t0;
+  t0.name = "lo";
+  t0.schedule = &s0;
+  t0.frames = 8;
+  t0.frame_interval_s = 3e-5;
+  t0.deadline_s = 5e-4;
+  TenantStream t1 = t0;
+  t1.name = "hi";
+  t1.schedule = &s1;
+  t1.priority = 2;
+  opt.tenants = {t0, t1};
+
+  const SimResult r = simulate_schedule(s0, opt);
+  ASSERT_EQ(r.tenants.size(), 2u);
+  EXPECT_LT(r.tenants[1].mean_latency_s, r.tenants[0].mean_latency_s);
+  expect_pinned(s0, opt, 0x570303c9d1b8f6fcull);
 }
 
 // ServingPlan is the warm path the load search probes run on: it must
