@@ -192,32 +192,55 @@ void emit_chiplet(JsonWriter& w, const ChipletSpec& c) {
 // analyze_os, analyze_ws and mapping_cost): below 2^31 each, the product
 // fits.
 constexpr std::int64_t kMaxArrayDim = (std::int64_t{1} << 31) - 1;
+// Routing walks mesh coordinates, NPU indices and substrate hops one hop at
+// a time, and mesh_hops subtracts coordinates in int, so their run time and
+// range grow with these values. Every geometry cnpu builds is far inside
+// the caps: mesh row and col in [0, 4096), npu in [0, 64), inter_npu_hops
+// in [0, 64].
+constexpr std::int64_t kMaxMeshCoord = 4095;
+constexpr std::int64_t kMaxNpu = 63;
+constexpr std::int64_t kMaxInterNpuHops = 64;
+
+// Reads the integer `key` of `obj`, rejecting a value outside [lo, hi] with
+// a message naming `owner` (e.g. "chiplet 3 ") and the key.
+std::int64_t int_in_range(const JsonValue& obj, const char* key,
+                          std::int64_t lo, std::int64_t hi,
+                          const std::string& owner) {
+  const std::int64_t v = obj.at(key).as_int();
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("schedule bundle: " + owner + key + " = " +
+                                std::to_string(v) + " is outside [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+// A mesh position: row, col and npu of a chiplet or failed site.
+void parse_site(const JsonValue& j, const std::string& owner,
+                ChipletSpec& c) {
+  c.npu = static_cast<int>(int_in_range(j, "npu", 0, kMaxNpu, owner));
+  c.coord.row =
+      static_cast<int>(int_in_range(j, "row", 0, kMaxMeshCoord, owner));
+  c.coord.col =
+      static_cast<int>(int_in_range(j, "col", 0, kMaxMeshCoord, owner));
+}
 
 ChipletSpec parse_chiplet(const JsonValue& j) {
   ChipletSpec c;
   c.id = static_cast<int>(j.at("id").as_int());
-  c.npu = static_cast<int>(j.at("npu").as_int());
-  c.coord.row = static_cast<int>(j.at("row").as_int());
-  c.coord.col = static_cast<int>(j.at("col").as_int());
+  const std::string owner = "chiplet " + std::to_string(c.id) + " ";
+  parse_site(j, owner, c);
   const JsonValue& a = j.at("array");
-  const auto in_range = [&](const char* key, std::int64_t max) {
-    const std::int64_t v = a.at(key).as_int();
-    if (v < 1 || v > max) {
-      throw std::invalid_argument("schedule bundle: chiplet " +
-                                  std::to_string(c.id) + " array." + key +
-                                  " = " + std::to_string(v) +
-                                  " is outside [1, " + std::to_string(max) +
-                                  "]");
-    }
-    return v;
-  };
+  const std::string array_owner = owner + "array.";
   c.array.dataflow = dataflow_from_name(a.at("dataflow").as_string());
-  c.array.num_pes =
-      in_range("num_pes", std::numeric_limits<std::int64_t>::max());
-  c.array.array_h = in_range("array_h", kMaxArrayDim);
-  c.array.array_w = in_range("array_w", kMaxArrayDim);
-  c.array.tile_h = in_range("tile_h", kMaxArrayDim);
-  c.array.tile_w = in_range("tile_w", kMaxArrayDim);
+  c.array.num_pes = int_in_range(a, "num_pes", 1,
+                                 std::numeric_limits<std::int64_t>::max(),
+                                 array_owner);
+  c.array.array_h = int_in_range(a, "array_h", 1, kMaxArrayDim, array_owner);
+  c.array.array_w = int_in_range(a, "array_w", 1, kMaxArrayDim, array_owner);
+  c.array.tile_h = int_in_range(a, "tile_h", 1, kMaxArrayDim, array_owner);
+  c.array.tile_w = int_in_range(a, "tile_w", 1, kMaxArrayDim, array_owner);
   c.array.frequency_hz = a.at("frequency_hz").as_double();
   c.array.gb_bandwidth = a.at("gb_bandwidth").as_double();
   const JsonValue& m = j.at("memory");
@@ -348,10 +371,9 @@ ScheduleBundle bundle_from_json(const std::string& json) {
   };
   std::vector<FailedEntry> removals;
   for (const JsonValue& fj : kj.at("failed_sites").items()) {
-    ChipletSpec ph = make_chiplet(static_cast<int>(fj.at("chiplet_id").as_int()),
-                                  static_cast<int>(fj.at("row").as_int()),
-                                  static_cast<int>(fj.at("col").as_int()));
-    ph.npu = static_cast<int>(fj.at("npu").as_int());
+    ChipletSpec ph =
+        make_chiplet(static_cast<int>(fj.at("chiplet_id").as_int()), 0, 0);
+    parse_site(fj, "failed site " + std::to_string(ph.id) + " ", ph);
     if (!seen_ids.insert(ph.id).second) {
       throw std::invalid_argument(
           "schedule bundle: failed site reuses chiplet id " +
@@ -368,7 +390,8 @@ ScheduleBundle bundle_from_json(const std::string& json) {
   bundle.package =
       std::make_unique<PackageConfig>(std::move(specs), nop);
   bundle.package->set_inter_npu_hops(
-      static_cast<int>(kj.at("inter_npu_hops").as_int()));
+      static_cast<int>(int_in_range(kj, "inter_npu_hops", 0,
+                                    kMaxInterNpuHops, "package ")));
   for (const FailedEntry& f : removals) {
     *bundle.package = bundle.package->without_chiplet(f.chiplet_id);
   }

@@ -48,7 +48,11 @@ std::string bundle_to_json(const Schedule& schedule);
 // an unknown format tag, structurally inconsistent contents (placement
 // count != schedule item count, unknown op/dataflow names), or a chiplet
 // array the cost model cannot price without int64 overflow (array_h,
-// array_w, tile_h or tile_w outside [1, 2^31), num_pes <= 0). Semantic
+// array_w, tile_h or tile_w outside [1, 2^31), num_pes <= 0), or geometry
+// routing would walk for too long (a chiplet or failed site's row or col
+// outside [0, 4096) or npu outside [0, 64), inter_npu_hops outside
+// [0, 64]); the message names the chiplet or failed site and the field.
+// Semantic
 // problems that parse cleanly (dangling chiplet ids, overfull residency)
 // are deliberately NOT rejected here — that is the linter's job
 // (src/analysis/validate.h), and cnpu_lint needs to load such bundles to

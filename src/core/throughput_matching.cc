@@ -8,10 +8,12 @@
 
 #include "core/partition.h"
 #include "core/residency.h"
-#include "util/logging.h"
 
 namespace cnpu {
 namespace {
+
+// Cap on Algorithm 1's bottleneck-relief iterations.
+constexpr int kMaxMatchSteps = 400;
 
 bool package_memory_bounded(const PackageConfig& pkg) {
   for (const auto& c : pkg.chiplets()) {
@@ -219,10 +221,6 @@ MatchResult throughput_matching_with_pools(
     result.trace.push_back(TraceStep{action, traced_pipe(m) * 1e3,
                                      latbase * 1e3,
                                      static_cast<int>(free_list().size())});
-    if (options.verbose) {
-      log_info() << action << " -> pipe " << traced_pipe(m) * 1e3
-                 << " ms, free " << free_list().size();
-    }
   };
 
   ScheduleMetrics metrics = aggregate_schedule(costs);
@@ -294,7 +292,7 @@ MatchResult throughput_matching_with_pools(
     return false;
   };
   std::set<int> saturated;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxMatchSteps; ++iter) {
     // Bottleneck stage: worst pipe among stages exceeding tolerance.
     int bottleneck = -1;
     double worst = latbase * (1.0 + options.tolerance);

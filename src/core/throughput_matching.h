@@ -23,9 +23,7 @@ namespace cnpu {
 
 struct MatchOptions {
   double tolerance = 0.10;  // stage pipe may exceed base by this fraction
-  int max_iterations = 400;
   bool allow_base_split = false;
-  bool verbose = false;
   // Stages never treated as bottlenecks (the 2-NPU study freezes the trunk
   // stage: "a fixed performance overhead, not the latency bottleneck").
   std::vector<int> frozen_stages;

@@ -183,9 +183,9 @@ MappingAnalysis analyze_mapping(const LayerDesc& layer, const MappingSpec& spec,
   out.output = analyze_operand(output_dims(), false);
   out.output.unique_elems = layer.output_elems();
 
-  // Neighbor forwarding shares overlapping stencil inputs across lanes.
-  if (options.neighbor_input_sharing &&
-      spatial_cover[static_cast<std::size_t>(LoopDim::kY)] > 0.0 &&
+  // Neighbor forwarding (the Shidiannao network) shares overlapping
+  // stencil inputs across lanes when both Y and X are spatial.
+  if (spatial_cover[static_cast<std::size_t>(LoopDim::kY)] > 0.0 &&
       spatial_cover[static_cast<std::size_t>(LoopDim::kX)] > 0.0 &&
       layer.effective_taps() > 1.0) {
     out.input.fetched_elems /= layer.effective_taps();

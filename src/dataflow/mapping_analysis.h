@@ -47,9 +47,6 @@ struct MappingAnalysis {
 struct MappingAnalysisOptions {
   // Lanes are clamped to this many PEs.
   std::int64_t max_lanes = 256;
-  // Credit stencil-overlap sharing across neighbor lanes when both Y and X
-  // are spatial (the Shidiannao forwarding network).
-  bool neighbor_input_sharing = true;
 };
 
 MappingAnalysis analyze_mapping(const LayerDesc& layer, const MappingSpec& spec,

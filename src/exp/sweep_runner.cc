@@ -171,6 +171,21 @@ int SweepRunner::threads() const {
                               : ThreadPool::recommended_threads();
 }
 
+void SweepRunner::for_each_index(int n,
+                                 const std::function<void(int)>& eval) const {
+  if (threads() <= 1 || n <= 1) {
+    const ThreadPool::InlineScope inline_slot;
+    for (int i = 0; i < n; ++i) eval(i);
+    return;
+  }
+  // Never spawn more workers than there are points.
+  ThreadPool pool(std::min(threads(), n));
+  for (int i = 0; i < n; ++i) {
+    pool.submit([&eval, i] { eval(i); });
+  }
+  pool.wait_idle();
+}
+
 SweepResult SweepRunner::run(const SweepSpec& spec, const SweepFn& fn) const {
   return run(spec, fn, SweepPruneFn());
 }
@@ -208,17 +223,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec, const SweepFn& fn,
     }
   };
 
-  if (threads() <= 1 || n <= 1) {
-    const ThreadPool::InlineScope inline_slot;
-    for (int i = 0; i < n; ++i) evaluate_into(i);
-  } else {
-    // Never spawn more workers than there are points.
-    ThreadPool pool(std::min(threads(), n));
-    for (int i = 0; i < n; ++i) {
-      pool.submit([&evaluate_into, i] { evaluate_into(i); });
-    }
-    pool.wait_idle();
-  }
+  for_each_index(n, evaluate_into);
   result.elapsed_s = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();

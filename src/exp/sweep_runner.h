@@ -139,27 +139,13 @@ class SweepRunner {
                   "SweepRunner::map cannot return bool");
     std::vector<R> results(static_cast<std::size_t>(n > 0 ? n : 0));
     std::vector<std::exception_ptr> errors(results.size());
-    if (n <= 0) return results;
-    auto eval = [&](int i) {
+    for_each_index(n, [&](int i) {
       try {
         results[static_cast<std::size_t>(i)] = fn(i);
       } catch (...) {
         errors[static_cast<std::size_t>(i)] = std::current_exception();
       }
-    };
-    if (threads() <= 1 || n <= 1) {
-      // Same contract as the parallel path: every point runs, then the
-      // lowest-index exception (if any) is rethrown.
-      const ThreadPool::InlineScope inline_slot;
-      for (int i = 0; i < n; ++i) eval(i);
-    } else {
-      // Never spawn more workers than there are points.
-      ThreadPool pool(threads() < n ? threads() : n);
-      for (int i = 0; i < n; ++i) {
-        pool.submit([&eval, i] { eval(i); });
-      }
-      pool.wait_idle();
-    }
+    });
     for (const auto& e : errors) {
       if (e) std::rethrow_exception(e);
     }
@@ -167,6 +153,12 @@ class SweepRunner {
   }
 
  private:
+  // The one fan-out behind run() and map(): calls eval(i) for every i in
+  // [0, n), inline on the calling thread when threads() <= 1 or n <= 1 (the
+  // serial reference path), otherwise on a pool of min(threads(), n)
+  // workers. `eval` must not throw.
+  void for_each_index(int n, const std::function<void(int)>& eval) const;
+
   SweepOptions options_;
 };
 

@@ -367,14 +367,13 @@ TailStats reduce_tail(const std::vector<double>& latency,
   return t;
 }
 
-// Reduces one tenant's completion slice (NaN = dropped or shed) into `tr`
-// in place, overwriting every field and reusing its vectors' capacity.
-// `admit` is the tenant's realized admission-instant slice: f * interval
-// for a closed-loop stream, the generated arrival instants for an
-// open-loop one — whose broken periodic assumption is why `open_loop`
-// turns the steady-interval estimate into a documented NaN.
+// Reduces one tenant's completion and latency slices (NaN = dropped or
+// shed) into `tr` in place, overwriting every field and reusing its
+// vectors' capacity. Latency runs from the realized admission instant: an
+// open-loop stream's broken periodic assumption is why `open_loop` turns
+// the steady-interval estimate into a documented NaN.
 void reduce_tenant_into(const StreamView& stream, const double* completion,
-                        const double* admit, int shed, bool open_loop,
+                        const double* latency, int shed, bool open_loop,
                         double nop_wait_s, double queue_delay_mean_s,
                         double queue_delay_peak_s,
                         std::vector<double>& lat_scratch,
@@ -387,10 +386,7 @@ void reduce_tenant_into(const StreamView& stream, const double* completion,
   tr.mean_queue_delay_s = queue_delay_mean_s;
   tr.peak_queue_delay_s = queue_delay_peak_s;
   tr.frame_completion_s.assign(completion, completion + stream.frames);
-  tr.frame_latency_s.clear();
-  for (int f = 0; f < stream.frames; ++f) {
-    tr.frame_latency_s.push_back(completion[f] - admit[f]);
-  }
+  tr.frame_latency_s.assign(latency, latency + stream.frames);
   const TailStats tail = reduce_tail(tr.frame_latency_s, tr.frame_completion_s,
                                      lat_scratch, time_scratch);
   tr.frames_completed = tail.completed;
@@ -469,7 +465,9 @@ struct ProgramKey {
 // Per-tenant world of ONE run: cached primary program, and under a
 // FaultPlan the cached remapped schedule + degraded program (each tenant
 // remaps independently, restricted to its allowed pool). Plain pointers
-// into the engine's caches, so the vector is reused across runs.
+// into the engine's caches, so the vector is reused across runs. The
+// counters after `slot_base` are the tenant's admission and NoP-wait
+// accounting.
 struct TenantCtx {
   ProgramEntry* entry = nullptr;
   const Program* primary = nullptr;
@@ -480,6 +478,68 @@ struct TenantCtx {
   int items = 0;
   int job_base = 0;           // first global job id of this tenant
   std::size_t slot_base = 0;  // first per-(job, item) slot
+  int queued = 0;             // jobs in JobState::kQueued; see Impl::move
+  int shed = 0;
+  int qd_count = 0;  // frames with an attributed queue delay
+  double qd_sum = 0.0;
+  double qd_peak = 0.0;
+  double nop_wait = 0.0;  // link-queueing wait (TenantResult::nop_wait_s)
+};
+
+// Where a job is in its life. waiting -> queued at admission, queued ->
+// started at its first dispatch in the current epoch, started -> done. A
+// bounded queue or shed_expired moves queued -> shed, and a rejected
+// arrival goes waiting -> shed. A fault flush moves every queued or started
+// job back to queued (re-admitted on the degraded program) or to dropped.
+// Shed jobs' heap entries are evicted lazily: skipped when they surface at
+// dispatch (binary heaps cannot remove interior elements, and the shed
+// decision is made online).
+enum class JobState : unsigned char {
+  kWaiting,
+  kQueued,
+  kStarted,
+  kDone,
+  kShed,
+  kDropped,
+};
+
+// One frame of one tenant. Jobs are tenant-major: tenant t's frame f is job
+// job_base + f, so a single stream's job ids equal its frame ids.
+struct Job {
+  const Program* prog = nullptr;  // primary, or degraded once remapped
+  double admit = 0.0;             // realized admission instant
+  std::size_t slot = 0;           // first per-(job, item) slot
+  int tenant = 0;
+  int rank = 0;  // dispatch rank (see PendingShard)
+  // Bumped when the fault flush re-admits or drops the job: a finish
+  // dispatched in an older epoch is stale.
+  int epoch = 0;
+  int items_left = 0;
+  JobState state = JobState::kWaiting;
+  // Queue delay (admission -> first-ever dispatch) attributed; sticky
+  // across the fault flush, which queues the job again.
+  bool qd_done = false;
+};
+
+// One (job, item): when its inputs are all in, how many are still missing,
+// and how many of its shards have not finished.
+struct Slot {
+  double ready_time;
+  int deps_left;
+  int shards_left;
+};
+
+// One chiplet, dense package order: a ready-time min-heap feeding a
+// dispatch-priority min-heap, and its dispatch wake-up bookkeeping.
+struct Chiplet {
+  MinHeap<PendingShard, PendingAfter> pending;
+  MinHeap<ReadyShard, ReadyAfter> ready;
+  double free = 0.0;  // instant its running task ends
+  double busy = 0.0;
+  // Instant of its latest dispatch wake-up still in the event heap (-inf
+  // when none), so an identical wake-up is not queued twice.
+  double wake_at = -std::numeric_limits<double>::infinity();
+  bool due = false;  // on the due list (a wake-up at the current instant)
 };
 
 }  // namespace evsim
@@ -568,7 +628,7 @@ void check_run(const Schedule& schedule, const SimOptions& options,
   }
 }
 
-// All per-run state as flat reusable buffers plus the compiled-program
+// All per-run state as reusable record arrays plus the compiled-program
 // caches. Between runs nothing is deallocated: vectors are assign()ed or
 // clear()ed (capacity retained), heaps cleared in place, the fabric's
 // occupancy zeroed with its link registry kept. After one warm-up run of
@@ -585,54 +645,22 @@ struct SimEngine::Impl {
   // --- per-run state (reset by every run_into) ---
   std::vector<StreamView> streams;
   std::vector<TenantCtx> ctx;
-  std::vector<int> tenant_of;
-  std::vector<std::size_t> slot_of;
-  std::vector<double> admit_of;
+  std::vector<Job> jobs;
+  std::vector<Slot> slots;  // job j's item i is slots[jobs[j].slot + i]
+  // Grow-only, so a smaller run never sheds the heap capacity a bigger one
+  // built up; a run uses the first num_chiplets.
+  std::vector<Chiplet> chiplets;
   // Dispatch order of the previous run, kept across runs: when the current
   // run's admission instants prove it is already THE stable sort (an O(n)
   // adjacency check), the O(n log n) re-sort — and std::stable_sort's
   // temporary-buffer allocation — is skipped (EngineStats::warm_starts).
   std::vector<int> order;
-  std::vector<int> rank_of;
-  std::vector<int> deps_left;
-  std::vector<double> ready_time;
-  std::vector<int> shards_left;
-  std::vector<int> frame_items_left;
-  std::vector<const Program*> prog_of;
-  std::vector<int> epoch_of;
-  std::vector<char> frame_done;
-  std::vector<char> frame_dropped;
-  // Continuous-batching / admission-control state. frame_started marks a
-  // job with at least one dispatched shard in its CURRENT epoch (a fault
-  // flush resets it: the re-admitted frame is queued again); frame_qd_done
-  // is the sticky "queue delay attributed" latch (first-ever dispatch
-  // only); frame_shed marks jobs evicted by admission control — their
-  // heap entries are evicted LAZILY, skipped when they surface at
-  // dispatch-set re-formation (binary heaps cannot remove interior
-  // elements, and the shed decision is made online).
-  std::vector<char> frame_started;
-  std::vector<char> frame_qd_done;
-  std::vector<char> frame_shed;
-  std::vector<int> queue_len;    // per tenant: admitted, not yet started
-  std::vector<int> shed_count;   // per tenant
-  std::vector<int> qd_count;     // per tenant: frames with attributed delay
-  std::vector<double> qd_sum;
-  std::vector<double> qd_peak;
   std::vector<double> arr_scratch;  // generate_arrivals output buffer
-  std::vector<double> tenant_wait;
-  std::vector<MinHeap<PendingShard, PendingAfter>> pending;
-  std::vector<MinHeap<ReadyShard, ReadyAfter>> ready;
-  std::vector<double> chiplet_free;
-  std::vector<double> chiplet_busy;
   MinHeap<Ev, EvAfter> events;
   // Jobs in admission order, (instant, job id), when `order` is not it.
   std::vector<int> admit_seq;
   // Dispatch wake-ups at the current instant, by chiplet (see run_into).
   MinHeap<int, std::greater<int>> due;
-  std::vector<char> is_due;
-  // Per chiplet: instant of its latest dispatch wake-up still in `events`
-  // (-inf when none), so an identical wake-up is not queued twice.
-  std::vector<double> wake_at;
   // The union of the links of this run's programs, canonical — built only
   // when the run has more than one program (several tenants or a fault).
   std::vector<int> run_links;
@@ -742,6 +770,37 @@ struct SimEngine::Impl {
     return run_links;
   }
 
+  // The one place a job changes state, and so the one place a tenant's
+  // queued count changes.
+  void move(Job& job, JobState to) {
+    int& queued = ctx[static_cast<std::size_t>(job.tenant)].queued;
+    if (job.state == JobState::kQueued) --queued;
+    if (to == JobState::kQueued) ++queued;
+    job.state = to;
+  }
+
+  // Resets job j's slots and item count for its current program.
+  void init_frame(int j) {
+    Job& job = jobs[static_cast<std::size_t>(j)];
+    const Program& pr = *job.prog;
+    const int items = ctx[static_cast<std::size_t>(job.tenant)].items;
+    for (int i = 0; i < items; ++i) {
+      const std::size_t k = static_cast<std::size_t>(i);
+      slots[job.slot + k] = Slot{
+          0.0, pr.base_deps[k], static_cast<int>(pr.shards_of_item[k].size())};
+    }
+    job.items_left = items;
+  }
+
+  // Moves job j onto its tenant's degraded program.
+  void degrade(int j) {
+    Job& job = jobs[static_cast<std::size_t>(j)];
+    TenantCtx& c = ctx[static_cast<std::size_t>(job.tenant)];
+    job.prog = &c.degraded->prog;
+    c.degraded_used = true;
+    init_frame(j);
+  }
+
   void run_into(const Schedule& schedule, const SimOptions& options,
                 SimResult& result);
 };
@@ -773,21 +832,20 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   fabric.reset_state();
 
   ctx.assign(static_cast<std::size_t>(num_tenants), TenantCtx{});
-  int jobs = 0;
-  std::size_t slots = 0;
+  int num_jobs = 0;
+  std::size_t num_slots = 0;
   for (int t = 0; t < num_tenants; ++t) {
     TenantCtx& c = ctx[static_cast<std::size_t>(t)];
-    ProgramEntry& e = program_for(
-        *streams[static_cast<std::size_t>(t)].schedule, nop, contended, pkg);
+    const StreamView& s = streams[static_cast<std::size_t>(t)];
+    ProgramEntry& e = program_for(*s.schedule, nop, contended, pkg);
     c.entry = &e;
     c.primary = &e.prog;
-    c.items = streams[static_cast<std::size_t>(t)].schedule->num_items();
-    c.job_base = jobs;
-    c.slot_base = slots;
-    jobs += streams[static_cast<std::size_t>(t)].frames;
-    slots += static_cast<std::size_t>(
-                 streams[static_cast<std::size_t>(t)].frames) *
-             static_cast<std::size_t>(c.items);
+    c.items = s.schedule->num_items();
+    c.job_base = num_jobs;
+    c.slot_base = num_slots;
+    num_jobs += s.frames;
+    num_slots += static_cast<std::size_t>(s.frames) *
+                 static_cast<std::size_t>(c.items);
   }
   const int nc = ctx.front().primary->num_chiplets;
 
@@ -802,11 +860,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     }
   }
 
-  // Global job index space, tenant-major: tenant t's frame f is job
-  // job_base[t] + f, so a single stream's job ids equal its frame ids.
-  tenant_of.resize(static_cast<std::size_t>(jobs));
-  slot_of.resize(static_cast<std::size_t>(jobs));
-  admit_of.resize(static_cast<std::size_t>(jobs));
+  jobs.assign(static_cast<std::size_t>(num_jobs), Job{});
   for (int t = 0; t < num_tenants; ++t) {
     const TenantCtx& c = ctx[static_cast<std::size_t>(t)];
     const StreamView& s = streams[static_cast<std::size_t>(t)];
@@ -815,12 +869,13 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     const bool gen = s.arrivals->active();
     if (gen) generate_arrivals(*s.arrivals, s.frames, arr_scratch);
     for (int f = 0; f < s.frames; ++f) {
-      const std::size_t j = static_cast<std::size_t>(c.job_base + f);
-      tenant_of[j] = t;
-      slot_of[j] = c.slot_base + static_cast<std::size_t>(f) *
-                                     static_cast<std::size_t>(c.items);
-      admit_of[j] = gen ? arr_scratch[static_cast<std::size_t>(f)]
-                        : static_cast<double>(f) * s.frame_interval_s;
+      Job& job = jobs[static_cast<std::size_t>(c.job_base + f)];
+      job.prog = c.primary;
+      job.admit = gen ? arr_scratch[static_cast<std::size_t>(f)]
+                      : static_cast<double>(f) * s.frame_interval_s;
+      job.slot = c.slot_base + static_cast<std::size_t>(f) *
+                                   static_cast<std::size_t>(c.items);
+      job.tenant = t;
     }
   }
 
@@ -831,25 +886,22 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // sort is the identity and rank == frame (FIFO by frame).
   {
     const auto before = [&](int a, int b) {
+      const Job& ja = jobs[static_cast<std::size_t>(a)];
+      const Job& jb = jobs[static_cast<std::size_t>(b)];
       if (options.policy == PlacementPolicy::kPriority) {
-        const int pa =
-            streams[static_cast<std::size_t>(
-                        tenant_of[static_cast<std::size_t>(a)])].priority;
-        const int pb =
-            streams[static_cast<std::size_t>(
-                        tenant_of[static_cast<std::size_t>(b)])].priority;
+        const int pa = streams[static_cast<std::size_t>(ja.tenant)].priority;
+        const int pb = streams[static_cast<std::size_t>(jb.tenant)].priority;
         if (pa != pb) return pa > pb;
       }
-      return admit_of[static_cast<std::size_t>(a)] <
-             admit_of[static_cast<std::size_t>(b)];
+      return ja.admit < jb.admit;
     };
     // Warm start: the previous run's order is THE stable sort of this
     // run's jobs iff the count matches and every adjacent pair (x, y)
     // satisfies the stable-sort total order "before(x,y), ties broken by
     // original index" — a sequence sorted under a total order is unique,
     // so passing the O(n) check proves re-sorting would reproduce it.
-    bool warm = static_cast<int>(order.size()) == jobs;
-    for (int i = 1; warm && i < jobs; ++i) {
+    bool warm = static_cast<int>(order.size()) == num_jobs;
+    for (int i = 1; warm && i < num_jobs; ++i) {
       const int x = order[static_cast<std::size_t>(i - 1)];
       const int y = order[static_cast<std::size_t>(i)];
       warm = before(x, y) || (!before(y, x) && x < y);
@@ -857,85 +909,42 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     if (warm) {
       ++stats.warm_starts;
     } else {
-      order.resize(static_cast<std::size_t>(jobs));
-      for (int j = 0; j < jobs; ++j) order[static_cast<std::size_t>(j)] = j;
+      order.resize(static_cast<std::size_t>(num_jobs));
+      for (int j = 0; j < num_jobs; ++j) order[static_cast<std::size_t>(j)] = j;
       std::stable_sort(order.begin(), order.end(), before);
     }
-    rank_of.resize(static_cast<std::size_t>(jobs));
-    for (int i = 0; i < jobs; ++i) {
-      rank_of[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = i;
+    for (int i = 0; i < num_jobs; ++i) {
+      jobs[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])].rank =
+          i;
     }
   }
 
-  // Per-(job, item) bookkeeping. The slot arrays are fully overwritten by
-  // init_frame below, so a bare resize (no refill) is enough.
-  const auto idx = [&](int job, int item) {
-    return slot_of[static_cast<std::size_t>(job)] +
-           static_cast<std::size_t>(item);
-  };
-  deps_left.resize(slots);
-  ready_time.resize(slots);
-  shards_left.resize(slots);
-  frame_items_left.resize(static_cast<std::size_t>(jobs));
-  prog_of.resize(static_cast<std::size_t>(jobs));
-  epoch_of.assign(static_cast<std::size_t>(jobs), 0);
-  frame_done.assign(static_cast<std::size_t>(jobs), 0);
-  frame_dropped.assign(static_cast<std::size_t>(jobs), 0);
-  frame_started.assign(static_cast<std::size_t>(jobs), 0);
-  frame_qd_done.assign(static_cast<std::size_t>(jobs), 0);
-  frame_shed.assign(static_cast<std::size_t>(jobs), 0);
-  queue_len.assign(static_cast<std::size_t>(num_tenants), 0);
-  shed_count.assign(static_cast<std::size_t>(num_tenants), 0);
-  qd_count.assign(static_cast<std::size_t>(num_tenants), 0);
-  qd_sum.assign(static_cast<std::size_t>(num_tenants), 0.0);
-  qd_peak.assign(static_cast<std::size_t>(num_tenants), 0.0);
-  tenant_wait.assign(static_cast<std::size_t>(num_tenants), 0.0);
-  for (int j = 0; j < jobs; ++j) {
-    prog_of[static_cast<std::size_t>(j)] =
-        ctx[static_cast<std::size_t>(tenant_of[static_cast<std::size_t>(j)])]
-            .primary;
-  }
+  // Every slot is written by init_frame, so a bare resize (no refill) is
+  // enough.
+  slots.resize(num_slots);
+  for (int j = 0; j < num_jobs; ++j) init_frame(j);
 
-  const auto init_frame = [&](int j) {
-    const Program& pr = *prog_of[static_cast<std::size_t>(j)];
-    const int items =
-        ctx[static_cast<std::size_t>(tenant_of[static_cast<std::size_t>(j)])]
-            .items;
-    for (int i = 0; i < items; ++i) {
-      deps_left[idx(j, i)] = pr.base_deps[static_cast<std::size_t>(i)];
-      ready_time[idx(j, i)] = 0.0;
-      shards_left[idx(j, i)] =
-          static_cast<int>(pr.shards_of_item[static_cast<std::size_t>(i)].size());
-    }
-    frame_items_left[static_cast<std::size_t>(j)] = items;
-  };
-  for (int j = 0; j < jobs; ++j) init_frame(j);
-
-  // Dense per-chiplet calendars (package order): a ready-time min-heap
-  // feeding a dispatch-priority min-heap. Heap storage is grow-only so a
-  // smaller run never sheds the capacity a bigger one built up.
-  if (static_cast<int>(pending.size()) < nc) {
-    pending.resize(static_cast<std::size_t>(nc));
-    ready.resize(static_cast<std::size_t>(nc));
+  if (static_cast<int>(chiplets.size()) < nc) {
+    chiplets.resize(static_cast<std::size_t>(nc));
   }
   for (int c = 0; c < nc; ++c) {
-    pending[static_cast<std::size_t>(c)].clear();
-    ready[static_cast<std::size_t>(c)].clear();
+    Chiplet& ch = chiplets[static_cast<std::size_t>(c)];
+    ch.pending.clear();
+    ch.ready.clear();
+    ch.free = 0.0;
+    ch.busy = 0.0;
+    ch.wake_at = -std::numeric_limits<double>::infinity();
+    ch.due = false;
   }
-  chiplet_free.assign(static_cast<std::size_t>(nc), 0.0);
-  chiplet_busy.assign(static_cast<std::size_t>(nc), 0.0);
   events.clear();
   due.clear();
-  is_due.assign(static_cast<std::size_t>(nc), 0);
-  wake_at.assign(static_cast<std::size_t>(nc),
-                 -std::numeric_limits<double>::infinity());
 
   // Reset every field of the caller's result object (run_into reuses its
   // buffers; a stale field from a previous run must not leak through).
   result.first_frame_latency_s = 0.0;
   result.steady_interval_s = 0.0;
   result.makespan_s = 0.0;
-  result.frame_completion_s.assign(static_cast<std::size_t>(jobs), 0.0);
+  result.frame_completion_s.assign(static_cast<std::size_t>(num_jobs), 0.0);
   result.frame_latency_s.clear();
   result.p50_latency_s = 0.0;
   result.p95_latency_s = 0.0;
@@ -970,33 +979,32 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // for `now` joins the due list; a later one goes to the event heap
   // unless the chiplet's latest queued heap wake-up is already at `t`.
   const auto wake = [&](double t, int c) {
-    const std::size_t k = static_cast<std::size_t>(c);
-    if (wake_at[k] == t) return;
+    Chiplet& ch = chiplets[static_cast<std::size_t>(c)];
+    if (ch.wake_at == t) return;
     if (t == now) {
-      if (!is_due[k]) {
-        is_due[k] = 1;
+      if (!ch.due) {
+        ch.due = true;
         due.push(c);
       }
       return;
     }
-    wake_at[k] = t;
+    ch.wake_at = t;
     push_event(Ev{t, kDispatch, c, 0, 0, 0}, stats.pushes.dispatch);
   };
 
   // A shard ready by the current instant goes straight to its chiplet's
   // ready heap: the next dispatch there would move it from `pending` first.
-  const auto enqueue_item_shards = [&](int job, int item, double at) {
+  const auto enqueue_item_shards = [&](int j, int item, double at) {
+    const Job& job = jobs[static_cast<std::size_t>(j)];
     const auto& shards =
-        prog_of[static_cast<std::size_t>(job)]
-            ->shards_of_item[static_cast<std::size_t>(item)];
-    const int rank = rank_of[static_cast<std::size_t>(job)];
+        job.prog->shards_of_item[static_cast<std::size_t>(item)];
     for (int s = 0; s < static_cast<int>(shards.size()); ++s) {
       const int c = shards[static_cast<std::size_t>(s)].chiplet;
+      Chiplet& ch = chiplets[static_cast<std::size_t>(c)];
       if (at <= now + kTimeEps) {
-        ready[static_cast<std::size_t>(c)].push(ReadyShard{rank, job, item, s});
+        ch.ready.push(ReadyShard{job.rank, j, item, s});
       } else {
-        pending[static_cast<std::size_t>(c)].push(
-            PendingShard{at, rank, job, item, s});
+        ch.pending.push(PendingShard{at, job.rank, j, item, s});
       }
       wake(at, c);
     }
@@ -1006,12 +1014,11 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // message walks its links first, adding the FIFO queueing wait on top of
   // the analytical delay (wait is exactly 0.0 on an idle fabric, keeping
   // the two modes bitwise-identical there).
-  const auto deliver = [&](int job, int item, double arrival) {
-    const std::size_t key = idx(job, item);
-    if (arrival > ready_time[key]) ready_time[key] = arrival;
-    if (--deps_left[key] == 0) {
-      enqueue_item_shards(job, item, ready_time[key]);
-    }
+  const auto deliver = [&](int j, int item, double arrival) {
+    Slot& s = slots[jobs[static_cast<std::size_t>(j)].slot +
+                    static_cast<std::size_t>(item)];
+    if (arrival > s.ready_time) s.ready_time = arrival;
+    if (--s.deps_left == 0) enqueue_item_shards(j, item, s.ready_time);
   };
 
   // Admit (or re-admit after a fault flush) job `j` at time `t` under its
@@ -1019,23 +1026,37 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // dependency-free items. Link-queueing waits are attributed to the
   // owning tenant (TenantResult::nop_wait_s).
   const auto admit_frame = [&](int j, double t) {
-    const Program& pr = *prog_of[static_cast<std::size_t>(j)];
-    const int tenant = tenant_of[static_cast<std::size_t>(j)];
+    const Job& job = jobs[static_cast<std::size_t>(j)];
+    const Program& pr = *job.prog;
+    TenantCtx& tc = ctx[static_cast<std::size_t>(job.tenant)];
     for (const Ingress& in : pr.ingress) {
       double arrival = t + in.delay_s;
       if (contended && !in.msg.route.empty()) {
         const double wait = fabric.inject(in.msg.route, in.msg.bytes, t);
-        tenant_wait[static_cast<std::size_t>(tenant)] += wait;
+        tc.nop_wait += wait;
         arrival = t + in.delay_s + wait;
       }
       deliver(j, in.item, arrival);
     }
-    const int items = ctx[static_cast<std::size_t>(tenant)].items;
-    for (int i = 0; i < items; ++i) {
+    for (int i = 0; i < tc.items; ++i) {
       if (pr.base_deps[static_cast<std::size_t>(i)] == 0) {
         enqueue_item_shards(j, i, t);
       }
     }
+  };
+
+  // Charges tenant `tc`'s weight reload `rp` issued now and returns the
+  // time it holds its destination chiplet.
+  const auto reload = [&](const ReloadPlan& rp, TenantCtx& tc) {
+    double wait = 0.0;
+    if (contended && !rp.route.empty()) {
+      wait = fabric.inject(rp.route, rp.bytes, now);
+      tc.nop_wait += wait;
+    }
+    const double delay = rp.delay_s + wait;
+    result.reload_bytes += rp.bytes;
+    result.reload_time_s += delay;
+    return delay;
   };
 
   // Admissions are read from a cursor over the jobs in (instant, job id)
@@ -1043,12 +1064,17 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // order unless kPriority ranked tenants by priority first.
   const std::vector<int>* admits = &order;
   if (options.policy == PlacementPolicy::kPriority) {
-    admit_seq.resize(static_cast<std::size_t>(jobs));
-    for (int j = 0; j < jobs; ++j) admit_seq[static_cast<std::size_t>(j)] = j;
-    if (!std::is_sorted(admit_of.begin(), admit_of.end())) {
+    admit_seq.resize(static_cast<std::size_t>(num_jobs));
+    for (int j = 0; j < num_jobs; ++j) {
+      admit_seq[static_cast<std::size_t>(j)] = j;
+    }
+    const auto earlier = [](const Job& a, const Job& b) {
+      return a.admit < b.admit;
+    };
+    if (!std::is_sorted(jobs.begin(), jobs.end(), earlier)) {
       std::sort(admit_seq.begin(), admit_seq.end(), [&](int a, int b) {
-        const double ta = admit_of[static_cast<std::size_t>(a)];
-        const double tb = admit_of[static_cast<std::size_t>(b)];
+        const double ta = jobs[static_cast<std::size_t>(a)].admit;
+        const double tb = jobs[static_cast<std::size_t>(b)].admit;
         return ta < tb || (ta == tb && a < b);
       });
     }
@@ -1070,8 +1096,9 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   const auto next_event = [&](Ev& ev) {
     const bool admit_left = next_admit < admits->size();
     const double admit_t =
-        admit_left ? admit_of[static_cast<std::size_t>((*admits)[next_admit])]
-                   : 0.0;
+        admit_left
+            ? jobs[static_cast<std::size_t>((*admits)[next_admit])].admit
+            : 0.0;
     bool heap_first = false;
     if (!events.empty()) {
       const Ev& top = events.top();
@@ -1089,16 +1116,17 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     if (heap_first) {
       ev = events.top();
       events.pop();
-      if (ev.kind == kDispatch &&
-          wake_at[static_cast<std::size_t>(ev.a)] == ev.time) {
-        wake_at[static_cast<std::size_t>(ev.a)] =
-            -std::numeric_limits<double>::infinity();
+      if (ev.kind == kDispatch) {
+        Chiplet& ch = chiplets[static_cast<std::size_t>(ev.a)];
+        if (ch.wake_at == ev.time) {
+          ch.wake_at = -std::numeric_limits<double>::infinity();
+        }
       }
     } else if (admit_left && (due.empty() || admit_t <= now)) {
       ev = Ev{admit_t, kAdmit, (*admits)[next_admit++], 0, 0, 0};
     } else if (!due.empty()) {
       ev = Ev{now, kDispatch, due.top(), 0, 0, 0};
-      is_due[static_cast<std::size_t>(due.top())] = 0;
+      chiplets[static_cast<std::size_t>(due.top())].due = false;
       due.pop();
     } else {
       return false;
@@ -1112,56 +1140,46 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     switch (ev.kind) {
       case kAdmit: {
         const int f = ev.a;
-        const int tn = tenant_of[static_cast<std::size_t>(f)];
-        const StreamView& st = streams[static_cast<std::size_t>(tn)];
-        const AdmissionControl& ac = *st.admission;
-        if (ac.policy != ShedPolicy::kNone &&
-            queue_len[static_cast<std::size_t>(tn)] >= ac.queue_capacity) {
+        Job& job = jobs[static_cast<std::size_t>(f)];
+        TenantCtx& tc = ctx[static_cast<std::size_t>(job.tenant)];
+        const AdmissionControl& ac =
+            *streams[static_cast<std::size_t>(job.tenant)].admission;
+        if (ac.policy != ShedPolicy::kNone && tc.queued >= ac.queue_capacity) {
           // Full per-tenant queue: apply the shed policy. The arriving
           // frame is the NEWEST of its tenant (per-tenant arrival instants
-          // are nondecreasing and same-instant kAdmit events pop in job-id
+          // are nondecreasing and same-instant admissions pop in job-id
           // order), so scanning the tenant's contiguous job-id window finds
-          // the head/tail of the queue exactly. "Queued" = admitted with no
-          // shard started; eviction is lazy — the victim's heap entries are
-          // skipped when they surface at dispatch.
+          // the head/tail of the queue exactly.
           const auto queued = [&](int j) {
-            const std::size_t k = static_cast<std::size_t>(j);
-            return !frame_started[k] && !frame_done[k] && !frame_shed[k] &&
-                   !frame_dropped[k];
+            return jobs[static_cast<std::size_t>(j)].state ==
+                   JobState::kQueued;
           };
           int victim = -1;  // -1 = shed the arriving frame itself
           if (ac.policy == ShedPolicy::kDropOldest) {
-            const int base = ctx[static_cast<std::size_t>(tn)].job_base;
-            for (int j = base; j < f; ++j) {
+            for (int j = tc.job_base; j < f; ++j) {
               if (queued(j)) { victim = j; break; }
             }
           } else if (ac.policy == ShedPolicy::kDropNewest) {
-            const int base = ctx[static_cast<std::size_t>(tn)].job_base;
-            for (int j = f - 1; j >= base; --j) {
+            for (int j = f - 1; j >= tc.job_base; --j) {
               if (queued(j)) { victim = j; break; }
             }
           }
-          ++shed_count[static_cast<std::size_t>(tn)];
+          ++tc.shed;
           if (victim < 0) {
             // kRejectNew (or a defensive fallback when no victim is
             // queued): the arrival never enters the system.
-            frame_shed[static_cast<std::size_t>(f)] = 1;
+            move(job, JobState::kShed);
             break;
           }
-          frame_shed[static_cast<std::size_t>(victim)] = 1;
-          --queue_len[static_cast<std::size_t>(tn)];
+          move(jobs[static_cast<std::size_t>(victim)], JobState::kShed);
         }
-        ++queue_len[static_cast<std::size_t>(tn)];
+        move(job, JobState::kQueued);
         // Frames admitted while the chiplet is down run the remapped
         // schedule (strictly after the fault instant: an admission at the
         // exact fail time lands primary, then the flush re-admits it).
         if (faulted && now > fault.fail_time_s &&
             !(fault.recover_time_s >= 0.0 && now >= fault.recover_time_s)) {
-          TenantCtx& c =
-              ctx[static_cast<std::size_t>(tenant_of[static_cast<std::size_t>(f)])];
-          prog_of[static_cast<std::size_t>(f)] = &c.degraded->prog;
-          c.degraded_used = true;
-          init_frame(f);
+          degrade(f);
         }
         admit_frame(f, now);
         break;
@@ -1172,28 +1190,29 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         // The task's chiplet is free: dispatch there once this instant's
         // finishes are in, stale or not.
         wake(now, ev.d);
+        Job& job = jobs[static_cast<std::size_t>(f)];
         // Stale: the frame was flushed (and possibly dropped) after this
         // task was dispatched.
-        if (ev.c != epoch_of[static_cast<std::size_t>(f)]) {
+        if (ev.c != job.epoch) {
           ++stats.stale_finishes;
           break;
         }
-        const std::size_t key = idx(f, item);
         // The last shard's finish event carries the item's completion time
         // (events pop in nondecreasing time order).
-        if (--shards_left[key] != 0) break;
+        Slot& slot = slots[job.slot + static_cast<std::size_t>(item)];
+        if (--slot.shards_left != 0) break;
         const double finished = now;
-        if (--frame_items_left[static_cast<std::size_t>(f)] == 0) {
-          if (frame_done[static_cast<std::size_t>(f)]) {
+        if (--job.items_left == 0) {
+          if (job.state == JobState::kDone) {
             throw std::logic_error(
                 "simulate_schedule: frame completed twice (conservation "
                 "violated)");
           }
-          frame_done[static_cast<std::size_t>(f)] = 1;
+          move(job, JobState::kDone);
           result.frame_completion_s[static_cast<std::size_t>(f)] = finished;
         }
-        const Program& pr = *prog_of[static_cast<std::size_t>(f)];
-        for (const OutEdge& oe : pr.outs[static_cast<std::size_t>(item)]) {
+        for (const OutEdge& oe :
+             job.prog->outs[static_cast<std::size_t>(item)]) {
           double arrival = finished + oe.edge->delay_s;
           if (contended && !oe.edge->msgs.empty()) {
             double wait = 0.0;
@@ -1201,8 +1220,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
               const double w = fabric.inject(m.route, m.bytes, finished);
               if (w > wait) wait = w;
             }
-            tenant_wait[static_cast<std::size_t>(
-                tenant_of[static_cast<std::size_t>(f)])] += wait;
+            ctx[static_cast<std::size_t>(job.tenant)].nop_wait += wait;
             arrival = finished + oe.edge->delay_s + wait;
           }
           deliver(f, oe.consumer, arrival);
@@ -1212,17 +1230,15 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
       case kFault: {
         // The chiplet and its router die. Revoke every in-flight task (the
         // unexecuted remainder is handed back; the executed slice stays in
-        // chiplet_busy as wasted work), flush all calendars, and stall
-        // dispatch until the reschedule penalty elapses.
+        // the chiplet's busy time as wasted work), flush all calendars, and
+        // stall dispatch until the reschedule penalty elapses.
         const double resume = now + std::max(fault.reschedule_penalty_s, 0.0);
         for (int c = 0; c < nc; ++c) {
-          if (chiplet_free[static_cast<std::size_t>(c)] > now) {
-            chiplet_busy[static_cast<std::size_t>(c)] -=
-                chiplet_free[static_cast<std::size_t>(c)] - now;
-          }
-          pending[static_cast<std::size_t>(c)].clear();
-          ready[static_cast<std::size_t>(c)].clear();
-          chiplet_free[static_cast<std::size_t>(c)] =
+          Chiplet& ch = chiplets[static_cast<std::size_t>(c)];
+          if (ch.free > now) ch.busy -= ch.free - now;
+          ch.pending.clear();
+          ch.ready.clear();
+          ch.free =
               c == dead ? std::numeric_limits<double>::infinity() : resume;
           if (c != dead) wake(resume, c);
         }
@@ -1234,62 +1250,36 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         // its reloads land. Charged for every tenant at the fault instant —
         // re-replication starts the moment the fault is known, whether or
         // not a frame later runs the degraded program.
-        for (int t = 0; t < num_tenants; ++t) {
-          const DegradedEntry& de = *ctx[static_cast<std::size_t>(t)].degraded;
-          for (const ReloadPlan& rp : de.fault_reloads) {
-            double wait = 0.0;
-            if (contended && !rp.route.empty()) {
-              wait = fabric.inject(rp.route, rp.bytes, now);
-              tenant_wait[static_cast<std::size_t>(t)] += wait;
-            }
-            const double delay = rp.delay_s + wait;
-            const std::size_t c = static_cast<std::size_t>(rp.dense_chiplet);
-            chiplet_free[c] += delay;
-            wake(chiplet_free[c], rp.dense_chiplet);
-            result.reload_bytes += rp.bytes;
-            result.reload_time_s += delay;
+        for (TenantCtx& tc : ctx) {
+          for (const ReloadPlan& rp : tc.degraded->fault_reloads) {
+            Chiplet& ch = chiplets[static_cast<std::size_t>(rp.dense_chiplet)];
+            ch.free += reload(rp, tc);
+            wake(ch.free, rp.dense_chiplet);
           }
         }
-        // Flush incomplete frames onto the remapped schedule; drop the ones
-        // whose deadline already expired. Shed frames are already out of
-        // the system and are skipped.
-        for (int f = 0; f < jobs; ++f) {
-          if (frame_done[static_cast<std::size_t>(f)] ||
-              frame_shed[static_cast<std::size_t>(f)]) {
+        // Flush admitted, unfinished frames onto the remapped schedule;
+        // drop the ones whose deadline already expired. Every admission at
+        // time <= now has already been processed (kAdmit sorts before
+        // kFault at equal timestamps).
+        for (int f = 0; f < num_jobs; ++f) {
+          Job& job = jobs[static_cast<std::size_t>(f)];
+          if (job.state != JobState::kQueued &&
+              job.state != JobState::kStarted) {
             continue;
           }
-          ++epoch_of[static_cast<std::size_t>(f)];
-          const double admit_t = admit_of[static_cast<std::size_t>(f)];
-          if (admit_t > now) continue;  // not yet admitted
+          ++job.epoch;
           const double deadline =
-              streams[static_cast<std::size_t>(
-                          tenant_of[static_cast<std::size_t>(f)])].deadline_s;
-          if (deadline > 0.0 && resume - admit_t > deadline) {
-            frame_dropped[static_cast<std::size_t>(f)] = 1;
+              streams[static_cast<std::size_t>(job.tenant)].deadline_s;
+          if (deadline > 0.0 && resume - job.admit > deadline) {
+            move(job, JobState::kDropped);
             continue;
           }
-          TenantCtx& c =
-              ctx[static_cast<std::size_t>(tenant_of[static_cast<std::size_t>(f)])];
-          prog_of[static_cast<std::size_t>(f)] = &c.degraded->prog;
-          c.degraded_used = true;
-          init_frame(f);
+          degrade(f);
           // The re-admitted frame is queued again in the new epoch (and so
           // shed-eligible again); its queue delay stays attributed to the
-          // FIRST dispatch (frame_qd_done is sticky).
-          frame_started[static_cast<std::size_t>(f)] = 0;
+          // FIRST dispatch (qd_done is sticky).
+          move(job, JobState::kQueued);
           admit_frame(f, now);
-        }
-        // The flush invalidated the incremental queue accounting (started
-        // flags were reset, deadline drops left the queue): recompute it
-        // wholesale. Every admission at time <= now has already been
-        // processed (kAdmit sorts before kFault at equal timestamps).
-        std::fill(queue_len.begin(), queue_len.end(), 0);
-        for (int f = 0; f < jobs; ++f) {
-          const std::size_t k = static_cast<std::size_t>(f);
-          if (admit_of[k] <= now && !frame_done[k] && !frame_dropped[k] &&
-              !frame_shed[k] && !frame_started[k]) {
-            ++queue_len[static_cast<std::size_t>(tenant_of[k])];
-          }
         }
         break;
       }
@@ -1300,102 +1290,86 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         // required: a frame admitted at this exact instant already enqueued
         // work here (kAdmit and its dispatch both sort before kRecover at
         // equal timestamps) and bounced off the still-infinite calendar.
-        chiplet_free[static_cast<std::size_t>(dead)] = now;
+        Chiplet& ch = chiplets[static_cast<std::size_t>(dead)];
+        ch.free = now;
         // Cold SRAM (memory model active only): the revived chiplet
         // re-fills each tenant's primary-resident weights before accepting
         // work, serialized on its reload port.
-        for (int t = 0; t < num_tenants; ++t) {
-          const ReloadPlan& rp =
-              ctx[static_cast<std::size_t>(t)].degraded->recover_reload;
-          if (rp.bytes <= 0.0) continue;
-          double wait = 0.0;
-          if (contended && !rp.route.empty()) {
-            wait = fabric.inject(rp.route, rp.bytes, now);
-            tenant_wait[static_cast<std::size_t>(t)] += wait;
-          }
-          const double delay = rp.delay_s + wait;
-          chiplet_free[static_cast<std::size_t>(dead)] += delay;
-          result.reload_bytes += rp.bytes;
-          result.reload_time_s += delay;
+        for (TenantCtx& tc : ctx) {
+          const ReloadPlan& rp = tc.degraded->recover_reload;
+          if (rp.bytes > 0.0) ch.free += reload(rp, tc);
         }
-        wake(chiplet_free[static_cast<std::size_t>(dead)], dead);
+        wake(ch.free, dead);
         break;
       }
       case kDispatch:
       default: {
-        const std::size_t c = static_cast<std::size_t>(ev.a);
+        Chiplet& ch = chiplets[static_cast<std::size_t>(ev.a)];
         // Busy: the running task's finish wakes this chiplet again.
-        if (chiplet_free[c] > now + kTimeEps) {
+        if (ch.free > now + kTimeEps) {
           ++stats.busy_dispatches;
           break;
         }
-        auto& pend = pending[c];
-        auto& rdy = ready[c];
-        while (!pend.empty() && pend.top().ready <= now + kTimeEps) {
-          rdy.push(ReadyShard{pend.top().rank, pend.top().job,
-                              pend.top().item, pend.top().shard});
-          pend.pop();
+        while (!ch.pending.empty() &&
+               ch.pending.top().ready <= now + kTimeEps) {
+          const PendingShard& p = ch.pending.top();
+          ch.ready.push(ReadyShard{p.rank, p.job, p.item, p.shard});
+          ch.pending.pop();
         }
         if (shed_any) {
           // Dispatch-set re-formation: before committing the chiplet,
           // evict shed frames' stale heap entries, and under shed_expired
           // evict queued frames whose deadline has already passed — online
           // decisions made against what is queued NOW.
-          while (!rdy.empty()) {
-            const int j = rdy.top().job;
-            const std::size_t jk = static_cast<std::size_t>(j);
-            if (frame_shed[jk]) {
-              rdy.pop();
+          while (!ch.ready.empty()) {
+            Job& job = jobs[static_cast<std::size_t>(ch.ready.top().job)];
+            if (job.state == JobState::kShed) {
+              ch.ready.pop();
               continue;
             }
-            const int tn = tenant_of[jk];
-            const StreamView& st = streams[static_cast<std::size_t>(tn)];
+            const StreamView& st =
+                streams[static_cast<std::size_t>(job.tenant)];
             if (st.admission->shed_expired && st.deadline_s > 0.0 &&
-                !frame_started[jk] && now - admit_of[jk] >= st.deadline_s) {
-              frame_shed[jk] = 1;
-              ++shed_count[static_cast<std::size_t>(tn)];
-              --queue_len[static_cast<std::size_t>(tn)];
-              rdy.pop();
+                job.state == JobState::kQueued &&
+                now - job.admit >= st.deadline_s) {
+              move(job, JobState::kShed);
+              ++ctx[static_cast<std::size_t>(job.tenant)].shed;
+              ch.ready.pop();
               continue;
             }
             break;
           }
         }
-        if (rdy.empty()) {
+        if (ch.ready.empty()) {
           ++stats.idle_dispatches;
-          if (!pend.empty()) wake(pend.top().ready, ev.a);
+          if (!ch.pending.empty()) wake(ch.pending.top().ready, ev.a);
           break;
         }
-        const ReadyShard task = rdy.top();
-        rdy.pop();
-        if (!frame_started[static_cast<std::size_t>(task.job)]) {
+        const ReadyShard task = ch.ready.top();
+        ch.ready.pop();
+        Job& job = jobs[static_cast<std::size_t>(task.job)];
+        if (job.state == JobState::kQueued) {
           // The frame leaves the queue: it can no longer be shed, and its
-          // queue delay (admission -> first dispatch) is attributed once
-          // (sticky across fault flushes, which reset frame_started).
-          frame_started[static_cast<std::size_t>(task.job)] = 1;
-          const int tn = tenant_of[static_cast<std::size_t>(task.job)];
-          --queue_len[static_cast<std::size_t>(tn)];
-          if (!frame_qd_done[static_cast<std::size_t>(task.job)]) {
-            frame_qd_done[static_cast<std::size_t>(task.job)] = 1;
-            const double qd =
-                now - admit_of[static_cast<std::size_t>(task.job)];
-            qd_sum[static_cast<std::size_t>(tn)] += qd;
-            if (qd > qd_peak[static_cast<std::size_t>(tn)]) {
-              qd_peak[static_cast<std::size_t>(tn)] = qd;
-            }
-            ++qd_count[static_cast<std::size_t>(tn)];
+          // queue delay (admission -> first dispatch) is attributed once.
+          move(job, JobState::kStarted);
+          if (!job.qd_done) {
+            job.qd_done = true;
+            TenantCtx& tc = ctx[static_cast<std::size_t>(job.tenant)];
+            const double qd = now - job.admit;
+            tc.qd_sum += qd;
+            if (qd > tc.qd_peak) tc.qd_peak = qd;
+            ++tc.qd_count;
           }
         }
         const double service =
-            prog_of[static_cast<std::size_t>(task.job)]
-                ->shards_of_item[static_cast<std::size_t>(task.item)]
-                [static_cast<std::size_t>(task.shard)].service_s;
+            job.prog->shards_of_item[static_cast<std::size_t>(task.item)]
+                                    [static_cast<std::size_t>(task.shard)]
+                .service_s;
         const double done = now + service;
-        chiplet_free[c] = done;
-        chiplet_busy[c] += service;
+        ch.free = done;
+        ch.busy += service;
         ++result.tasks_executed;
-        push_event(Ev{done, kFinish, task.job, task.item,
-                      epoch_of[static_cast<std::size_t>(task.job)], ev.a},
+        push_event(Ev{done, kFinish, task.job, task.item, job.epoch, ev.a},
                    stats.pushes.finish);
         break;
       }
@@ -1406,11 +1380,11 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // dropped + shed. Dropped and shed frames carry NaN; every other offered
   // frame must have completed.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (int f = 0; f < jobs; ++f) {
-    if (frame_dropped[static_cast<std::size_t>(f)] ||
-        frame_shed[static_cast<std::size_t>(f)]) {
+  for (int f = 0; f < num_jobs; ++f) {
+    const JobState state = jobs[static_cast<std::size_t>(f)].state;
+    if (state == JobState::kDropped || state == JobState::kShed) {
       result.frame_completion_s[static_cast<std::size_t>(f)] = nan;
-    } else if (!frame_done[static_cast<std::size_t>(f)]) {
+    } else if (state != JobState::kDone) {
       throw std::logic_error(
           "simulate_schedule: admitted frame neither completed, dropped nor "
           "shed (conservation violated)");
@@ -1420,12 +1394,12 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // Package-level reductions over the tenant-major job stream: aggregates
   // cover every completed frame of every tenant, through the same
   // reduce_tail the per-tenant slices use. Latency is measured from the
-  // REALIZED admission instant (admit_of).
-  result.frame_latency_s.reserve(static_cast<std::size_t>(jobs));
-  for (int f = 0; f < jobs; ++f) {
+  // REALIZED admission instant.
+  result.frame_latency_s.reserve(static_cast<std::size_t>(num_jobs));
+  for (int f = 0; f < num_jobs; ++f) {
     result.frame_latency_s.push_back(
         result.frame_completion_s[static_cast<std::size_t>(f)] -
-        admit_of[static_cast<std::size_t>(f)]);
+        jobs[static_cast<std::size_t>(f)].admit);
   }
   const TailStats tail = reduce_tail(result.frame_latency_s,
                                      result.frame_completion_s, scr_lat,
@@ -1451,15 +1425,14 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     const TenantCtx& c = ctx[static_cast<std::size_t>(t)];
     const std::size_t tk = static_cast<std::size_t>(t);
     const double qd_mean =
-        qd_count[tk] > 0 ? qd_sum[tk] / static_cast<double>(qd_count[tk])
-                         : nan;
+        c.qd_count > 0 ? c.qd_sum / static_cast<double>(c.qd_count) : nan;
     TenantResult& tr = result.tenants[tk];
     reduce_tenant_into(streams[tk],
                        result.frame_completion_s.data() + c.job_base,
-                       admit_of.data() + c.job_base, shed_count[tk],
-                       streams[tk].arrivals->active(), tenant_wait[tk],
-                       qd_mean, qd_count[tk] > 0 ? qd_peak[tk] : nan,
-                       scr_lat, scr_times, tr);
+                       result.frame_latency_s.data() + c.job_base, c.shed,
+                       streams[tk].arrivals->active(), c.nop_wait, qd_mean,
+                       c.qd_count > 0 ? c.qd_peak : nan, scr_lat, scr_times,
+                       tr);
     result.dropped_frames += tr.dropped_frames;
     result.shed_frames += tr.shed_frames;
     result.deadline_miss_frames += tr.deadline_miss_frames;
@@ -1473,8 +1446,11 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
                                fault.fail_time_s, scr_recovery));
     }
   }
-  result.chiplet_busy_s.assign(chiplet_busy.begin(),
-                               chiplet_busy.begin() + nc);
+  result.chiplet_busy_s.resize(static_cast<std::size_t>(nc));
+  for (int c = 0; c < nc; ++c) {
+    result.chiplet_busy_s[static_cast<std::size_t>(c)] =
+        chiplets[static_cast<std::size_t>(c)].busy;
+  }
   if (contended) {
     fabric.stats_into(result.makespan_s, run_link_list(faulted),
                       result.link_stats);

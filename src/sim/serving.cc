@@ -277,37 +277,15 @@ LoadSearchResult max_sustainable_load(const PackageConfig& package,
   while (result.rounds < search.max_rounds) {
     // Evenly spaced candidates across the current bracket, endpoints
     // included on the first round (later rounds already know them).
-    std::vector<ParamValue> candidates;
     const int k = search.probes_per_round;
-    for (int i = 0; i < k; ++i) {
+    const std::vector<LoadProbe> round = runner.map(k, [&](int i) {
       const double frac =
           result.rounds == 0
               ? static_cast<double>(i) / static_cast<double>(k - 1)
               : static_cast<double>(i + 1) / static_cast<double>(k + 1);
-      candidates.push_back(lo + (hi - lo) * frac);
-    }
-    SweepSpec spec =
-        SweepSpec("max_sustainable_load").axis("fps", std::move(candidates));
-    const SweepResult sweep = runner.run(spec, [&](const SweepPoint& pt) {
-      const LoadProbe p = probe_rate(pt.double_at("fps"));
-      SweepRecord rec;
-      rec.set("worst_p99_s", p.worst_p99_s)
-          .set("deadline_misses", static_cast<double>(p.deadline_misses))
-          .set("shed_frames", static_cast<double>(p.shed_frames))
-          .set("feasible", p.feasible ? 1.0 : 0.0);
-      return rec;
+      return probe_rate(lo + (hi - lo) * frac);
     });
-    for (const SweepPointResult& pt : sweep.points) {
-      if (!pt.ok) {
-        throw std::runtime_error("max_sustainable_load: probe at " +
-                                 pt.point.label() + " failed: " + pt.error);
-      }
-      LoadProbe p;
-      p.fps = pt.point.double_at("fps");
-      p.worst_p99_s = pt.record.get("worst_p99_s");
-      p.deadline_misses = static_cast<int>(pt.record.get("deadline_misses"));
-      p.shed_frames = static_cast<int>(pt.record.get("shed_frames"));
-      p.feasible = pt.record.get("feasible") != 0.0;
+    for (const LoadProbe& p : round) {
       result.probes.push_back(p);
       if (p.feasible) {
         best_feasible = std::max(best_feasible, p.fps);

@@ -207,11 +207,13 @@ struct LoadSearchResult {
 
 // Bisects the per-tenant injection rate: all tenants run at the SAME
 // candidate rate (their frame_interval_s is overridden with 1/fps); each
-// round's candidates are evaluated concurrently via SweepRunner, so the
-// search is deterministic for any thread count. Throws
+// round's candidates are evaluated concurrently via SweepRunner::map, so
+// the search is deterministic for any thread count. Throws
 // std::invalid_argument when any tenant's deadline_s is <= 0 (feasibility
 // would be vacuous), on a non-positive/inverted [fps_lo, fps_hi], or
-// probes_per_round < 2.
+// probes_per_round < 2. A probe that throws ends the search with its own
+// exception once its round has run; when several probes of a round throw,
+// the lowest-rate one's propagates.
 //
 // With an active memory model and a fault in `options`, the probes run the
 // full reload charging (SimResult::reload_bytes/reload_time_s): cold-start

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/bounds.h"
 #include "analysis/rules.h"
 #include "analysis/validate.h"
 #include "arch/package.h"
@@ -601,48 +602,101 @@ TEST(ScheduleBundleTest, MalformedDocumentsThrow) {
   EXPECT_THROW(bundle_from_json(doc), std::invalid_argument);
 }
 
-// Hostile array dimensions: tile_h = 2^62 used to overflow int64 in the
-// cost model (tile_h * tile_w) once the bundle was analyzed. The loader now
-// refuses every array dimension outside [1, 2^31) and a non-positive
-// num_pes, naming the chiplet.
+// Hostile array dimensions and geometry. tile_h = 2^62 used to overflow
+// int64 in the cost model (tile_h * tile_w) once the bundle was analyzed,
+// and routing walks mesh coordinates, NPU indices and substrate hops one
+// hop at a time, so row 10^6 kept `cnpu_lint --bounds` busy for seconds
+// and row 2^31-1 never finished. The loader now refuses every array
+// dimension outside [1, 2^31), a non-positive num_pes, a chiplet or failed
+// site row/col outside [0, 4096) or npu outside [0, 64), and
+// inter_npu_hops outside [0, 64], naming the chiplet (or failed site) and
+// the field.
 TEST(ScheduleBundleTest, HostileArrayDimensionsAreRejected) {
   const PerceptionPipeline pipe = two_conv_pipeline();
   const PackageConfig pkg = make_simba_package(2, 4);
-  Schedule sched(pipe, pkg);
-  sched.assign(0, pkg.chiplets()[0].id);
-  sched.assign(1, pkg.chiplets()[1].id);
-  const std::string doc = bundle_to_json(sched);
+  int victim = -1;
+  for (const auto& c : pkg.chiplets()) {
+    if (!pkg.io_port_attached_to(c.id) && c.coord.col == 1) victim = c.id;
+  }
+  ASSERT_GE(victim, 0);
+  const PackageConfig degraded = pkg.without_chiplet(victim);
+  const auto bundle_of = [&](const PackageConfig& p) {
+    Schedule sched(pipe, p);
+    sched.assign(0, p.chiplets()[0].id);
+    sched.assign(1, p.chiplets()[1].id);
+    return bundle_to_json(sched);
+  };
+  const std::string doc = bundle_of(pkg);
+  const std::string degraded_doc = bundle_of(degraded);
   const std::string chiplet = "chiplet " + std::to_string(pkg.chiplets()[0].id);
-  const auto with = [&](const std::string& field, const std::string& value) {
+  const std::string failed_site = "failed site " + std::to_string(victim);
+  // `in` with the first `field` after `section` (the first chiplet's, the
+  // first failed site's, or the package's) set to `value`.
+  const auto with = [](const std::string& in, const std::string& section,
+                       const std::string& field, const std::string& value) {
     const std::string needle = "\"" + field + "\":";
-    std::string out = doc;
-    const auto pos = out.find(needle);  // the first chiplet's array
+    std::string out = in;
+    const auto pos = out.find(needle, out.find("\"" + section + "\":"));
     EXPECT_NE(pos, std::string::npos) << field;
     const auto end = out.find_first_of(",}", pos);
     out.replace(pos + needle.size(), end - pos - needle.size(), value);
     return out;
+  };
+  const auto rejects = [](const std::string& in, const std::string& owner,
+                          const std::string& field) {
+    try {
+      (void)bundle_from_json(in);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(owner), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
   };
   const std::string two62 = "4611686018427387904";
   for (const char* field : {"tile_h", "tile_w", "array_h", "array_w"}) {
     for (const std::string& value : {two62, std::string("2147483648"),
                                      std::string("0"), std::string("-1")}) {
       SCOPED_TRACE(std::string(field) + " = " + value);
-      try {
-        (void)bundle_from_json(with(field, value));
-        ADD_FAILURE() << "accepted";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(chiplet), std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-            << e.what();
-      }
+      rejects(with(doc, "chiplets", field, value), chiplet, field);
     }
   }
-  EXPECT_THROW(bundle_from_json(with("num_pes", "0")), std::invalid_argument);
+  EXPECT_THROW(bundle_from_json(with(doc, "chiplets", "num_pes", "0")),
+               std::invalid_argument);
+  // Geometry: 2^31-1, the first value past the cap, and -1.
+  const std::vector<std::pair<const char*, const char*>> geometry = {
+      {"row", "4096"}, {"col", "4096"}, {"npu", "64"}};
+  for (const auto& [field, past_cap] : geometry) {
+    for (const std::string& value :
+         {std::string("2147483647"), std::string(past_cap),
+          std::string("-1")}) {
+      SCOPED_TRACE(std::string(field) + " = " + value);
+      rejects(with(doc, "chiplets", field, value), chiplet, field);
+      rejects(with(degraded_doc, "failed_sites", field, value), failed_site,
+              field);
+    }
+  }
+  for (const char* value : {"2147483647", "65", "-1"}) {
+    SCOPED_TRACE(std::string("inter_npu_hops = ") + value);
+    rejects(with(doc, "package", "inter_npu_hops", value), "package",
+            "inter_npu_hops");
+  }
   // The largest accepted tile still loads and analyzes without overflow.
   const ScheduleBundle big =
-      bundle_from_json(with("tile_h", "2147483647"));
+      bundle_from_json(with(doc, "chiplets", "tile_h", "2147483647"));
   EXPECT_TRUE(std::isfinite(evaluate_schedule(*big.schedule).e2e_s));
+  // So does the largest accepted geometry, and bounding it finishes.
+  const auto bounded = [](const std::string& in) {
+    const ScheduleBundle far = bundle_from_json(in);
+    const analysis::BoundsReport r = analysis::compute_bounds(*far.schedule);
+    return r.streams.size() == 1 && std::isfinite(r.streams[0].latency_bound_s);
+  };
+  EXPECT_TRUE(bounded(with(doc, "chiplets", "row", "4095")));
+  EXPECT_TRUE(bounded(with(doc, "chiplets", "col", "4095")));
+  EXPECT_TRUE(bounded(with(doc, "chiplets", "npu", "63")));
+  EXPECT_TRUE(bounded(with(doc, "package", "inter_npu_hops", "64")));
+  EXPECT_TRUE(bounded(with(degraded_doc, "failed_sites", "row", "4095")));
 }
 
 TEST(ScheduleBundleTest, MalformedPlacementsSurviveLoadForTheLinter) {

@@ -554,6 +554,54 @@ TEST(SimEngineCorner, PriorityTenantsAdmittedTogether) {
   expect_pinned(s0, opt, 0x570303c9d1b8f6fcull);
 }
 
+// A bounded queue across a fault flush. The overloaded stream fills its
+// queue before chiplet 3 fails; the flush drops the frames whose deadline
+// has passed by the end of the stall and re-admits the rest, and the shed
+// decisions after the flush read the queue those two moves left behind.
+SimOptions queue_across_fault(ShedPolicy policy, int capacity,
+                              double deadline_intervals) {
+  SimOptions opt;
+  opt.frames = 24;
+  opt.frame_interval_s = 1e-5;
+  opt.deadline_s = deadline_intervals * opt.frame_interval_s;
+  opt.admission.queue_capacity = capacity;
+  opt.admission.policy = policy;
+  opt.fault.chiplet_id = 3;
+  opt.fault.fail_time_s = 4 * opt.frame_interval_s;
+  opt.fault.recover_time_s = 10 * opt.frame_interval_s;
+  opt.fault.reschedule_penalty_s = 2e-5;
+  return opt;
+}
+
+// A frame the flush drops leaves the queue: later arrivals find room.
+TEST(SimEngineCorner, FaultDroppedFramesLeaveTheQueue) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule sched = make_schedule(pipe, pkg, 0);
+  const SimOptions opt = queue_across_fault(ShedPolicy::kRejectNew, 1, 2.0);
+
+  const SimResult r = simulate_schedule(sched, opt);
+  EXPECT_EQ(r.frames_completed, 3);
+  EXPECT_EQ(r.shed_frames, 19);
+  EXPECT_EQ(r.dropped_frames, 2);
+  expect_pinned(sched, opt, 0x71f8d38b87094335ull);
+}
+
+// A started frame the flush re-admits is queued again: it counts against
+// the capacity until it dispatches once more.
+TEST(SimEngineCorner, FaultReadmittedFramesQueueAgain) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule sched = make_schedule(pipe, pkg, 0);
+  const SimOptions opt = queue_across_fault(ShedPolicy::kDropOldest, 3, 6.0);
+
+  const SimResult r = simulate_schedule(sched, opt);
+  EXPECT_EQ(r.frames_completed, 6);
+  EXPECT_EQ(r.shed_frames, 18);
+  EXPECT_EQ(r.dropped_frames, 0);
+  expect_pinned(sched, opt, 0x87bea9cfef568a09ull);
+}
+
 // ServingPlan is the warm path the load search probes run on: it must
 // reproduce the one-shot serve_tenants bitwise, on repeat, and its
 // engine must be demonstrably reusing compiled programs.
