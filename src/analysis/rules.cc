@@ -79,8 +79,6 @@ const std::vector<RuleInfo>& rule_registry() {
        ThrowKind::kNone,
        "deadline is below the static critical-path latency bound: every "
        "frame must miss"},
-      {kRuleReportWidth, "report-width", Severity::kError, ThrowKind::kNone,
-       "a report CSV row width disagrees with its header"},
       {kRuleSweepZipMismatch, "sweep-zip-mismatch", Severity::kError,
        ThrowKind::kLogicError, "zipped sweep axes have unequal lengths"},
       {kRuleSweepOverflow, "sweep-overflow", Severity::kError,

@@ -94,13 +94,12 @@ inline constexpr const char* kRuleAdmissionCapacity = "A002";
 inline constexpr const char* kRuleAdmissionInertExpiry = "A003";
 // Deadline feasibility (critical-path lower bound).
 inline constexpr const char* kRuleDeadlineInfeasible = "D001";
-// Report/CSV width contracts.
-inline constexpr const char* kRuleReportWidth = "C001";
 // Sweep specifications.
 inline constexpr const char* kRuleSweepZipMismatch = "W001";
 inline constexpr const char* kRuleSweepOverflow = "W002";
 inline constexpr const char* kRuleSweepDuplicateAxis = "W003";
 inline constexpr const char* kRuleSweepEmptyAxis = "W004";
+// Retired, never reused: C001 (report-width).
 // Static performance bounds (advisory — bounds advise, the sim decides;
 // every P rule is ThrowKind::kNone by construction and can never throw).
 inline constexpr const char* kRuleBoundDeadline = "P001";

@@ -10,7 +10,6 @@
 #include "analysis/bounds.h"
 #include "core/evaluator.h"
 #include "core/remap.h"
-#include "core/report.h"
 #include "core/residency.h"
 #include "sim/arrivals.h"
 
@@ -395,31 +394,6 @@ Diagnostics validate(const SweepSpec& spec) {
 
 void validate_or_throw(const SweepSpec& spec) {
   validate(spec).throw_if_enforced();
-}
-
-Diagnostics check_csv_contract(const std::vector<std::string>& header,
-                               const std::vector<std::vector<std::string>>& rows,
-                               const std::string& locus) {
-  Diagnostics out;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].size() != header.size()) {
-      out.add(kRuleReportWidth, locus + " / row " + std::to_string(r),
-              "row is " + std::to_string(rows[r].size()) +
-                  " cells wide, header has " + std::to_string(header.size()));
-    }
-  }
-  return out;
-}
-
-Diagnostics validate_report_contracts(const PackageConfig& package) {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(package.chiplets().size());
-  for (const ChipletSpec& c : package.chiplets()) {
-    ChipletResidency r;
-    r.chiplet_id = c.id;
-    rows.push_back(residency_csv_row(r, package));
-  }
-  return check_csv_contract(residency_csv_header(), rows, "residency_csv");
 }
 
 }  // namespace cnpu::analysis

@@ -41,8 +41,6 @@
 //  * sweeps              — zipped axis length mismatches (W001), cartesian
 //    overflow past INT_MAX points (W002), duplicate axis names (W003),
 //    empty axes (W004).
-//  * report contracts    — CSV rows whose width disagrees with their
-//    header (C001), via check_csv_contract / validate_report_contracts.
 //
 // validate() itself NEVER throws on bad input (that is its point); it
 // throws only on programmer errors (unregistered rule IDs).
@@ -91,15 +89,5 @@ void validate_or_throw(const PackageConfig& package,
 // std::overflow_error past INT_MAX points.
 [[nodiscard]] Diagnostics validate(const SweepSpec& spec);
 void validate_or_throw(const SweepSpec& spec);
-
-// C001: every row must be exactly header.size() cells wide. `locus` names
-// the table being checked (e.g. "residency_csv").
-[[nodiscard]] Diagnostics check_csv_contract(
-    const std::vector<std::string>& header,
-    const std::vector<std::vector<std::string>>& rows, const std::string& locus);
-
-// Checks the shipped report emitters' CSV width contracts against a real
-// package (currently the residency table, core/report.h).
-[[nodiscard]] Diagnostics validate_report_contracts(const PackageConfig& package);
 
 }  // namespace cnpu::analysis

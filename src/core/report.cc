@@ -103,47 +103,4 @@ std::string stage_summary_table(const ScheduleMetrics& m,
   return t.to_string();
 }
 
-namespace {
-
-std::string capacity_cell(double bytes) {
-  return bytes > 0.0 ? format_si(bytes, 1) + "B" : "inf";
-}
-
-}  // namespace
-
-std::string residency_table(const ResidencyReport& r, const PackageConfig& pkg,
-                            const std::string& title) {
-  Table t(title);
-  t.set_header({"Chiplet", "W(MiB)", "Wcap", "A(MiB)", "Acap", "Overflow"});
-  for (const auto& c : r.per_chiplet) {
-    const MemorySpec& mem = pkg.chiplet(c.chiplet_id).memory;
-    t.add_row({std::to_string(c.chiplet_id),
-               format_fixed(c.weight_bytes / (1024.0 * 1024.0), 2),
-               capacity_cell(mem.weight_capacity_bytes),
-               format_fixed(c.activation_bytes / (1024.0 * 1024.0), 2),
-               capacity_cell(mem.activation_capacity_bytes),
-               c.overflow() ? "YES" : "-"});
-  }
-  t.add_separator();
-  t.add_row({"TOTAL", format_fixed(r.total_weight_bytes / (1024.0 * 1024.0), 2),
-             "", "", "", r.overflow ? "YES" : "-"});
-  return t.to_string();
-}
-
-std::vector<std::string> residency_csv_header() {
-  return {"chiplet",        "weight_bytes", "weight_capacity_bytes",
-          "activation_bytes", "activation_capacity_bytes", "overflow"};
-}
-
-std::vector<std::string> residency_csv_row(const ChipletResidency& r,
-                                           const PackageConfig& pkg) {
-  const MemorySpec& mem = pkg.chiplet(r.chiplet_id).memory;
-  return {std::to_string(r.chiplet_id),
-          format_fixed(r.weight_bytes, 0),
-          format_fixed(mem.weight_capacity_bytes, 0),
-          format_fixed(r.activation_bytes, 0),
-          format_fixed(mem.activation_capacity_bytes, 0),
-          r.overflow() ? "1" : "0"};
-}
-
 }  // namespace cnpu

@@ -2,10 +2,8 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/evaluator.h"
-#include "core/residency.h"
 
 namespace cnpu {
 
@@ -31,18 +29,5 @@ std::string stage_summary_table(const ScheduleMetrics& m, const std::string& tit
 // ASCII mesh map of per-chiplet busy time (ms) with the dominant stage per
 // chiplet - the textual rendering of the paper's Figs. 5-8 quadrant plots.
 std::string mesh_busy_map(const ScheduleMetrics& m, const PackageConfig& pkg);
-
-// Per-chiplet memory-residency table: resident weights / peak activations
-// against each chiplet's MemorySpec capacities plus an overflow flag —
-// the package table's memory columns. Unbounded capacities print "inf".
-std::string residency_table(const ResidencyReport& r, const PackageConfig& pkg,
-                            const std::string& title);
-
-// The same table as raw CSV cells (header + one row per chiplet), each row
-// exactly residency_csv_header().size() wide so the cells feed CsvWriter's
-// width check unchanged (regression-tested in tests/test_residency.cc).
-std::vector<std::string> residency_csv_header();
-std::vector<std::string> residency_csv_row(const ChipletResidency& r,
-                                           const PackageConfig& pkg);
 
 }  // namespace cnpu

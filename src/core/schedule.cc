@@ -107,18 +107,6 @@ std::vector<int> Schedule::free_chiplets() const {
   return out;
 }
 
-std::vector<int> Schedule::used_chiplets() const {
-  std::set<int> used;
-  for (const auto& p : placements_) {
-    for (const auto& s : p.shards) used.insert(s.chiplet_id);
-  }
-  std::vector<int> out;
-  for (const auto& c : package_->chiplets()) {
-    if (used.count(c.id) != 0) out.push_back(c.id);
-  }
-  return out;
-}
-
 bool Schedule::fully_assigned() const {
   return std::all_of(placements_.begin(), placements_.end(),
                      [](const Placement& p) { return p.assigned(); });

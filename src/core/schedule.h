@@ -74,10 +74,6 @@ class Schedule {
 
   // Chiplet ids with no assigned work anywhere in the schedule.
   std::vector<int> free_chiplets() const;
-  // Chiplet ids carrying at least one shard, in package order — the
-  // complement of free_chiplets. The serving layer's partitioned-placement
-  // isolation check compares these sets across tenants.
-  std::vector<int> used_chiplets() const;
   bool fully_assigned() const;
 
   std::string describe() const;

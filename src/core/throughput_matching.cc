@@ -418,6 +418,15 @@ MatchResult throughput_matching_with_pools(
            metrics, latbase);
   }
 
+  // The steps above gate only on weight room; activation working sets are
+  // checked here, on the final placement. An overflowing placement is
+  // infeasible and refused, as place_tenants refuses one.
+  if (residency.overflow) {
+    throw std::invalid_argument(
+        "throughput_matching: placement overflows chiplet memory — " +
+        residency.describe_overflow());
+  }
+
   result.metrics = std::move(metrics);
   result.latbase_s = result.metrics.stages.front().pipe_s;
   if (result.trace.empty() || !result.converged) {

@@ -46,6 +46,9 @@ struct MatchResult {
 };
 
 // Runs Algorithm 1 on `pipeline` over `package` (quadrant-initialized).
+// Throws std::invalid_argument when the initial assignment finds no weight
+// room, or when the final placement overflows a chiplet's memory (the
+// message lists the overflowing chiplets).
 MatchResult throughput_matching(const PerceptionPipeline& pipeline,
                                 const PackageConfig& package,
                                 const MatchOptions& options = {});

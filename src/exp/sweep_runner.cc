@@ -1,6 +1,5 @@
 #include "exp/sweep_runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -171,21 +170,6 @@ int SweepRunner::threads() const {
                               : ThreadPool::recommended_threads();
 }
 
-void SweepRunner::for_each_index(int n,
-                                 const std::function<void(int)>& eval) const {
-  if (threads() <= 1 || n <= 1) {
-    const ThreadPool::InlineScope inline_slot;
-    for (int i = 0; i < n; ++i) eval(i);
-    return;
-  }
-  // Never spawn more workers than there are points.
-  ThreadPool pool(std::min(threads(), n));
-  for (int i = 0; i < n; ++i) {
-    pool.submit([&eval, i] { eval(i); });
-  }
-  pool.wait_idle();
-}
-
 SweepResult SweepRunner::run(const SweepSpec& spec, const SweepFn& fn) const {
   return run(spec, fn, SweepPruneFn());
 }
@@ -223,7 +207,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec, const SweepFn& fn,
     }
   };
 
-  for_each_index(n, evaluate_into);
+  ThreadPool::run(threads(), n, evaluate_into);
   result.elapsed_s = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();

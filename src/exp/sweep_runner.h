@@ -1,5 +1,5 @@
-// SweepRunner: fans sweep-point evaluations across a ThreadPool with
-// deterministic result ordering.
+// SweepRunner: fans sweep-point evaluations across ThreadPool::run workers
+// with deterministic result ordering.
 //
 // Results land in a preallocated vector slot keyed by point index, so the
 // output is identical for any thread count (1, 2, N) and any completion
@@ -32,7 +32,7 @@ namespace cnpu {
 
 struct SweepOptions {
   // Worker threads: 0 = ThreadPool::recommended_threads(); 1 = run inline on
-  // the calling thread (the serial reference path — no pool is created).
+  // the calling thread (the serial reference path — no thread is started).
   int threads = 0;
 };
 
@@ -109,11 +109,11 @@ class SweepRunner {
   // Number of distinct per-worker state slots a run() / map() callback can
   // observe: slot ThreadPool::current_worker_index() + 1, i.e. slot 0 for
   // the inline (serial) path on the calling thread, even when that thread
-  // is a worker of an enclosing pool, and 1..threads() for pool workers.
-  // Although each run builds a fresh pool, worker indices are stable across
-  // runs, so per-slot state (e.g. a SimEngine with its compiled-program
-  // cache) persists usefully across consecutive sweeps — the bisection
-  // rounds of max_sustainable_load rely on exactly that.
+  // is a worker of an enclosing run, and 1..threads() for workers.
+  // Although each run starts its own workers, worker w of every run keys
+  // slot w + 1, so per-slot state (e.g. a SimEngine with its
+  // compiled-program cache) persists usefully across consecutive sweeps —
+  // the bisection rounds of max_sustainable_load rely on exactly that.
   int worker_slots() const { return threads() + 1; }
 
   // Evaluates every point of `spec`, capturing per-point errors. The points
@@ -139,7 +139,7 @@ class SweepRunner {
                   "SweepRunner::map cannot return bool");
     std::vector<R> results(static_cast<std::size_t>(n > 0 ? n : 0));
     std::vector<std::exception_ptr> errors(results.size());
-    for_each_index(n, [&](int i) {
+    ThreadPool::run(threads(), n, [&](int i) {
       try {
         results[static_cast<std::size_t>(i)] = fn(i);
       } catch (...) {
@@ -153,12 +153,6 @@ class SweepRunner {
   }
 
  private:
-  // The one fan-out behind run() and map(): calls eval(i) for every i in
-  // [0, n), inline on the calling thread when threads() <= 1 or n <= 1 (the
-  // serial reference path), otherwise on a pool of min(threads(), n)
-  // workers. `eval` must not throw.
-  void for_each_index(int n, const std::function<void(int)>& eval) const;
-
   SweepOptions options_;
 };
 

@@ -207,8 +207,8 @@ LoadSearchResult max_sustainable_load(const PackageConfig& package,
   // One ServingPlan — placement, compiled programs, simulation engine —
   // per sweep worker slot, built lazily on a slot's first probe and then
   // reused by every probe and every bisection round that slot evaluates
-  // (probes differ only in injection rate, and worker indices are stable
-  // across the per-round pools). A per-slot SimResult gives run_at_rate a
+  // (probes differ only in injection rate, and worker w of every round's
+  // run keys slot w + 1). A per-slot SimResult gives run_at_rate a
   // warm output buffer. Probe results stay bitwise-identical for any
   // thread count: plans are clones of the same deterministic placement,
   // and engine reuse is result-invariant.

@@ -96,10 +96,10 @@ TEST(RuleRegistryTest, IdsAndNamesAreUniqueAndStable) {
         analysis::kRuleFaultOrder, analysis::kRuleFaultPenaltySign,
         analysis::kRuleFaultNoSurvivor, analysis::kRuleArrivalSpecInvalid,
         analysis::kRuleAdmissionCapacity, analysis::kRuleAdmissionInertExpiry,
-        analysis::kRuleDeadlineInfeasible, analysis::kRuleReportWidth,
-        analysis::kRuleSweepZipMismatch, analysis::kRuleSweepOverflow,
-        analysis::kRuleSweepDuplicateAxis, analysis::kRuleSweepEmptyAxis,
-        analysis::kRuleBoundDeadline, analysis::kRuleBoundLinkOversubscribed,
+        analysis::kRuleDeadlineInfeasible, analysis::kRuleSweepZipMismatch,
+        analysis::kRuleSweepOverflow, analysis::kRuleSweepDuplicateAxis,
+        analysis::kRuleSweepEmptyAxis, analysis::kRuleBoundDeadline,
+        analysis::kRuleBoundLinkOversubscribed,
         analysis::kRuleBoundComputeOversubscribed,
         analysis::kRuleBoundResidency}) {
     const analysis::RuleInfo* rule = analysis::find_rule(id);
@@ -506,23 +506,6 @@ TEST(ValidateSweepTest, CleanSpecHasNoFindings) {
   const SweepSpec spec =
       SweepSpec("ok").axis("rows", {1, 2}).axis("cols", {3, 4});
   EXPECT_TRUE(validate(spec).empty());
-}
-
-// ----------------------------------------------------------- report rules
-
-TEST(CsvContractTest, C001FlagsWidthMismatch) {
-  const std::vector<std::string> header{"a", "b", "c"};
-  const std::vector<std::vector<std::string>> rows{{"1", "2", "3"},
-                                                   {"1", "2"}};
-  const Diagnostics diags = analysis::check_csv_contract(header, rows, "t");
-  EXPECT_TRUE(diags.has_rule(analysis::kRuleReportWidth));
-  EXPECT_TRUE(
-      analysis::check_csv_contract(header, {{"1", "2", "3"}}, "t").empty());
-}
-
-TEST(CsvContractTest, ShippedResidencyReportHonorsItsHeader) {
-  EXPECT_TRUE(
-      analysis::validate_report_contracts(make_simba_package()).empty());
 }
 
 // --------------------------------------------------------- bundle IO

@@ -1,6 +1,6 @@
 // Per-chiplet memory residency (core/residency.h): closed-form footprints,
 // capacity-aware placement/remap behavior, reload charging in the event
-// simulator, and the report/describe surfaces the memory columns ride on.
+// simulator, and the describe() surface the memory columns ride on.
 #include "core/residency.h"
 
 #include <gtest/gtest.h>
@@ -13,10 +13,10 @@
 #include "core/baselines.h"
 #include "core/partition.h"
 #include "core/remap.h"
-#include "core/report.h"
+#include "core/throughput_matching.h"
 #include "sim/event_sim.h"
 #include "sim/serving.h"
-#include "util/csv.h"
+#include "workloads/autopilot.h"
 #include "workloads/zoo.h"
 
 namespace cnpu {
@@ -141,7 +141,7 @@ TEST(Residency, OverflowFlagsAndDiagnostic) {
   EXPECT_NE(diag.find("weights"), std::string::npos) << diag;
 }
 
-// --- describe() / report surfaces -----------------------------------------
+// --- describe() ----------------------------------------------------------
 
 TEST(Residency, DescribeShowsMemoryOnlyWhenActive) {
   const PackageConfig pkg = make_simba_package(1, 2);
@@ -163,31 +163,6 @@ TEST(Residency, DescribeShowsMemoryOnlyWhenActive) {
   EXPECT_TRUE(reload_only.active());
   EXPECT_FALSE(reload_only.bounded());
   EXPECT_NE(reload_only.describe().find("w=inf"), std::string::npos);
-}
-
-TEST(Residency, TableAndCsvWidthsMatchCsvWriterContract) {
-  const PerceptionPipeline pipe = two_layer_chain();
-  PackageConfig pkg = make_simba_package(1, 2);
-  pkg.set_memory(make_calibrated_memory());
-  Schedule sched(pipe, pkg);
-  sched.assign(0, 0);
-  sched.assign(1, 1);
-  const ResidencyReport r = compute_residency(sched);
-
-  const std::string table = residency_table(r, pkg, "residency");
-  EXPECT_NE(table.find("W(MiB)"), std::string::npos) << table;
-  EXPECT_NE(table.find("TOTAL"), std::string::npos) << table;
-
-  // Every row must be exactly header-wide or CsvWriter::add_row throws —
-  // the regression the package tables' memory columns are pinned by.
-  CsvWriter csv;
-  csv.set_header(residency_csv_header());
-  for (const ChipletResidency& c : r.per_chiplet) {
-    const std::vector<std::string> row = residency_csv_row(c, pkg);
-    ASSERT_EQ(row.size(), residency_csv_header().size());
-    EXPECT_NO_THROW(csv.add_row(row));
-  }
-  EXPECT_NE(csv.to_string().find("weight_capacity_bytes"), std::string::npos);
 }
 
 // --- capacity-aware placement ---------------------------------------------
@@ -223,6 +198,29 @@ TEST(Residency, PoolScheduleSpillsThenThrows) {
     EXPECT_NE(std::string(e.what()).find("chain"), std::string::npos)
         << e.what();
   }
+}
+
+// Algorithm 1 gates its steps on weight room only, so its final placement
+// is checked whole: the calibrated 6x6 autopilot placement overflows
+// activation memory and is refused, while a weight-only cap still matches.
+TEST(Residency, MatchingRefusesOverflowingPlacement) {
+  const PerceptionPipeline pipe = build_autopilot_pipeline();
+  PackageConfig calibrated = make_simba_package();
+  calibrated.set_memory(make_calibrated_memory());
+  try {
+    (void)throughput_matching(pipe, calibrated);
+    FAIL() << "an overflowing placement must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("activation"), std::string::npos)
+        << e.what();
+  }
+
+  PackageConfig weight_capped = make_simba_package();
+  MemorySpec mem;
+  mem.weight_capacity_bytes = 16e6;
+  weight_capped.set_memory(mem);
+  const MatchResult r = throughput_matching(pipe, weight_capped);
+  EXPECT_FALSE(compute_residency(r.schedule).overflow);
 }
 
 // Capacity-respecting survivor choice in remap_schedule: deterministic,

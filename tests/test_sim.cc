@@ -904,7 +904,7 @@ TEST(Serving, MaxSustainableLoadDeterministicAcrossThreadCounts) {
 }
 
 // A serial search (threads = 1) evaluates its probes inline. Called from
-// the points of a parallel sweep, it runs on pool workers whose indices
+// the points of a parallel sweep, it runs on sweep workers whose indices
 // exceed its own worker slots; its per-slot plans must still use slot 0.
 TEST(Serving, SerialMaxSustainableLoadInsideParallelSweep) {
   const ServingScenario s;

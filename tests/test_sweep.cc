@@ -1,9 +1,9 @@
-// Sweep engine: spec enumeration, pool execution, runner determinism.
-#include <atomic>
-#include <chrono>
+// Sweep engine: spec enumeration, parallel index loop, runner determinism.
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,142 +78,68 @@ TEST(SweepSpecTest, EmptySpecAndEmptyAxis) {
 
 // --------------------------------------------------------------- ThreadPool
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPoolTest, SubmitWaitCyclesCompose) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) pool.submit([&count] { ++count; });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), (round + 1) * 20);
-  }
-}
-
-TEST(ThreadPoolTest, StealsFromSiblingQueues) {
-  // 2 workers, one long task pinned first: the round-robin deal puts half
-  // the short tasks behind the long one; they only finish promptly if the
-  // idle worker steals them. Completion of all tasks within wait_idle is
-  // the correctness bar (no deadlock, nothing lost).
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  });
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.submit([&count] { ++count; });
-    // No wait_idle: destruction must still run everything exactly once.
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-// Race-detection regression (run under -DCNPU_SANITIZE=thread in CI): the
-// pool's shutdown path and the thread-local current_worker_index() have
-// been audited data-race-clean — every queue/counter access is under mu_,
-// the worker index is written once per thread before any task runs, and
-// jthread's stop/join pair orders destruction after the drain. This stress
-// keeps TSan pointed at the risky interleavings: external submitter
-// threads racing each other, workers reading their index mid-task, and
-// destruction without wait_idle while the backlog is still draining.
-TEST(ThreadPoolTest, ConcurrentSubmittersAndShutdownStress) {
+// Race test (run under -DCNPU_SANITIZE=thread in CI): workers take indices
+// from one shared counter, write their own result slots and read their
+// thread-local index mid-call, and every round starts and joins fresh
+// workers.
+TEST(ThreadPoolTest, RunCallsEveryIndexOnceFromAWorker) {
   constexpr int kWorkers = 3;
-  constexpr int kSubmitters = 3;
-  constexpr int kTasksPerSubmitter = 50;
+  constexpr int kIndices = 1000;
   for (int round = 0; round < 20; ++round) {
-    std::atomic<int> count{0};
-    std::atomic<bool> bad_index{false};
-    {
-      ThreadPool pool(kWorkers);
-      {
-        std::vector<std::jthread> submitters;
-        for (int t = 0; t < kSubmitters; ++t) {
-          submitters.emplace_back([&pool, &count, &bad_index] {
-            for (int i = 0; i < kTasksPerSubmitter; ++i) {
-              pool.submit([&count, &bad_index] {
-                const int idx = ThreadPool::current_worker_index();
-                if (idx < 0 || idx >= kWorkers) bad_index = true;
-                ++count;
-              });
-            }
-          });
-        }
-      }  // submitters joined; the backlog may still be draining
-    }  // pool destruction drains the remaining tasks
-    EXPECT_EQ(count.load(), kSubmitters * kTasksPerSubmitter);
-    EXPECT_FALSE(bad_index.load());
+    std::vector<int> calls(kIndices, 0);
+    std::vector<int> worker(kIndices, -2);
+    ThreadPool::run(kWorkers, kIndices, [&](int i) {
+      const auto at = static_cast<std::size_t>(i);
+      ++calls[at];
+      worker[at] = ThreadPool::current_worker_index();
+    });
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i], 1) << "index " << i;
+      EXPECT_GE(worker[i], 0) << "index " << i;
+      EXPECT_LT(worker[i], kWorkers) << "index " << i;
+    }
   }
-  // Never a pool worker: the calling thread keeps the -1 sentinel.
+  // Never a worker: the calling thread keeps the -1 sentinel.
   EXPECT_EQ(ThreadPool::current_worker_index(), -1);
 }
 
-// Regression (exception-loss bugfix): a throwing task used to escape the
-// std::jthread (std::terminate), and because the unfinished_ decrement ran
-// only after a successful task(), wait_idle() would have deadlocked on the
-// lost count. The pool now contains the throw, keeps its bookkeeping via
-// RAII, and surfaces the FIRST captured exception from wait_idle().
-TEST(ThreadPoolTest, ThrowingTaskSurfacesFromWaitIdleWithoutDeadlock) {
-  std::atomic<int> count{0};
-  ThreadPool pool(2);
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&count, i] {
-      if (i == 3) throw std::runtime_error("task 3 exploded");
-      ++count;
+TEST(ThreadPoolTest, SerialRunIsInlineInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [threads, n] : {std::pair{1, 5}, std::pair{4, 1}}) {
+    std::vector<int> order;
+    ThreadPool::run(threads, n, [&](int i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(ThreadPool::current_worker_index(), -1);
+      order.push_back(i);
     });
+    std::vector<int> expected(static_cast<std::size_t>(n));
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected) << threads << " threads, " << n << " indices";
   }
-  try {
-    pool.wait_idle();
-    FAIL() << "wait_idle did not rethrow the task exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task 3 exploded");
-  }
-  // Every non-throwing task still ran (the throw cost no siblings).
-  EXPECT_EQ(count.load(), 7);
-  // The error was consumed: the pool stays usable and a clean cycle does
-  // not rethrow stale state.
-  pool.submit([&count] { ++count; });
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(count.load(), 8);
+  int calls = 0;
+  ThreadPool::run(4, 0, [&](int) { ++calls; });
+  EXPECT_EQ(calls, 0);
 }
 
-TEST(ThreadPoolTest, OnlyFirstOfManyExceptionsSurfaces) {
-  ThreadPool pool(1);  // single worker: deterministic task order
-  for (int i = 0; i < 3; ++i) {
-    pool.submit([i] { throw std::runtime_error("boom " + std::to_string(i)); });
+TEST(ThreadPoolTest, NestedSerialRunRestoresWorkerIndex) {
+  constexpr int kWorkers = 2;
+  std::vector<int> before(kWorkers, -2);
+  std::vector<int> inner(kWorkers, -2);
+  std::vector<int> after(kWorkers, -2);
+  ThreadPool::run(kWorkers, kWorkers, [&](int i) {
+    const auto at = static_cast<std::size_t>(i);
+    before[at] = ThreadPool::current_worker_index();
+    ThreadPool::run(1, 1, [&](int) {
+      inner[at] = ThreadPool::current_worker_index();
+    });
+    after[at] = ThreadPool::current_worker_index();
+  });
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_GE(before[i], 0);
+    EXPECT_LT(before[i], kWorkers);
+    EXPECT_EQ(inner[i], -1);
+    EXPECT_EQ(after[i], before[i]);
   }
-  try {
-    pool.wait_idle();
-    FAIL() << "wait_idle did not rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom 0");
-  }
-  EXPECT_NO_THROW(pool.wait_idle());
-}
-
-TEST(ThreadPoolTest, UnsurfacedTaskExceptionDoesNotFireOnDestruction) {
-  // A throwing task whose error is never collected must not crash the
-  // process at pool destruction (the destructor cannot throw).
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("dropped"); });
-  // Destructor drains and joins; dropped error is discarded.
 }
 
 // -------------------------------------------------------------- SweepRunner

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Fails when docs/ARCHITECTURE.md or docs/DIAGNOSTICS.md references a source
-# directory, file, or bench target that no longer exists, so the module map,
-# rule catalogue, and bench table cannot rot silently. Run from anywhere:
-# paths resolve relative to the repo root.
+# directory, file, or bench target that no longer exists, or when the rule
+# catalogue in docs/DIAGNOSTICS.md and the registry in src/analysis/rules.h
+# list different rule IDs, so the module map, rule catalogue, and bench
+# table cannot rot silently. Run from anywhere: paths resolve relative to
+# the repo root.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -54,6 +56,22 @@ check_doc() {
 
 check_doc "$repo_root/docs/ARCHITECTURE.md"
 check_doc "$repo_root/docs/DIAGNOSTICS.md"
+
+# The rule catalogue table lists exactly the IDs src/analysis/rules.h
+# registers: a rule added or retired on one side only fails here.
+registry_ids="$(grep -oE 'kRule[A-Za-z0-9]+ = "[A-Z][0-9]{3}"' \
+                  "$repo_root/src/analysis/rules.h" \
+                | grep -oE '"[A-Z][0-9]{3}"' | tr -d '"' | sort)"
+catalogue_ids="$(grep -oE '^\| [A-Z][0-9]{3} \|' "$repo_root/docs/DIAGNOSTICS.md" \
+                 | grep -oE '[A-Z][0-9]{3}' | sort)"
+if [[ "$registry_ids" != "$catalogue_ids" ]]; then
+  echo "check_docs: DIAGNOSTICS.md rule catalogue differs from src/analysis/rules.h:" >&2
+  comm -23 <(echo "$registry_ids") <(echo "$catalogue_ids") \
+    | sed 's/^/  only in rules.h: /' >&2
+  comm -13 <(echo "$registry_ids") <(echo "$catalogue_ids") \
+    | sed 's/^/  only in DIAGNOSTICS.md: /' >&2
+  failed=1
+fi
 
 if [[ "$failed" -ne 0 ]]; then
   exit 1
