@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -10,34 +9,11 @@
 #include "analysis/validate.h"
 #include "core/evaluator.h"
 #include "dataflow/cost_model.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 namespace cnpu::analysis {
 namespace {
-
-std::string fmt_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", s);
-  return std::string(buf) + " s";
-}
-
-std::string fmt_ms(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4f", s * 1e3);
-  return std::string(buf);
-}
-
-std::string fmt_gbps(double bytes_per_s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4g", bytes_per_s / 1e9);
-  return std::string(buf) + " GB/s";
-}
-
-std::string fmt_ratio(double r) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3g", r);
-  return std::string(buf);
-}
 
 // Bounds require a structurally sound stream (every item assigned, every
 // shard chiplet present, every fraction positive): anything the S/T
@@ -342,25 +318,25 @@ void collect_bound_diagnostics(const BoundsReport& report, Diagnostics& out) {
     if (!s.deadline_infeasible) continue;
     out.add(kRuleBoundDeadline, s.locus,
             "static critical-path lower bound " +
-                fmt_seconds(s.latency_bound_s) + " exceeds the deadline " +
-                fmt_seconds(s.deadline_s) + ": every frame must miss");
+                format_g(s.latency_bound_s, 6) + " s exceeds the deadline " +
+                format_g(s.deadline_s, 6) + " s: every frame must miss");
   }
   for (const LinkBound& l : report.links) {
     if (!l.oversubscribed) continue;
     out.add(kRuleBoundLinkOversubscribed, "link " + l.link.describe(),
-            fmt_gbps(l.demand_bytes_per_s) + " demanded of a " +
-                fmt_gbps(l.capacity_bytes_per_s) + " link (utilization " +
-                fmt_ratio(l.utilization) +
+            format_g(l.demand_bytes_per_s / 1e9, 4) + " GB/s demanded of a " +
+                format_g(l.capacity_bytes_per_s / 1e9, 4) +
+                " GB/s link (utilization " + format_g(l.utilization, 3) +
                 "): the FIFO queue diverges at the admitted rate");
   }
   for (const ChipletBound& c : report.chiplets) {
     if (!c.oversubscribed) continue;
     out.add(kRuleBoundComputeOversubscribed,
             "chiplet " + std::to_string(c.chiplet_id),
-            fmt_ratio(c.demand) +
+            format_g(c.demand, 3) +
                 " chiplet-seconds demanded per second (busy " +
-                fmt_seconds(c.busy_s_per_frame) +
-                " per frame): the queue diverges at the admitted rate");
+                format_g(c.busy_s_per_frame, 6) +
+                " s per frame): the queue diverges at the admitted rate");
   }
   if (report.residency_checked && report.residency.overflow) {
     out.add(kRuleBoundResidency, "package",
@@ -382,9 +358,10 @@ std::string BoundsReport::table() const {
     t.set_header({"stream", "bound (ms)", "rate (fps)", "deadline (ms)",
                   "verdict"});
     for (const StreamBound& s : streams) {
-      t.add_row({s.name, fmt_ms(s.latency_bound_s),
-                 s.rate_known ? fmt_ratio(s.rate_fps) : "?",
-                 s.deadline_s > 0.0 ? fmt_ms(s.deadline_s) : "-",
+      t.add_row({s.name, format_fixed(s.latency_bound_s * 1e3, 4),
+                 s.rate_known ? format_g(s.rate_fps, 3) : "?",
+                 s.deadline_s > 0.0 ? format_fixed(s.deadline_s * 1e3, 4)
+                                    : "-",
                  s.deadline_infeasible ? "statically dead" : "feasible"});
     }
     out += t.to_string();
@@ -405,8 +382,9 @@ std::string BoundsReport::table() const {
     t.set_header({"link", "bytes/frame", "demand", "utilization",
                   "verdict"});
     for (const LinkBound& l : hot) {
-      t.add_row({l.link.describe(), fmt_ratio(l.bytes_per_frame),
-                 fmt_gbps(l.demand_bytes_per_s), fmt_ratio(l.utilization),
+      t.add_row({l.link.describe(), format_g(l.bytes_per_frame, 3),
+                 format_g(l.demand_bytes_per_s / 1e9, 4) + " GB/s",
+                 format_g(l.utilization, 3),
                  l.oversubscribed ? "oversubscribed" : "ok"});
     }
     out += t.to_string();
@@ -431,8 +409,9 @@ std::string BoundsReport::table() const {
       Table t;
       t.set_header({"chiplet", "busy/frame (ms)", "demand", "verdict"});
       for (const ChipletBound& c : hot) {
-        t.add_row({std::to_string(c.chiplet_id), fmt_ms(c.busy_s_per_frame),
-                   fmt_ratio(c.demand),
+        t.add_row({std::to_string(c.chiplet_id),
+                   format_fixed(c.busy_s_per_frame * 1e3, 4),
+                   format_g(c.demand, 3),
                    c.oversubscribed ? "oversubscribed" : "ok"});
       }
       out += t.to_string();
@@ -443,7 +422,7 @@ std::string BoundsReport::table() const {
     }
   }
   out += "uniform-rate bound: " +
-         (uniform_rate_bound_fps > 0.0 ? fmt_ratio(uniform_rate_bound_fps) +
+         (uniform_rate_bound_fps > 0.0 ? format_g(uniform_rate_bound_fps, 3) +
                                              std::string(" fps")
                                        : std::string("none")) +
          "\n";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -12,15 +11,10 @@
 #include "core/remap.h"
 #include "core/residency.h"
 #include "sim/arrivals.h"
+#include "util/strings.h"
 
 namespace cnpu::analysis {
 namespace {
-
-std::string fmt_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", s);
-  return std::string(buf) + " s";
-}
 
 std::string item_locus(const std::string& locus, const Schedule& s, int idx) {
   const Schedule::Item& it = s.item(idx);
@@ -278,9 +272,9 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
       }
       if (v.deadline_s < it->second) {
         out.add(kRuleDeadlineInfeasible, loci[t],
-                "deadline " + fmt_seconds(v.deadline_s) +
-                    " is below the static critical-path latency bound " +
-                    fmt_seconds(it->second) + ": every frame must miss");
+                "deadline " + format_g(v.deadline_s, 6) +
+                    " s is below the static critical-path latency bound " +
+                    format_g(it->second, 6) + " s: every frame must miss");
       }
     }
   }

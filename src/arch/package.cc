@@ -56,12 +56,16 @@ int PackageConfig::position_of(int id) const {
   return -1;
 }
 
-const ChipletSpec& PackageConfig::chiplet(int id) const {
+std::size_t PackageConfig::position_of_or_throw(int id) const {
   const int pos = position_of(id);
   if (pos < 0) {
     throw std::out_of_range("no chiplet with id " + std::to_string(id));
   }
-  return chiplets_[static_cast<std::size_t>(pos)];
+  return static_cast<std::size_t>(pos);
+}
+
+const ChipletSpec& PackageConfig::chiplet(int id) const {
+  return chiplets_[position_of_or_throw(id)];
 }
 
 std::optional<int> PackageConfig::find_chiplet_at(const GridCoord& coord,
@@ -70,22 +74,6 @@ std::optional<int> PackageConfig::find_chiplet_at(const GridCoord& coord,
     if (c.coord == coord && c.npu == npu) return c.id;
   }
   return std::nullopt;
-}
-
-int PackageConfig::hops_between(int chiplet_a, int chiplet_b) const {
-  if (chiplet_a == chiplet_b) return 0;
-  const ChipletSpec& a = chiplet(chiplet_a);
-  const ChipletSpec& b = chiplet(chiplet_b);
-  // Substrate cost is linear in NPU boundaries crossed, matching
-  // hops_from_io's `npu * inter_npu_hops` charge (the substrate is a chain
-  // of adjacent-NPU channels, not a dedicated all-pairs crossbar).
-  const int substrate = std::abs(a.npu - b.npu) * inter_npu_hops_;
-  if (failed_.empty()) return mesh_hops(a.coord, b.coord) + substrate;
-  // Degraded package: the mesh segment detours around failed routers, so
-  // the hop count is the actual route length, not the Manhattan distance.
-  if (a.npu == b.npu) return mesh_segment_hops(a.npu, a.coord, b.coord);
-  const int walk = cross_npu_walk_npu(a.npu, b.npu, a.coord, b.coord);
-  return mesh_segment_hops(walk, a.coord, b.coord) + substrate;
 }
 
 GridCoord PackageConfig::io_coord() const {
@@ -113,9 +101,8 @@ bool PackageConfig::site_failed(const GridCoord& coord, int npu) const {
 
 namespace {
 
-// The XY (column-first) walk shared by mesh_path and mesh_segment_hops:
-// invokes `step` per coordinate visited after `from`. One implementation so
-// the route enumeration and the hop count can never drift apart.
+// The straight XY (column-first) walk: invokes `step` per coordinate
+// visited after `from`.
 template <typename Fn>
 void xy_walk(const GridCoord& from, const GridCoord& to, Fn&& step) {
   GridCoord cur = from;
@@ -131,25 +118,9 @@ void xy_walk(const GridCoord& from, const GridCoord& to, Fn&& step) {
 
 }  // namespace
 
-std::vector<GridCoord> PackageConfig::mesh_path(int npu, const GridCoord& from,
-                                                const GridCoord& to) const {
-  std::vector<GridCoord> path;
-  if (from == to) return path;
-  // A walk cannot DEPART a dead router either — relevant for the cross-NPU
-  // fallback, where the start coordinate is the source chiplet's mirror on
-  // the destination mesh and may itself have failed.
-  bool blocked = site_failed(from, npu);
-  // Straight XY walk — the healthy-package route, kept bitwise-identical
-  // to the pre-fault-routing behavior.
-  xy_walk(from, to, [&](const GridCoord& next) {
-    blocked = blocked || site_failed(next, npu);
-    path.push_back(next);
-  });
-  if (!blocked) return path;
-
-  // The XY walk crosses a failed router: take the shortest detour over the
-  // surviving routers of this NPU's mesh (BFS, column-first neighbor order
-  // so the chosen detour is deterministic).
+std::vector<GridCoord> PackageConfig::mesh_detour(int npu,
+                                                  const GridCoord& from,
+                                                  const GridCoord& to) const {
   const auto key = [](const GridCoord& c) { return std::pair(c.row, c.col); };
   std::map<std::pair<int, int>, GridCoord> parent;  // visited -> predecessor
   std::map<std::pair<int, int>, bool> live;
@@ -178,7 +149,7 @@ std::vector<GridCoord> PackageConfig::mesh_path(int npu, const GridCoord& from,
     }
   }
   if (!parent.count(key(to))) throw unreachable();
-  path.clear();
+  std::vector<GridCoord> path;
   for (GridCoord c = to; !(c == from); c = parent.at(key(c))) {
     path.push_back(c);
   }
@@ -186,46 +157,101 @@ std::vector<GridCoord> PackageConfig::mesh_path(int npu, const GridCoord& from,
   return path;
 }
 
-int PackageConfig::cross_npu_walk_npu(int src_npu, int dst_npu,
-                                      const GridCoord& from,
-                                      const GridCoord& to) const {
-  // Cross-NPU mesh segments normally run on the source mesh toward the
-  // destination's mirror coordinate (the substrate exit). When that mirror
-  // router died, cross the substrate first and walk the DESTINATION mesh
-  // instead — the pair stays connected and routability stays symmetric
-  // with the reverse direction. If the destination-side walk is impossible
-  // too, the caller's walk throws the documented disconnection error.
-  try {
-    (void)mesh_segment_hops(src_npu, from, to);
-    return src_npu;
-  } catch (const std::runtime_error&) {
-    return dst_npu;
-  }
-}
-
-int PackageConfig::mesh_segment_hops(int npu, const GridCoord& from,
-                                     const GridCoord& to) const {
-  // Counting replay of mesh_path's XY walk: no vector, no BFS bookkeeping
-  // unless a failed site actually blocks the straight walk.
+template <typename Step>
+void PackageConfig::mesh_walk(int npu, const GridCoord& from,
+                              const GridCoord& to, Step&& step) const {
+  // A walk cannot DEPART a dead router either — relevant for the cross-NPU
+  // fallback, where the start coordinate is the source chiplet's mirror on
+  // the destination mesh and may itself have failed.
   bool blocked = site_failed(from, npu) && !(from == to);
-  int hops = 0;
   xy_walk(from, to, [&](const GridCoord& next) {
     blocked = blocked || site_failed(next, npu);
-    ++hops;
   });
-  if (!blocked) return hops;
-  return static_cast<int>(mesh_path(npu, from, to).size());
+  if (!blocked) {
+    xy_walk(from, to, step);
+    return;
+  }
+  for (const GridCoord& next : mesh_detour(npu, from, to)) step(next);
 }
 
-GridCoord PackageConfig::io_entry_or_throw() const {
-  const GridCoord io = io_coord();
-  const GridCoord entry{io.row, 0};
-  if (site_failed(entry, 0)) {
-    throw std::runtime_error(
-        "the router the I/O port attaches to, (" + std::to_string(entry.row) +
-        ",0) on npu 0, was removed - no ingress route exists");
+template <typename Emit>
+void PackageConfig::walk_route(const ChipletSpec* from, const ChipletSpec& to,
+                               Emit&& emit) const {
+  // Directed links of `npu`'s mesh from `at` to the destination coordinate.
+  const auto mesh = [&](int npu, GridCoord at) {
+    mesh_walk(npu, at, to.coord, [&](const GridCoord& next) {
+      emit(NopLink{NopLink::Kind::kMesh, npu, npu, at, next});
+      at = next;
+    });
+  };
+  int npu = 0;
+  GridCoord start;
+  if (from != nullptr) {
+    npu = from->npu;
+    start = from->coord;
+  } else {
+    // The physical sensor/DRAM port sits on NPU 0's west edge: every
+    // ingress crosses its one fixed link into NPU 0's mesh, whatever the
+    // destination NPU, and the port cannot be rebonded when that router
+    // died.
+    const GridCoord io = io_coord();
+    start = GridCoord{io.row, 0};
+    if (site_failed(start, 0)) {
+      throw std::runtime_error(
+          "the router the I/O port attaches to, (" +
+          std::to_string(start.row) +
+          ",0) on npu 0, was removed - no ingress route exists");
+    }
+    emit(NopLink{NopLink::Kind::kMesh, 0, 0, io, start});
   }
-  return entry;
+  if (npu == to.npu) {
+    mesh(npu, start);
+    return;
+  }
+  // The substrate is a chain of adjacent-NPU channels: each boundary
+  // crossed takes `inter_npu_hops` links keyed by its directed adjacent
+  // pair, so ingress and peer traffic crossing the same boundary contend
+  // on the same FIFO resources.
+  const auto substrate = [&] {
+    const int dir = to.npu > npu ? 1 : -1;
+    for (int n = npu; n != to.npu; n += dir) {
+      for (int step = 0; step < inter_npu_hops_; ++step) {
+        emit(NopLink{NopLink::Kind::kSubstrate, n, n + dir, {}, {}, step});
+      }
+    }
+  };
+  // Cross-NPU: the source mesh toward the destination's mirror coordinate
+  // (the substrate exit), then the substrate. When that walk is impossible
+  // (the mirror router died or is cut off), the substrate comes first and
+  // the destination mesh after it, so routability stays symmetric with the
+  // reverse direction; if that walk is impossible too, its throw is the
+  // disconnection error. mesh_walk throws before its first step, so a
+  // failed probe has emitted nothing.
+  try {
+    mesh(npu, start);
+  } catch (const std::runtime_error&) {
+    substrate();
+    mesh(to.npu, start);
+    return;
+  }
+  substrate();
+}
+
+int PackageConfig::hops_between(int chiplet_a, int chiplet_b) const {
+  if (chiplet_a == chiplet_b) return 0;
+  const ChipletSpec& a = chiplet(chiplet_a);
+  const ChipletSpec& b = chiplet(chiplet_b);
+  // Substrate cost is linear in NPU boundaries crossed, matching
+  // hops_from_io's `npu * inter_npu_hops` charge (the substrate is a chain
+  // of adjacent-NPU channels, not a dedicated all-pairs crossbar).
+  if (failed_.empty()) {
+    return mesh_hops(a.coord, b.coord) +
+           std::abs(a.npu - b.npu) * inter_npu_hops_;
+  }
+  // Degraded package: the length of the (possibly detoured) route.
+  int hops = 0;
+  walk_route(&a, b, [&hops](const NopLink&) { ++hops; });
+  return hops;
 }
 
 int PackageConfig::hops_from_io(int chiplet_id) const {
@@ -233,54 +259,10 @@ int PackageConfig::hops_from_io(int chiplet_id) const {
   if (failed_.empty()) {
     return mesh_hops(io_coord(), c.coord) + c.npu * inter_npu_hops_;
   }
-  const GridCoord entry = io_entry_or_throw();
-  // One hop across the port link, then the (possibly detoured) mesh walk —
-  // with the shared cross-substrate fallback when the destination's mirror
-  // on npu 0 died.
-  const int walk =
-      c.npu == 0 ? 0 : cross_npu_walk_npu(0, c.npu, entry, c.coord);
-  return 1 + mesh_segment_hops(walk, entry, c.coord) +
-         c.npu * inter_npu_hops_;
+  int hops = 0;
+  walk_route(nullptr, c, [&hops](const NopLink&) { ++hops; });
+  return hops;
 }
-
-namespace {
-
-// Appends `path` (the coordinate walk produced by mesh_path) as directed
-// mesh links of `npu`'s mesh, starting from `from`.
-void append_mesh_links(std::vector<NopLink>& route, int npu, GridCoord from,
-                       const std::vector<GridCoord>& path) {
-  for (const GridCoord& next : path) {
-    NopLink link;
-    link.kind = NopLink::Kind::kMesh;
-    link.npu = npu;
-    link.npu_to = npu;
-    link.from = from;
-    link.to = next;
-    route.push_back(link);
-    from = next;
-  }
-}
-
-// The substrate is a chain of adjacent-NPU channels: crossing from
-// `npu_from` to `npu_to` traverses `hops_per_boundary` links per boundary,
-// each keyed by its directed adjacent pair — so ingress and peer traffic
-// crossing the same boundary contend on the same FIFO resources.
-void append_substrate(std::vector<NopLink>& route, int npu_from, int npu_to,
-                      int hops_per_boundary) {
-  const int dir = npu_to > npu_from ? 1 : -1;
-  for (int npu = npu_from; npu != npu_to; npu += dir) {
-    for (int step = 0; step < hops_per_boundary; ++step) {
-      NopLink link;
-      link.kind = NopLink::Kind::kSubstrate;
-      link.npu = npu;
-      link.npu_to = npu + dir;
-      link.substrate_step = step;
-      route.push_back(link);
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<NopLink> PackageConfig::route_between(int chiplet_a,
                                                   int chiplet_b) const {
@@ -288,48 +270,15 @@ std::vector<NopLink> PackageConfig::route_between(int chiplet_a,
   if (chiplet_a == chiplet_b) return route;
   const ChipletSpec& a = chiplet(chiplet_a);
   const ChipletSpec& b = chiplet(chiplet_b);
-  if (a.npu == b.npu) {
-    append_mesh_links(route, a.npu, a.coord,
-                      mesh_path(a.npu, a.coord, b.coord));
-    return route;
-  }
-  // Cross-NPU: source mesh then substrate normally; substrate first then
-  // destination mesh when cross_npu_walk_npu picked the fallback.
-  const int walk = cross_npu_walk_npu(a.npu, b.npu, a.coord, b.coord);
-  const std::vector<GridCoord> path = mesh_path(walk, a.coord, b.coord);
-  if (walk == a.npu) {
-    append_mesh_links(route, walk, a.coord, path);
-    append_substrate(route, a.npu, b.npu, inter_npu_hops_);
-  } else {
-    append_substrate(route, a.npu, b.npu, inter_npu_hops_);
-    append_mesh_links(route, walk, a.coord, path);
-  }
+  walk_route(&a, b, [&route](const NopLink& link) { route.push_back(link); });
   return route;
 }
 
 std::vector<NopLink> PackageConfig::route_from_io(int chiplet_id) const {
   const ChipletSpec& c = chiplet(chiplet_id);
   std::vector<NopLink> route;
-  // The physical sensor/DRAM port sits on NPU 0's west edge: every ingress
-  // walks NPU 0's mesh first (so all camera traffic shares the one port
-  // link), then crosses the substrate into the chiplet's NPU. Lengths
-  // mirror hops_from_io's charge, including any detour around failed
-  // routers and the cross-substrate fallback (the port link itself has a
-  // fixed attachment; io_entry_or_throw refuses when that router died).
-  const GridCoord io = io_coord();
-  const GridCoord entry =
-      failed_.empty() ? GridCoord{io.row, 0} : io_entry_or_throw();
-  append_mesh_links(route, 0, io, {entry});
-  const int walk =
-      c.npu == 0 ? 0 : cross_npu_walk_npu(0, c.npu, entry, c.coord);
-  const std::vector<GridCoord> path = mesh_path(walk, entry, c.coord);
-  if (walk == 0) {
-    append_mesh_links(route, 0, entry, path);
-    append_substrate(route, 0, c.npu, inter_npu_hops_);
-  } else {
-    append_substrate(route, 0, c.npu, inter_npu_hops_);
-    append_mesh_links(route, walk, entry, path);
-  }
+  walk_route(nullptr, c,
+             [&route](const NopLink& link) { route.push_back(link); });
   return route;
 }
 
@@ -362,13 +311,8 @@ NopCost PackageConfig::transfer_cost(int from_chiplet, int to_chiplet,
 }
 
 void PackageConfig::set_chiplet_dataflow(int id, DataflowKind kind) {
-  for (auto& c : chiplets_) {
-    if (c.id == id) {
-      c.array = make_pe_array(kind, c.array.num_pes);
-      return;
-    }
-  }
-  throw std::out_of_range("no chiplet with id " + std::to_string(id));
+  ChipletSpec& c = chiplets_[position_of_or_throw(id)];
+  c.array = make_pe_array(kind, c.array.num_pes);
 }
 
 void PackageConfig::set_memory(const MemorySpec& memory) {
@@ -376,13 +320,7 @@ void PackageConfig::set_memory(const MemorySpec& memory) {
 }
 
 void PackageConfig::set_chiplet_memory(int id, const MemorySpec& memory) {
-  for (auto& c : chiplets_) {
-    if (c.id == id) {
-      c.memory = memory;
-      return;
-    }
-  }
-  throw std::out_of_range("no chiplet with id " + std::to_string(id));
+  chiplets_[position_of_or_throw(id)].memory = memory;
 }
 
 bool PackageConfig::memory_model_active() const {

@@ -6,6 +6,7 @@
 // (Sec. V-B), in which case cross-NPU transfers pay extra substrate hops.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -150,36 +151,40 @@ class PackageConfig {
 
  private:
   // The sensor/DRAM port position: one hop west of NPU 0's middle-left
-  // chiplet. Single source for hops_from_io and route_from_io. Failed
-  // sites still count toward the geometry — a dead die does not move the
-  // physical port.
+  // chiplet. Failed sites still count toward the geometry — a dead die
+  // does not move the physical port.
   GridCoord io_coord() const;
 
   bool site_failed(const GridCoord& coord, int npu) const;
-  // The npu-0 router the I/O port is bonded to; throws std::runtime_error
-  // when that router was removed (ingress is severed — the port cannot be
-  // rebonded). Single source for the guard shared by hops_from_io and
-  // route_from_io.
-  GridCoord io_entry_or_throw() const;
-  // Which NPU's mesh carries the mesh segment of a cross-NPU transfer from
-  // `from` (on `src_npu`) to `to` (on `dst_npu`): the source mesh normally;
-  // the destination mesh — substrate crossed first — when the exit-mirror
-  // router on the source NPU died. Single source of the fallback policy for
-  // hops_between / hops_from_io / route_between / route_from_io, so the
-  // analytical hop count and the enumerated route cannot diverge.
-  int cross_npu_walk_npu(int src_npu, int dst_npu, const GridCoord& from,
-                         const GridCoord& to) const;
-  // The coordinate walk of the mesh segment from `from` to `to` on `npu`'s
-  // mesh (coords visited after `from`; length == mesh hop count). Straight
-  // XY walk when it avoids every failed site, shortest BFS detour
-  // otherwise; throws std::runtime_error when disconnected.
-  std::vector<GridCoord> mesh_path(int npu, const GridCoord& from,
-                                   const GridCoord& to) const;
-  // Length of mesh_path without materializing it: allocation-free on the
-  // (common) unblocked walk, so degraded-package hop queries stay cheap in
-  // DSE/evaluator hot loops; BFS only when the XY walk is blocked.
-  int mesh_segment_hops(int npu, const GridCoord& from,
-                        const GridCoord& to) const;
+  // The one route walk: calls emit(link) per directed link from `from` to
+  // `to` in traversal order (a null `from` is the I/O port, whose fixed
+  // link into NPU 0's west-edge router comes first). Within one NPU it is
+  // the mesh walk; across NPUs, the source mesh toward the destination's
+  // mirror coordinate and then the substrate, or, when that mesh walk is
+  // impossible, the substrate first and then the destination mesh.
+  // route_between and route_from_io collect the links and a degraded
+  // package's hop counts count them, so a route and its hop count cannot
+  // disagree. Throws std::runtime_error when failed sites disconnect the
+  // pair or removed the port's router.
+  template <typename Emit>
+  void walk_route(const ChipletSpec* from, const ChipletSpec& to,
+                  Emit&& emit) const;
+  // Calls step(next) per coordinate of `npu`'s mesh visited after `from` on
+  // the way to `to`: the straight XY (column-first) walk when it touches no
+  // failed site, which allocates nothing, else mesh_detour's path. Throws
+  // before its first step when no detour exists.
+  template <typename Step>
+  void mesh_walk(int npu, const GridCoord& from, const GridCoord& to,
+                 Step&& step) const;
+  // The shortest detour around the failed sites: BFS over the positions of
+  // `npu`'s mesh that still hold a chiplet, column-first neighbor order for
+  // determinism. Returns the coordinates visited after `from`; throws
+  // std::runtime_error when `from` died or `to` is unreachable.
+  std::vector<GridCoord> mesh_detour(int npu, const GridCoord& from,
+                                     const GridCoord& to) const;
+
+  // position_of, throwing std::out_of_range when no chiplet has the id.
+  std::size_t position_of_or_throw(int id) const;
 
   // Builds id_index_ from chiplets_. The chiplet-list constructor calls it,
   // and without_chiplet builds its copy through that constructor.

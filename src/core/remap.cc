@@ -15,11 +15,7 @@ namespace cnpu {
 Schedule remap_schedule(const Schedule& schedule, const PackageConfig& degraded,
                         int failed_chiplet, RemapStats* stats,
                         const std::vector<int>& allowed_pool) {
-  bool in_original = false;
-  for (const auto& c : schedule.package().chiplets()) {
-    in_original = in_original || c.id == failed_chiplet;
-  }
-  if (!in_original) {
+  if (schedule.package().position_of(failed_chiplet) < 0) {
     throw std::invalid_argument("remap_schedule: chiplet " +
                                 std::to_string(failed_chiplet) +
                                 " is not in the schedule's package");
@@ -27,12 +23,10 @@ Schedule remap_schedule(const Schedule& schedule, const PackageConfig& degraded,
   if (degraded.num_chiplets() == 0) {
     throw std::invalid_argument("remap_schedule: no surviving chiplets");
   }
-  for (const auto& c : degraded.chiplets()) {
-    if (c.id == failed_chiplet) {
-      throw std::invalid_argument("remap_schedule: chiplet " +
-                                  std::to_string(failed_chiplet) +
-                                  " is still present in the degraded package");
-    }
+  if (degraded.position_of(failed_chiplet) >= 0) {
+    throw std::invalid_argument("remap_schedule: chiplet " +
+                                std::to_string(failed_chiplet) +
+                                " is still present in the degraded package");
   }
 
   // Candidate restriction (partitioned-tenant isolation): when the caller

@@ -1,7 +1,6 @@
 #include "core/residency.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/strings.h"
 
@@ -45,8 +44,7 @@ namespace {
 
 // Accumulates one schedule's footprint into dense per-chiplet arrays.
 // `weight` adds once per (item, chiplet); `act` takes the per-chiplet peak.
-void accumulate_schedule(const Schedule& sched,
-                         const std::unordered_map<int, int>& dense,
+void accumulate_schedule(const Schedule& sched, const PackageConfig& package,
                          std::vector<double>& weight,
                          std::vector<double>& act) {
   std::vector<int> counted;  // chiplets already charged for this item
@@ -55,9 +53,9 @@ void accumulate_schedule(const Schedule& sched,
     const double wbytes = layer_weight_bytes(desc);
     counted.clear();
     for (const auto& sh : sched.placement(i).shards) {
-      const auto it = dense.find(sh.chiplet_id);
-      if (it == dense.end()) continue;  // stale shard on a removed chiplet
-      const std::size_t c = static_cast<std::size_t>(it->second);
+      const int pos = package.position_of(sh.chiplet_id);
+      if (pos < 0) continue;  // stale shard on a removed chiplet
+      const auto c = static_cast<std::size_t>(pos);
       act[c] = std::max(act[c], shard_activation_bytes(desc, sh.fraction));
       if (wbytes > 0.0 &&
           std::find(counted.begin(), counted.end(), sh.chiplet_id) ==
@@ -74,19 +72,13 @@ void accumulate_schedule(const Schedule& sched,
 ResidencyReport compute_residency(const std::vector<const Schedule*>& schedules,
                                   const PackageConfig& package) {
   const std::size_t nc = static_cast<std::size_t>(package.num_chiplets());
-  std::unordered_map<int, int> dense;
-  dense.reserve(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    dense.emplace(package.chiplets()[c].id, static_cast<int>(c));
-  }
-
   std::vector<double> weight(nc, 0.0);
   std::vector<double> act(nc, 0.0);
   std::vector<double> sched_act(nc, 0.0);
   for (const Schedule* sched : schedules) {
     if (sched == nullptr) continue;
     std::fill(sched_act.begin(), sched_act.end(), 0.0);
-    accumulate_schedule(*sched, dense, weight, sched_act);
+    accumulate_schedule(*sched, package, weight, sched_act);
     for (std::size_t c = 0; c < nc; ++c) act[c] += sched_act[c];
   }
 

@@ -432,8 +432,4 @@ ScheduleBundle load_schedule_bundle(const std::string& path) {
   return bundle_from_json(text.str());
 }
 
-bool save_schedule_bundle(const std::string& path, const Schedule& schedule) {
-  return write_json_file(path, bundle_to_json(schedule));
-}
-
 }  // namespace cnpu

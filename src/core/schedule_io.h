@@ -52,17 +52,15 @@ std::string bundle_to_json(const Schedule& schedule);
 // routing would walk for too long (a chiplet or failed site's row or col
 // outside [0, 4096) or npu outside [0, 64), inter_npu_hops outside
 // [0, 64]); the message names the chiplet or failed site and the field.
-// Semantic
-// problems that parse cleanly (dangling chiplet ids, overfull residency)
-// are deliberately NOT rejected here — that is the linter's job
+// Semantic problems that parse cleanly (dangling chiplet ids, overfull
+// residency) are deliberately NOT rejected here — that is the linter's job
 // (src/analysis/validate.h), and cnpu_lint needs to load such bundles to
 // diagnose them.
 ScheduleBundle bundle_from_json(const std::string& json);
 
-// File convenience wrappers. load throws std::runtime_error when the file
-// cannot be read (and propagates bundle_from_json's std::invalid_argument);
-// save returns false on I/O failure.
+// Reads and parses a bundle file. Throws std::runtime_error when the file
+// cannot be read (and propagates bundle_from_json's std::invalid_argument).
+// Writing one is write_json_file(path, bundle_to_json(schedule)).
 ScheduleBundle load_schedule_bundle(const std::string& path);
-bool save_schedule_bundle(const std::string& path, const Schedule& schedule);
 
 }  // namespace cnpu

@@ -1,7 +1,8 @@
 #include "exp/sweep.h"
 
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/strings.h"
 
 namespace cnpu {
 
@@ -43,11 +44,8 @@ std::string ParamValue::to_string() const {
   switch (kind_) {
     case Kind::kInt:
       return std::to_string(int_);
-    case Kind::kDouble: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.12g", double_);
-      return buf;
-    }
+    case Kind::kDouble:
+      return format_g(double_, 12);
     case Kind::kString:
       return string_;
   }

@@ -1,13 +1,13 @@
 #include "exp/sweep_runner.h"
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
 #include "analysis/validate.h"
 #include "util/csv.h"
 #include "util/json.h"
+#include "util/strings.h"
 
 namespace cnpu {
 
@@ -55,12 +55,6 @@ const SweepRecord* schema_record(const std::vector<SweepPointResult>& points) {
   return nullptr;
 }
 
-std::string format_metric(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
 // Renders the sweep into the shared CsvWriter (one row per point).
 CsvWriter build_csv(const SweepResult& result) {
   const std::vector<SweepPointResult>& points = result.points;
@@ -102,7 +96,7 @@ CsvWriter build_csv(const SweepResult& result) {
             }
           }
         }
-        row.push_back(found != nullptr ? format_metric(found->second)
+        row.push_back(found != nullptr ? format_g(found->second, 12)
                                        : std::string());
       }
     }

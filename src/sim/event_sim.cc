@@ -325,11 +325,9 @@ struct TailStats {
 };
 
 // `lat_scratch` / `time_scratch` are engine-owned scratch buffers
-// (cleared here); the former percentile_finite / mean calls over fresh
-// temporaries become one filter + one in-place sort + three rank reads.
-// Float-op order is preserved bitwise: the mean's summation runs over the
-// finished latencies in frame order, BEFORE the sort; the percentiles read
-// the same sorted array percentile_finite would have built.
+// (cleared here): one NaN filter, one in-place sort and three rank reads.
+// The mean's summation runs over the finished latencies in frame order,
+// BEFORE the sort; the percentiles read the sorted, NaN-free latencies.
 TailStats reduce_tail(const std::vector<double>& latency,
                       const std::vector<double>& completion,
                       std::vector<double>& lat_scratch,

@@ -283,8 +283,8 @@ void check_run(const Schedule& schedule, const SimOptions& options,
 
 // Per-tenant slice of a multi-tenant run (also filled, with one entry, for
 // single-stream runs). Aggregates cover the tenant's completed frames;
-// dropped and shed frames carry NaN and are excluded (the
-// percentile_finite filter-then-rank convention, see docs/METRICS.md).
+// dropped and shed frames carry NaN and are filtered out before ranking
+// (see docs/METRICS.md).
 // Conservation: frames == frames_completed + dropped_frames + shed_frames.
 struct TenantResult {
   std::string name;

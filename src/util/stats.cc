@@ -7,53 +7,12 @@
 namespace cnpu {
 
 double mean(const std::vector<double>& xs) {
-  // NaN, not 0, for empty input (the same silent-masking class geomean was
-  // cured of): a 0 mean over nothing reads as a real measurement downstream.
+  // NaN, not 0, for empty input: a 0 mean over nothing reads as a real
+  // measurement downstream.
   if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
   double s = 0.0;
   for (double x : xs) s += x;
   return s / static_cast<double>(xs.size());
-}
-
-double geomean(const std::vector<double>& xs) {
-  // NaN, not 0, for empty or non-positive input (matching percentile /
-  // min_of): a silent 0 reads as "infinitely fast" in speedup tables and
-  // masks the invalid data that produced it.
-  if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
-  double log_sum = 0.0;
-  for (double x : xs) {
-    if (x <= 0.0) return std::numeric_limits<double>::quiet_NaN();
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-namespace {
-
-// Sum of squared deviations from the mean, clamped at 0: the two-pass form
-// is non-negative in exact arithmetic but can round to a tiny negative for
-// near-constant inputs, and sqrt of that would be NaN.
-double sum_sq_dev(const std::vector<double>& xs) {
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::max(acc, 0.0);
-}
-
-}  // namespace
-
-double stddev(const std::vector<double>& xs) {
-  // Empty input has no spread to report — NaN (matching mean). A single
-  // value is a real observation with zero spread, so size-1 keeps 0.0.
-  if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
-  if (xs.size() < 2) return 0.0;
-  return std::sqrt(sum_sq_dev(xs) / static_cast<double>(xs.size()));
-}
-
-double sample_stddev(const std::vector<double>& xs) {
-  if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
-  if (xs.size() < 2) return 0.0;
-  return std::sqrt(sum_sq_dev(xs) / static_cast<double>(xs.size() - 1));
 }
 
 double min_of(const std::vector<double>& xs) {
@@ -66,19 +25,13 @@ double max_of(const std::vector<double>& xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-double sum(const std::vector<double>& xs) {
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s;
-}
-
 double percentile(std::vector<double> xs, double p) {
   if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
   // NaN poisons the rank: NaN comparisons violate std::sort's strict weak
   // ordering (undefined behavior), and a rank over data that includes
   // not-a-measurement entries (e.g. dropped-frame latencies) is
   // meaningless anyway. Callers that want the rank over the finite subset
-  // use percentile_finite.
+  // filter the NaNs out first.
   for (const double x : xs) {
     if (std::isnan(x)) return std::numeric_limits<double>::quiet_NaN();
   }
@@ -99,15 +52,6 @@ double percentile_sorted(const std::vector<double>& xs, double p) {
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
   const double frac = rank - static_cast<double>(lo);
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
-double percentile_finite(const std::vector<double>& xs, double p) {
-  std::vector<double> finite;
-  finite.reserve(xs.size());
-  for (const double x : xs) {
-    if (!std::isnan(x)) finite.push_back(x);
-  }
-  return percentile(std::move(finite), p);
 }
 
 }  // namespace cnpu

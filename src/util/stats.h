@@ -7,34 +7,15 @@
 namespace cnpu {
 
 // Arithmetic mean; NaN for empty input (no data is not a 0 measurement —
-// the same convention as geomean/percentile/min_of).
+// the same convention as percentile/min_of).
 [[nodiscard]] double mean(const std::vector<double>& xs);
-// Geometric mean; requires all positive entries. Returns NaN for empty
-// input or any non-positive element (same convention as percentile/min_of)
-// so invalid data poisons downstream aggregates instead of masquerading as
-// a 0x "speedup".
-[[nodiscard]] double geomean(const std::vector<double>& xs);
-// Standard deviation convention: `stddev` is the POPULATION stddev
-// (divides by N) - benches report spread over a fixed, fully-enumerated set
-// of configurations, not a sample of a larger population. Use
-// `sample_stddev` (divides by N-1, Bessel-corrected) when the inputs are a
-// sample, e.g. repeated timing measurements. Both return NaN for empty
-// input (matching mean), 0 for exactly one value (a real observation with
-// zero spread), and clamp negative round-off variance to 0.
-[[nodiscard]] double stddev(const std::vector<double>& xs);
-[[nodiscard]] double sample_stddev(const std::vector<double>& xs);
 [[nodiscard]] double min_of(const std::vector<double>& xs);
 [[nodiscard]] double max_of(const std::vector<double>& xs);
-[[nodiscard]] double sum(const std::vector<double>& xs);
 // Linear interpolated percentile; p in [0,100]. NaN for empty input or
 // when ANY element is NaN — NaN-bearing data (e.g. dropped-frame
 // latencies) would violate std::sort's strict weak ordering, and a rank
 // mixing measurements with non-measurements is meaningless.
 [[nodiscard]] double percentile(std::vector<double> xs, double p);
-// The documented filter-then-rank variant: percentile over the non-NaN
-// subset (the event simulator's per-tenant tails, where dropped frames
-// carry NaN latencies by design). NaN when nothing finite remains.
-[[nodiscard]] double percentile_finite(const std::vector<double>& xs, double p);
 // Allocation-free percentile over data the CALLER has already sorted
 // ascending (and filtered of NaNs): the exact rank/interpolation math of
 // `percentile`, minus its defensive copy + sort. Hot reducers (the event

@@ -11,6 +11,12 @@ std::string format_fixed(double value, int digits) {
   return buf;
 }
 
+std::string format_g(double value, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
+  return buf;
+}
+
 std::string format_si(double value, int digits) {
   static const struct {
     double scale;

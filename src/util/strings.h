@@ -10,6 +10,9 @@ namespace cnpu {
 // Fixed-point decimal with `digits` fraction digits, e.g. 12.346.
 [[nodiscard]] std::string format_fixed(double value, int digits);
 
+// printf "%.*g": `digits` significant digits, e.g. 0.00123457 or 1.5e+09.
+[[nodiscard]] std::string format_g(double value, int digits);
+
 // Engineering formatting with SI suffix: 1.25 k, 3.4 M, 9.2 G.
 [[nodiscard]] std::string format_si(double value, int digits = 2);
 

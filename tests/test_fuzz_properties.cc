@@ -7,9 +7,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "analysis/bounds.h"
 #include "analysis/validate.h"
@@ -291,6 +295,86 @@ TEST_P(FuzzSeed, DegradedRoutesAvoidFailedSitesOrThrowConsistently) {
       } catch (const std::runtime_error&) {
         EXPECT_THROW(degraded.hops_from_io(a.id), std::runtime_error)
             << "io->" << a.id;
+      }
+    }
+  }
+}
+
+// Degraded routing against an independent oracle: a test-local BFS over the
+// positions that still hold a chiplet, with no XY walk and no routing code.
+// A same-NPU hop count and route length are the shortest-path distance, and
+// both throw exactly when no path exists. An NPU-0 ingress is the port link
+// plus the distance from the port's entry router, NPU 0's (max row / 2, 0)
+// over the healthy package, and throws exactly when that distance does not
+// exist (the entry router died or is cut off).
+TEST_P(FuzzSeed, DegradedHopCountsAreShortestPaths) {
+  Lcg rng(static_cast<std::uint64_t>(GetParam()) * 48611u + 23u);
+  for (int trial = 0; trial < 12; ++trial) {
+    PackageConfig pkg = random_package(rng);
+    if (pkg.num_chiplets() < 2) continue;
+    int max_row = 0;
+    for (const auto& c : pkg.chiplets()) {
+      max_row = std::max(max_row, c.coord.row);
+    }
+    const std::int64_t removals =
+        rng.range(1, std::min(2, pkg.num_chiplets() - 1));
+    for (std::int64_t r = 0; r < removals; ++r) {
+      const auto victim =
+          static_cast<std::size_t>(rng.range(0, pkg.num_chiplets() - 1));
+      pkg = pkg.without_chiplet(pkg.chiplets()[victim].id);
+    }
+
+    // Hops from `from` to `to` over `npu`'s live positions; -1 when `from`
+    // holds no chiplet or `to` is unreachable.
+    const auto distance = [&pkg](int npu, const GridCoord& from,
+                                 const GridCoord& to) {
+      using Pos = std::pair<int, int>;
+      std::set<Pos> live;
+      for (const auto& c : pkg.chiplets()) {
+        if (c.npu == npu) live.insert({c.coord.row, c.coord.col});
+      }
+      std::map<Pos, int> dist;
+      std::deque<Pos> queue;
+      if (live.count({from.row, from.col}) > 0) {
+        dist[{from.row, from.col}] = 0;
+        queue.push_back({from.row, from.col});
+      }
+      while (!queue.empty()) {
+        const auto [row, col] = queue.front();
+        queue.pop_front();
+        for (const Pos& next : {Pos{row + 1, col}, Pos{row - 1, col},
+                                Pos{row, col + 1}, Pos{row, col - 1}}) {
+          if (live.count(next) == 0 || dist.count(next) > 0) continue;
+          dist[next] = dist[{row, col}] + 1;
+          queue.push_back(next);
+        }
+      }
+      const auto it = dist.find({to.row, to.col});
+      return it == dist.end() ? -1 : it->second;
+    };
+
+    for (const auto& a : pkg.chiplets()) {
+      for (const auto& b : pkg.chiplets()) {
+        if (a.npu != b.npu) continue;
+        const int d = distance(a.npu, a.coord, b.coord);
+        if (d < 0) {
+          EXPECT_THROW(pkg.hops_between(a.id, b.id), std::runtime_error)
+              << a.id << "->" << b.id;
+          EXPECT_THROW(pkg.route_between(a.id, b.id), std::runtime_error)
+              << a.id << "->" << b.id;
+          continue;
+        }
+        EXPECT_EQ(pkg.hops_between(a.id, b.id), d) << a.id << "->" << b.id;
+        EXPECT_EQ(static_cast<int>(pkg.route_between(a.id, b.id).size()), d)
+            << a.id << "->" << b.id;
+      }
+      if (a.npu != 0) continue;
+      const int d = distance(0, GridCoord{max_row / 2, 0}, a.coord);
+      if (d < 0) {
+        EXPECT_THROW(pkg.hops_from_io(a.id), std::runtime_error)
+            << "io->" << a.id;
+      } else {
+        EXPECT_EQ(pkg.hops_from_io(a.id), 1 + d) << "io->" << a.id;
       }
     }
   }

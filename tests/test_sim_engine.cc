@@ -408,6 +408,20 @@ TEST(SimEngine, SteadyStateRunsAreAllocationFree) {
   }
 }
 
+// A degraded package prices its NoP edges through hops_between and
+// hops_from_io in the evaluator's hot path. When the straight XY walk
+// misses every failed site, counting the route's links must not build it.
+TEST(PackageRouting, DegradedHopCountOnUnblockedWalkAllocatesNothing) {
+  const PackageConfig pkg = make_simba_package(4, 4).without_chiplet(15);
+  const long long before = g_new_calls;
+  const int between = pkg.hops_between(0, 3);
+  const int from_io = pkg.hops_from_io(2);
+  const long long allocs = g_new_calls - before;
+  EXPECT_EQ(between, 3);
+  EXPECT_EQ(from_io, 4);
+  EXPECT_EQ(allocs, 0) << "degraded hop count allocated";
+}
+
 // --- Event-order corner cases, pinned by whole-result digest --------------
 //
 // Each case sits where same-instant events interleave: a fault flush on a

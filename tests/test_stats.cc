@@ -15,63 +15,14 @@ TEST(Mean, Basics) {
   EXPECT_DOUBLE_EQ(mean({5}), 5.0);
 }
 
-// Regression (stats masking bugfix, same class geomean was cured of): an
-// empty mean used to read as a real 0.0 measurement downstream. It now
-// poisons the result with NaN, matching geomean/percentile/min_of.
+// Regression (stats masking bugfix): an empty mean used to read as a real
+// 0.0 measurement downstream. It now poisons the result with NaN, matching
+// percentile/min_of.
 TEST(Mean, EmptyIsNan) { EXPECT_TRUE(std::isnan(mean({}))); }
 
-TEST(Geomean, Basics) {
-  EXPECT_NEAR(geomean({1, 4}), 2.0, 1e-12);
-  EXPECT_NEAR(geomean({2, 2, 2}), 2.0, 1e-12);
-}
-
-// Regression (stats masking bugfix): geomean used to return 0.0 for empty
-// or non-positive input, which reads as an "infinitely fast" speedup in any
-// table that geomeans ratios. It now poisons the result with NaN, matching
-// percentile/min_of/max_of.
-TEST(Geomean, NonPositiveIsNan) {
-  EXPECT_TRUE(std::isnan(geomean({1.0, 0.0})));
-  EXPECT_TRUE(std::isnan(geomean({1.0, -2.0})));
-}
-
-TEST(Geomean, EmptyIsNan) { EXPECT_TRUE(std::isnan(geomean({}))); }
-
-TEST(Stddev, Population) {
-  EXPECT_NEAR(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(stddev({3}), 0.0);
-}
-
-TEST(Stddev, SampleUsesBesselCorrection) {
-  // Same data as Population: sum of squared deviations 32 over N-1 = 7.
-  EXPECT_NEAR(sample_stddev({2, 4, 4, 4, 5, 5, 7, 9}), std::sqrt(32.0 / 7.0),
-              1e-12);
-  EXPECT_GT(sample_stddev({1, 2, 3}), stddev({1, 2, 3}));
-}
-
-// Regression (stats masking bugfix): the empty stddev used to report a
-// hard 0.0 spread over no data at all. Empty is now NaN (matching mean);
-// a single value is a real observation with zero spread, so size-1 keeps
-// returning 0.0.
-TEST(Stddev, EmptyIsNanSingleValueIsZero) {
-  EXPECT_TRUE(std::isnan(stddev({})));
-  EXPECT_DOUBLE_EQ(stddev({3}), 0.0);
-  EXPECT_TRUE(std::isnan(sample_stddev({})));
-  EXPECT_DOUBLE_EQ(sample_stddev({3}), 0.0);
-}
-
-TEST(Stddev, ConstantInputNeverGoesNegativeOrNan) {
-  // Large equal values stress the negative round-off variance guard: the
-  // result must be exactly 0, never sqrt of a tiny negative (NaN).
-  const std::vector<double> xs(5, 1.0e17 / 3.0);
-  EXPECT_DOUBLE_EQ(stddev(xs), 0.0);
-  EXPECT_DOUBLE_EQ(sample_stddev(xs), 0.0);
-  EXPECT_FALSE(std::isnan(stddev({1e16, 1e16, 1e16})));
-}
-
-TEST(MinMaxSum, Basics) {
+TEST(MinMax, Basics) {
   EXPECT_DOUBLE_EQ(min_of({3, 1, 2}), 1.0);
   EXPECT_DOUBLE_EQ(max_of({3, 1, 2}), 3.0);
-  EXPECT_DOUBLE_EQ(sum({3, 1, 2}), 6.0);
 }
 
 TEST(MinMax, EmptyIsNan) {
@@ -105,19 +56,6 @@ TEST(Percentile, AnyNanPoisonsTheRank) {
   EXPECT_TRUE(std::isnan(percentile({1.0, nan, 3.0}, 50)));
   EXPECT_TRUE(std::isnan(percentile({nan}, 0)));
   EXPECT_TRUE(std::isnan(percentile({nan, nan}, 100)));
-}
-
-// The documented filter-then-rank path (event_sim's per-tenant tails):
-// NaNs are dropped before ranking.
-TEST(PercentileFinite, FiltersNansThenRanks) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_DOUBLE_EQ(percentile_finite({1.0, nan, 2.0, 3.0, nan}, 50), 2.0);
-  EXPECT_DOUBLE_EQ(percentile_finite({nan, 7.0}, 100), 7.0);
-  EXPECT_TRUE(std::isnan(percentile_finite({nan, nan}, 50)));
-  EXPECT_TRUE(std::isnan(percentile_finite({}, 50)));
-  // No NaNs: identical to percentile.
-  EXPECT_DOUBLE_EQ(percentile_finite({1, 2, 3, 4, 5}, 50),
-                   percentile({1, 2, 3, 4, 5}, 50));
 }
 
 // The allocation-free rank path the simulation engine uses on its own

@@ -13,6 +13,14 @@ TEST(FormatFixed, RoundsToDigits) {
 
 TEST(FormatFixed, ZeroDigits) { EXPECT_EQ(format_fixed(2.7, 0), "3"); }
 
+TEST(FormatG, SignificantDigitsLikePrintf) {
+  EXPECT_EQ(format_g(0.000123456789, 6), "0.000123457");
+  EXPECT_EQ(format_g(1.5e9, 4), "1.5e+09");
+  EXPECT_EQ(format_g(1.0 / 3.0, 12), "0.333333333333");
+  EXPECT_EQ(format_g(-2.5e17, 12), "-2.5e+17");
+  EXPECT_EQ(format_g(42.0, 3), "42");
+}
+
 TEST(FormatSi, PicksSuffix) {
   EXPECT_EQ(format_si(1.5e3), "1.50 k");
   EXPECT_EQ(format_si(2.5e6), "2.50 M");

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Fails when docs/ARCHITECTURE.md or docs/DIAGNOSTICS.md references a source
-# directory, file, or bench target that no longer exists, or when the rule
-# catalogue in docs/DIAGNOSTICS.md and the registry in src/analysis/rules.h
-# list different rule IDs, so the module map, rule catalogue, and bench
-# table cannot rot silently. Run from anywhere: paths resolve relative to
-# the repo root.
+# Fails when docs/ARCHITECTURE.md, docs/DIAGNOSTICS.md or docs/METRICS.md
+# references a source directory, file, bench target or sibling doc that no
+# longer exists, or when the rule catalogue in docs/DIAGNOSTICS.md and the
+# registry in src/analysis/rules.h list different rule IDs, so the module
+# map, rule catalogue, metric definitions and bench table cannot rot
+# silently. Run from anywhere: paths resolve relative to the repo root.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -56,6 +56,7 @@ check_doc() {
 
 check_doc "$repo_root/docs/ARCHITECTURE.md"
 check_doc "$repo_root/docs/DIAGNOSTICS.md"
+check_doc "$repo_root/docs/METRICS.md"
 
 # The rule catalogue table lists exactly the IDs src/analysis/rules.h
 # registers: a rule added or retired on one side only fails here.
