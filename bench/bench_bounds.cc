@@ -23,8 +23,8 @@
 // "pruned: ..." verdicts included) via CNPU_ARTIFACT_DIR.
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/bounds.h"
@@ -138,8 +138,7 @@ void run_soundness_gate() {
               "margin %.3g ms)\n",
               spec.num_points(), violations == 0 ? "yes" : "NO - BUG",
               worst_margin_ms);
-  sweep.write_csv(bench::artifact_path("bench_bounds.csv"));
-  sweep.write_json(bench::artifact_path("bench_bounds.json"));
+  bench::write_sweep_artifacts(sweep, "bench_bounds");
   if (violations != 0) {
     std::fprintf(stderr,
                  "bench_bounds: the static lower bound exceeded the "
@@ -273,8 +272,7 @@ void run_prune_demo() {
   std::printf("  speedup: %.2fx points/sec, false prunes: %d (every pruned "
               "point re-checked against full simulation)\n\n",
               speedup, false_prunes);
-  pruned.write_csv(bench::artifact_path("bench_bounds_prune.csv"));
-  pruned.write_json(bench::artifact_path("bench_bounds_prune.json"));
+  bench::write_sweep_artifacts(pruned, "bench_bounds_prune");
 
   if (false_prunes != 0) {
     std::fprintf(stderr, "bench_bounds: %d false prune(s) — the static "
@@ -321,15 +319,13 @@ BENCHMARK(BM_ComputeBounds)->Unit(benchmark::kMillisecond)->Iterations(20);
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees the argument list.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--smoke") {
+      // CI path (a CTest `integration` test): reduced grid, no timings.
       cnpu::g_smoke = true;
-    } else {
-      args.push_back(argv[i]);
+      cnpu::print_tables();
+      return 0;
     }
   }
-  int filtered_argc = static_cast<int>(args.size());
-  return cnpu::bench::run(filtered_argc, args.data(), cnpu::print_tables);
+  return cnpu::bench::run(argc, argv, cnpu::print_tables);
 }

@@ -33,6 +33,19 @@ inline std::string artifact_path(const std::string& file_name) {
   return out + file_name;
 }
 
+// Writes `sweep` to <stem>.csv and <stem>.json under artifact_path, prints
+// which files were written, and exits 1 when either write failed, so a
+// lost artifact fails the bench.
+inline void write_sweep_artifacts(const SweepResult& sweep,
+                                  const std::string& stem) {
+  const bool csv_ok = sweep.write_csv(artifact_path(stem + ".csv"));
+  const bool json_ok = sweep.write_json(artifact_path(stem + ".json"));
+  std::printf("sweep artifacts: %s.csv%s, %s.json%s\n\n", stem.c_str(),
+              csv_ok ? "" : " (WRITE FAILED)", stem.c_str(),
+              json_ok ? "" : " (WRITE FAILED)");
+  if (!csv_ok || !json_ok) std::exit(1);
+}
+
 // Benches want fail-fast sweeps: a failed point means the reproduction is
 // wrong, so surface the captured per-point error and abort instead of
 // rendering a table with holes. Pruned points (a static-bound predicate

@@ -209,12 +209,7 @@ void print_sweep(bool smoke) {
                format_fixed(p.record.get("recovery_ms"), 2)});
   }
   std::printf("%s", t.to_string().c_str());
-  const bool csv_ok = sweep.write_csv(bench::artifact_path("bench_fault_dynamic_sweep.csv"));
-  const bool json_ok = sweep.write_json(bench::artifact_path("bench_fault_dynamic_sweep.json"));
-  std::printf("sweep artifacts: bench_fault_dynamic_sweep.csv%s, "
-              "bench_fault_dynamic_sweep.json%s\n\n",
-              csv_ok ? "" : " (WRITE FAILED)", json_ok ? "" : " (WRITE FAILED)");
-  if (!csv_ok || !json_ok) std::exit(1);
+  bench::write_sweep_artifacts(sweep, "bench_fault_dynamic_sweep");
 }
 
 void print_tables(bool smoke) {

@@ -34,12 +34,7 @@ NopCost outbound_cost(const Schedule& s, int item_idx) {
     // 2 hops, the mean quadrant-to-quadrant distance).
     return nop_transfer(pkg.nop(), bytes, 2);
   }
-  const Placement& to = s.placement(next);
-  double hops = 0.0;
-  for (const auto& sh : from.shards) {
-    hops += sh.fraction * pkg.hops_between(sh.chiplet_id, to.primary_chiplet());
-  }
-  return nop_transfer(pkg.nop(), bytes, hops);
+  return nop_gather_cost(pkg, from, s.placement(next), bytes);
 }
 
 void print_tables() {

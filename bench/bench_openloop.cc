@@ -163,13 +163,7 @@ void print_load_ladder(const Scenario& s, bool smoke) {
                format_fixed(p.record.get("peak_queue_delay_us"), 1)});
   }
   std::printf("%s", t.to_string().c_str());
-  const bool csv_ok = sweep.write_csv(bench::artifact_path("bench_openloop_sweep.csv"));
-  const bool json_ok = sweep.write_json(bench::artifact_path("bench_openloop_sweep.json"));
-  std::printf("sweep artifacts: bench_openloop_sweep.csv%s, "
-              "bench_openloop_sweep.json%s\n\n",
-              csv_ok ? "" : " (WRITE FAILED)",
-              json_ok ? "" : " (WRITE FAILED)");
-  if (!csv_ok || !json_ok) std::exit(1);
+  bench::write_sweep_artifacts(sweep, "bench_openloop_sweep");
 }
 
 // Section 2: shed policies at 1.5x overload + the acceptance check.

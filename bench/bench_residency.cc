@@ -306,15 +306,7 @@ void print_sweep(bool smoke) {
                fits ? format_fixed(p.record.get("reload_us"), 1) : "-"});
   }
   std::printf("%s", t.to_string().c_str());
-  const bool csv_ok =
-      sweep.write_csv(bench::artifact_path("bench_residency_sweep.csv"));
-  const bool json_ok =
-      sweep.write_json(bench::artifact_path("bench_residency_sweep.json"));
-  std::printf("sweep artifacts: bench_residency_sweep.csv%s, "
-              "bench_residency_sweep.json%s\n\n",
-              csv_ok ? "" : " (WRITE FAILED)",
-              json_ok ? "" : " (WRITE FAILED)");
-  if (!csv_ok || !json_ok) std::exit(1);
+  bench::write_sweep_artifacts(sweep, "bench_residency_sweep");
   // The frontier must actually appear: generous capacity fits a lone
   // tenant, and some capacity x fleet combination is over budget.
   if (feasible == 0 || infeasible == 0) {

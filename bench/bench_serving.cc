@@ -215,12 +215,7 @@ void print_sweep(const Scenario& s, bool smoke) {
                format_fixed(p.record.get("dropped_frames"), 0)});
   }
   std::printf("%s", t.to_string().c_str());
-  const bool csv_ok = sweep.write_csv(bench::artifact_path("bench_serving_sweep.csv"));
-  const bool json_ok = sweep.write_json(bench::artifact_path("bench_serving_sweep.json"));
-  std::printf("sweep artifacts: bench_serving_sweep.csv%s, "
-              "bench_serving_sweep.json%s\n\n",
-              csv_ok ? "" : " (WRITE FAILED)", json_ok ? "" : " (WRITE FAILED)");
-  if (!csv_ok || !json_ok) std::exit(1);
+  bench::write_sweep_artifacts(sweep, "bench_serving_sweep");
 }
 
 void print_sustainable_load(const Scenario& s, bool smoke) {

@@ -67,8 +67,9 @@ StreamContribution price_stream(const StreamView& v, std::string locus,
   out.bound.latency_bound_s = critical_path_s(s, lat, nop);
 
   // Per-link byte injection, matching the contended simulator's
-  // one-message-per-shard fraction-scaled routing. Unroutable edges on a
-  // degraded package are skipped — R001/R002 report them.
+  // one-message-per-shard fraction-scaled routing. Every pair routes here:
+  // route and hop count come from one walk, so critical_path_s above has
+  // already thrown for an unroutable one.
   auto add_route = [&](const std::vector<NopLink>& route, double bytes) {
     for (const NopLink& l : route) out.link_bytes[l] += bytes;
   };
@@ -76,21 +77,14 @@ StreamContribution price_stream(const StreamView& v, std::string locus,
     for_each_schedule_edge(
         s,
         [&](int item) {
-          try {
-            add_route(pkg.route_from_io(s.placement(item).primary_chiplet()),
-                      kCameraInputBytes);
-          } catch (const std::runtime_error&) {
-          }
+          add_route(pkg.route_from_io(s.placement(item).primary_chiplet()),
+                    kCameraInputBytes);
         },
         [&](int producer, int consumer, double bytes) {
           const int dst = s.placement(consumer).primary_chiplet();
           for (const ShardAssignment& sh : s.placement(producer).shards) {
-            try {
-              const std::vector<NopLink> route =
-                  pkg.route_between(sh.chiplet_id, dst);
-              if (!route.empty()) add_route(route, sh.fraction * bytes);
-            } catch (const std::runtime_error&) {
-            }
+            add_route(pkg.route_between(sh.chiplet_id, dst),
+                      sh.fraction * bytes);
           }
         });
   }
@@ -132,47 +126,33 @@ double critical_path_s(const Schedule& schedule,
       });
 
   // Longest path: complete(i) = ready(i) + latency(i), ready(i) =
-  // max(ingress delay, max over deps of complete(p) + edge delay).
-  // Enumeration order is NOT topological (a prefix model may be listed
-  // after its consumers), so memoize with an explicit DFS stack. Each item
-  // carries its own state: any double, a negative one included, is a valid
-  // completion time. The schedule DAG is acyclic by construction; a pred
-  // found mid-expansion (which only a malformed input could produce) is
-  // ignored — ignoring a dependency can only lower the bound, keeping it
-  // sound.
-  enum : char { kNew, kExpanding, kDone };
-  std::vector<char> state(n, kNew);
+  // max(ingress delay, max over deps of complete(p) + edge delay). Every
+  // edge runs from an earlier stage, an earlier item of the same model, or
+  // a stage's prefix model into its other models, so visiting stages in
+  // order, each stage's prefix models before the rest, finds every
+  // producer complete.
   std::vector<double> complete(n, 0.0);
-  std::vector<int> stack;
   double bound = 0.0;
-  for (std::size_t root = 0; root < n; ++root) {
-    if (state[root] == kDone) continue;
-    stack.push_back(static_cast<int>(root));
-    while (!stack.empty()) {
-      const auto ti = static_cast<std::size_t>(stack.back());
-      if (state[ti] == kDone) {
-        stack.pop_back();
-        continue;
-      }
-      state[ti] = kExpanding;
-      bool deps_ready = true;
-      for (const auto& [p, delay] : preds[ti]) {
-        if (state[static_cast<std::size_t>(p)] == kNew) {
-          stack.push_back(p);
-          deps_ready = false;
-        }
-      }
-      if (!deps_ready) continue;
+  const auto visit = [&](const std::vector<int>& items) {
+    for (const int i : items) {
+      const auto ti = static_cast<std::size_t>(i);
       double ready = ingress_delay[ti];
       for (const auto& [p, delay] : preds[ti]) {
-        const auto pi = static_cast<std::size_t>(p);
-        if (state[pi] != kDone) continue;  // malformed-input cycle guard
-        ready = std::max(ready, complete[pi] + delay);
+        ready = std::max(ready, complete[static_cast<std::size_t>(p)] + delay);
       }
       complete[ti] = ready + item_latency[ti];
-      state[ti] = kDone;
       bound = std::max(bound, complete[ti]);
-      stack.pop_back();
+    }
+  };
+  const PerceptionPipeline& pipe = schedule.pipeline();
+  for (int st = 0; st < pipe.num_stages(); ++st) {
+    const Stage& stage = pipe.stages[static_cast<std::size_t>(st)];
+    for (const bool prefix : {true, false}) {
+      for (int m = 0; m < stage.num_models(); ++m) {
+        if (stage.models[static_cast<std::size_t>(m)].prefix == prefix) {
+          visit(schedule.items_of_model(st, m));
+        }
+      }
     }
   }
   return bound;
@@ -221,14 +201,13 @@ BoundsReport compute_bounds(const Schedule& schedule,
                             const SimOptions& options) {
   const PackageConfig& pkg = schedule.package();
   BoundsReport report;
-  report.nop_modeled = options.model_nop_delays;
   report.nop_mode = options.nop_mode;
 
   std::vector<StreamView> streams;
   resolve_streams(schedule, options, streams);
 
-  const bool nop = options.model_nop_delays;
-  const bool link_binding = nop && options.nop_mode == NopMode::kContended;
+  const bool nop = options.nop_mode != NopMode::kOff;
+  const bool link_binding = options.nop_mode == NopMode::kContended;
   std::map<NopLink, LinkBound> links;
   std::map<int, ChipletBound> chiplets;
   std::vector<const Schedule*> priced_scheds;
@@ -437,9 +416,10 @@ std::string BoundsReport::table() const {
 
 void BoundsReport::write_json(JsonWriter& w) const {
   w.begin_object();
-  w.key("nop_modeled").value(nop_modeled);
-  w.key("nop_mode").value(nop_mode == NopMode::kContended ? "contended"
-                                                          : "analytical");
+  w.key("nop_modeled").value(nop_mode != NopMode::kOff);
+  w.key("nop_mode").value(nop_mode == NopMode::kContended    ? "contended"
+                          : nop_mode == NopMode::kAnalytical ? "analytical"
+                                                             : "off");
   w.key("uniform_rate_bound_fps").value(uniform_rate_bound_fps);
   w.key("streams").begin_array();
   for (const StreamBound& s : streams) {

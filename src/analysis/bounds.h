@@ -56,7 +56,7 @@ struct StreamBound {
   // Critical-path lower bound on any frame's admission-to-completion
   // latency (seconds): compute roofline per item + analytical NoP delay
   // per edge, camera ingress included. 0 NoP delay when
-  // SimOptions::model_nop_delays is off, matching the simulator.
+  // SimOptions::nop_mode is NopMode::kOff, matching the simulator.
   double latency_bound_s = 0.0;
   // Resolved mean admission rate (frames/s). rate_known is false — and
   // rate_fps 0 — for a t=0 closed-loop burst (frame_interval_s == 0) and
@@ -83,8 +83,8 @@ struct LinkBound {
   double demand_bytes_per_s = 0.0;
   double capacity_bytes_per_s = 0.0;
   double utilization = 0.0;  // demand / capacity
-  // demand > capacity AND the link model is binding (kContended with NoP
-  // delays on): the FIFO queue on this link provably diverges (P002).
+  // demand > capacity AND the link model is binding (kContended): the FIFO
+  // queue on this link provably diverges (P002).
   bool oversubscribed = false;
 };
 
@@ -108,10 +108,8 @@ struct BoundsReport {
   // checked, P004) when the package's memory model is active.
   ResidencyReport residency;
   bool residency_checked = false;
-  // The options the bound was computed under (controls which components
-  // bind: links need kContended + NoP delays; NoP edge delays need
-  // model_nop_delays).
-  bool nop_modeled = true;
+  // The NoP mode the bound was computed under (controls which components
+  // bind: links need kContended; NoP edge delays need any mode but kOff).
   NopMode nop_mode = NopMode::kAnalytical;
   // Largest uniform per-stream admission rate (FPS) no static bound
   // rejects: min over chiplets of 1 / busy_s_per_frame and — when the

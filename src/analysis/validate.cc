@@ -72,8 +72,9 @@ bool collect_structure(const Schedule& s, const std::string& locus,
 // Route reachability of every priced edge of `sched` on `sched.package()`.
 // A healthy mesh is always fully connected, so this only runs against a
 // package with failed sites (a degraded copy, or a without_chiplet package
-// handed in directly). `enforced` is model_nop_delays: with NoP delays off
-// the runtime never resolves a route, so an unroutable edge is lint-only.
+// handed in directly). `enforced` is whether the NoP is on: with
+// NopMode::kOff the runtime never resolves a route, so an unroutable edge
+// is lint-only.
 // Returns true when every edge routed.
 bool collect_routes(const std::string& locus, const Schedule& sched,
                     bool enforced, Diagnostics& out) {
@@ -133,7 +134,7 @@ std::string run_check_locus(const SimOptions& options, std::string_view rule,
 void collect_sim(const Schedule& schedule, const SimOptions& options,
                  Diagnostics& out) {
   const PackageConfig& pkg = schedule.package();
-  const bool nop = options.model_nop_delays;
+  const bool nop = options.nop_mode != NopMode::kOff;
   const FaultPlan& fault = options.fault;
 
   // A stream on another package or with an empty schedule is reported

@@ -22,9 +22,9 @@
 //    prefix handoffs, cross-stage gathers, intra-model chains): each
 //    shard -> consumer-primary pair must have a route on the schedule's
 //    package, including post-fault BFS detours on the degraded copy (R001)
-//    and the severed-I/O-port case (R002). Only enforced when
-//    model_nop_delays is set — with NoP delays off the runtime never
-//    resolves routes, so an unroutable edge is lint-only there.
+//    and the severed-I/O-port case (R002). Enforced unless nop_mode is
+//    NopMode::kOff — with the NoP off the runtime never resolves routes,
+//    so an unroutable edge is lint-only there.
 //  * fault plans         — a surviving remap target (F004, via
 //    core/remap.h), non-negative penalties (F003, lint-only).
 //  * arrivals/admission  — generate_arrivals' precondition via
@@ -37,7 +37,7 @@
 //  * deadlines           — deadline_s strictly below the static critical
 //    path (critical_path_s, analysis/bounds.h), a lower bound on every
 //    frame's latency: every frame must miss (D001, lint-only — the runtime
-//    accepts it; checked only when model_nop_delays is set).
+//    accepts it; checked unless nop_mode is NopMode::kOff).
 //  * sweeps              — zipped axis length mismatches (W001), cartesian
 //    overflow past INT_MAX points (W002), duplicate axis names (W003),
 //    empty axes (W004).

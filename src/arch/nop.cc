@@ -2,10 +2,6 @@
 
 namespace cnpu {
 
-NopCost nop_transfer(const NopParams& params, double bytes, int hops) {
-  return nop_transfer(params, bytes, static_cast<double>(hops));
-}
-
 NopCost nop_transfer(const NopParams& params, double bytes, double hops) {
   NopCost cost;
   if (hops <= 0.0 || bytes <= 0.0) return cost;

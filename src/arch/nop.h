@@ -25,14 +25,13 @@ struct NopCost {
   }
 };
 
-// Cost of moving `bytes` across `hops` mesh hops. Zero hops (same chiplet)
-// costs nothing: intra-chiplet movement is already in the compute model.
-NopCost nop_transfer(const NopParams& params, double bytes, int hops);
-
-// Fractional-hop variant for fraction-weighted mean hop counts (sharded
-// producers gathering to one consumer). Cost scales linearly with hops and
-// is never rounded, so a sub-half-hop mean still pays its proportional
-// share instead of rounding down to free.
+// Cost of moving `bytes` across `hops` mesh hops: the one NoP price, which
+// nop_gather_cost and nop_ingress_cost (core/evaluator.h) apply. Zero hops
+// (same chiplet) costs nothing: intra-chiplet movement is already in the
+// compute model. `hops` may be a fraction-weighted mean (sharded producers
+// gathering to one consumer); cost scales linearly with it and it is never
+// rounded, so a sub-half-hop mean still pays its proportional share
+// instead of rounding down to free.
 NopCost nop_transfer(const NopParams& params, double bytes, double hops);
 
 }  // namespace cnpu

@@ -19,20 +19,26 @@ PackageConfig::PackageConfig(std::vector<ChipletSpec> chiplets, NopParams nop)
 void PackageConfig::index_chiplets() {
   id_index_.clear();
   if (chiplets_.empty()) return;
-  const auto [lo, hi] = std::minmax_element(
-      chiplets_.begin(), chiplets_.end(),
-      [](const ChipletSpec& a, const ChipletSpec& b) { return a.id < b.id; });
+  std::vector<int> ids;
+  ids.reserve(chiplets_.size());
+  for (const ChipletSpec& c : chiplets_) ids.push_back(c.id);
+  std::sort(ids.begin(), ids.end());
+  const auto repeat = std::adjacent_find(ids.begin(), ids.end());
+  if (repeat != ids.end()) {
+    throw std::invalid_argument("PackageConfig: repeated chiplet id " +
+                                std::to_string(*repeat));
+  }
   // 64-bit: the span of two arbitrary ints overflows int.
-  const std::int64_t span = std::int64_t{hi->id} - lo->id + 1;
+  const std::int64_t span = std::int64_t{ids.back()} - ids.front() + 1;
   if (span >
       kIndexSpanPerChiplet * static_cast<std::int64_t>(chiplets_.size())) {
     return;
   }
-  id_base_ = lo->id;
+  id_base_ = ids.front();
   id_index_.assign(static_cast<std::size_t>(span), -1);
   for (std::size_t i = 0; i < chiplets_.size(); ++i) {
-    int& slot = id_index_[static_cast<std::size_t>(chiplets_[i].id - id_base_)];
-    if (slot < 0) slot = static_cast<int>(i);
+    id_index_[static_cast<std::size_t>(chiplets_[i].id - id_base_)] =
+        static_cast<int>(i);
   }
 }
 
@@ -301,13 +307,6 @@ bool operator<(const NopLink& a, const NopLink& b) {
                       l.from.col, l.to.row, l.to.col, l.substrate_step);
   };
   return key(a) < key(b);
-}
-
-NopCost PackageConfig::transfer_cost(int from_chiplet, int to_chiplet,
-                                     double bytes) const {
-  const int hops = from_chiplet < 0 ? hops_from_io(to_chiplet)
-                                    : hops_between(from_chiplet, to_chiplet);
-  return nop_transfer(nop_, bytes, hops);
 }
 
 void PackageConfig::set_chiplet_dataflow(int id, DataflowKind kind) {

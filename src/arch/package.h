@@ -56,6 +56,8 @@ struct FailedSite {
 class PackageConfig {
  public:
   PackageConfig() = default;
+  // Throws std::invalid_argument, naming the id, when two chiplets share an
+  // id.
   PackageConfig(std::vector<ChipletSpec> chiplets, NopParams nop);
 
   const std::vector<ChipletSpec>& chiplets() const { return chiplets_; }
@@ -66,9 +68,8 @@ class PackageConfig {
 
   // Throws std::out_of_range when no chiplet has that id.
   const ChipletSpec& chiplet(int id) const;
-  // Position of chiplet `id` in chiplets(); -1 when no chiplet has it. Ids
-  // from a loaded bundle may repeat: the first chiplet with the id wins, for
-  // chiplet() and every id lookup built on it. O(1) through the id index.
+  // Position of chiplet `id` in chiplets(); -1 when no chiplet has it. O(1)
+  // through the id index.
   int position_of(int id) const;
   // nullopt when no chiplet has that id.
   std::optional<int> find_chiplet_at(const GridCoord& coord, int npu = 0) const;
@@ -106,10 +107,6 @@ class PackageConfig {
   // destination NPU), then substrate crossings into the chiplet's NPU.
   // Length equals hops_from_io(chiplet_id).
   std::vector<NopLink> route_from_io(int chiplet_id) const;
-
-  // Cost of moving `bytes` between two chiplets (or from IO when
-  // `from_chiplet` is negative).
-  NopCost transfer_cost(int from_chiplet, int to_chiplet, double bytes) const;
 
   int inter_npu_hops() const { return inter_npu_hops_; }
   void set_inter_npu_hops(int hops) { inter_npu_hops_ = hops; }
@@ -186,12 +183,13 @@ class PackageConfig {
   // position_of, throwing std::out_of_range when no chiplet has the id.
   std::size_t position_of_or_throw(int id) const;
 
-  // Builds id_index_ from chiplets_. The chiplet-list constructor calls it,
-  // and without_chiplet builds its copy through that constructor.
+  // Builds id_index_ from chiplets_, throwing std::invalid_argument on a
+  // repeated id. The chiplet-list constructor calls it, and without_chiplet
+  // builds its copy through that constructor.
   void index_chiplets();
 
   std::vector<ChipletSpec> chiplets_;
-  // id - id_base_ -> first position with that id, -1 for a gap. Built only
+  // id - id_base_ -> position with that id, -1 for a gap. Built only
   // while the ids span at most kIndexSpanPerChiplet x the chiplet count, so
   // its memory follows the chiplet count and never the largest id (bundle
   // ids are untrusted input); sparser ids leave it empty and lookups scan.

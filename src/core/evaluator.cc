@@ -4,15 +4,6 @@
 #include <stdexcept>
 
 namespace cnpu {
-namespace {
-
-// Fractional hops: rounding the fraction-weighted mean would zero the NoP
-// cost of any sharded producer whose mean hop count is below 0.5.
-NopCost edge_cost(const PackageConfig& pkg, double bytes, double hops) {
-  return nop_transfer(pkg.nop(), bytes, hops);
-}
-
-}  // namespace
 
 double gather_hops(const PackageConfig& pkg, const Placement& from,
                    const Placement& to) {
@@ -26,11 +17,12 @@ double gather_hops(const PackageConfig& pkg, const Placement& from,
 
 NopCost nop_gather_cost(const PackageConfig& pkg, const Placement& from,
                         const Placement& to, double bytes) {
-  return edge_cost(pkg, bytes, gather_hops(pkg, from, to));
+  return nop_transfer(pkg.nop(), bytes, gather_hops(pkg, from, to));
 }
 
-NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id) {
-  return edge_cost(pkg, kCameraInputBytes, pkg.hops_from_io(chiplet_id));
+NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id,
+                         double bytes) {
+  return nop_transfer(pkg.nop(), bytes, pkg.hops_from_io(chiplet_id));
 }
 
 CostReport analyze_shard(const PackageConfig& pkg, const LayerDesc& layer,

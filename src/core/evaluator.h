@@ -80,10 +80,12 @@ double gather_hops(const PackageConfig& pkg, const Placement& from,
 NopCost nop_gather_cost(const PackageConfig& pkg, const Placement& from,
                         const Placement& to, double bytes);
 
-// Cost of one camera frame's ingress edge: kCameraInputBytes moved from the
-// package I/O port to `chiplet_id`. Shared by the evaluator and the event
-// simulator for the same never-drift-apart reason as nop_gather_cost.
-NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id);
+// Cost of moving `bytes` from the package I/O port to `chiplet_id`: by
+// default one camera frame's ingress edge. Shared by the evaluator and the
+// event simulator (camera ingress and weight reloads) for the same
+// never-drift-apart reason as nop_gather_cost.
+NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id,
+                         double bytes = kCameraInputBytes);
 
 // analyze_layer on the slice of `layer` that `shard` carries, on the shard's
 // chiplet of `pkg`: the one shard-pricing path. The evaluator, Algorithm 1,

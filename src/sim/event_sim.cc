@@ -78,12 +78,14 @@ struct Program {
 // `dense_pkg` defines the dense chiplet index space (always the ORIGINAL
 // package, so the primary and degraded programs share calendars); routes
 // and costs come from the schedule's own package, which for the degraded
-// program detours around the failed router. `links`, when non-null,
-// collects every resolved dense link index (see canonicalize_links).
-Program build_program(const Schedule& sched, bool nop, bool contended,
-                      NopFabric& fabric, const PackageConfig& dense_pkg,
-                      std::vector<int>* links) {
+// program detours around the failed router. `links` collects every
+// resolved dense link index (see canonicalize_links): none unless
+// contended.
+Program build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
+                      const PackageConfig& dense_pkg, std::vector<int>& links) {
   const PackageConfig& pkg = sched.package();
+  const bool nop = mode != NopMode::kOff;
+  const bool contended = mode == NopMode::kContended;
   // The schedule's package is `dense_pkg` or a without_chiplet copy of it,
   // so every placement that passes here has a dense index.
   for_each_unplaced(sched, [&](int item, const ShardAssignment* shard) {
@@ -105,9 +107,7 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
 
   const auto resolve_route = [&](const std::vector<NopLink>& route) {
     std::vector<int> indices = fabric.resolve(route);
-    if (links != nullptr) {
-      links->insert(links->end(), indices.begin(), indices.end());
-    }
+    links.insert(links.end(), indices.begin(), indices.end());
     return indices;
   };
   for_each_schedule_edge(
@@ -448,17 +448,8 @@ struct ProgramEntry {
   std::vector<std::unique_ptr<DegradedEntry>> degraded;
 };
 
-// Programs depend on the schedule and on exactly two SimOptions bits.
-struct ProgramKey {
-  const Schedule* sched = nullptr;
-  bool nop = false;
-  bool contended = false;
-  bool operator<(const ProgramKey& o) const {
-    if (sched != o.sched) return sched < o.sched;
-    if (nop != o.nop) return nop < o.nop;
-    return contended < o.contended;
-  }
-};
+// Programs depend on the schedule and on the NoP mode alone.
+using ProgramKey = std::pair<const Schedule*, NopMode>;
 
 // Per-tenant world of ONE run: cached primary program, and under a
 // FaultPlan the cached remapped schedule + degraded program (each tenant
@@ -547,25 +538,28 @@ using namespace evsim;
 namespace {
 const std::string kImplicitStreamName = "stream";
 const std::vector<int> kNoAllowedChiplets;
+
+StreamView view_of(const Schedule& schedule, const std::string& name,
+                   const StreamSpec& spec, int priority,
+                   const std::vector<int>& allowed_chiplets) {
+  return StreamView{&schedule, &name, std::max(spec.frames, 1),
+                    std::max(spec.frame_interval_s, 0.0), spec.deadline_s,
+                    priority, &allowed_chiplets, &spec.arrivals,
+                    &spec.admission};
+}
 }  // namespace
 
 void resolve_streams(const Schedule& schedule, const SimOptions& options,
                      std::vector<StreamView>& out) {
   out.clear();
   if (options.tenants.empty()) {
-    out.push_back(StreamView{&schedule, &kImplicitStreamName,
-                             std::max(options.frames, 1),
-                             std::max(options.frame_interval_s, 0.0),
-                             options.deadline_s, 0, &kNoAllowedChiplets,
-                             &options.arrivals, &options.admission});
+    out.push_back(
+        view_of(schedule, kImplicitStreamName, options, 0, kNoAllowedChiplets));
     return;
   }
   for (const TenantStream& t : options.tenants) {
-    out.push_back(StreamView{t.schedule != nullptr ? t.schedule : &schedule,
-                             &t.name, std::max(t.frames, 1),
-                             std::max(t.frame_interval_s, 0.0), t.deadline_s,
-                             t.priority, &t.allowed_chiplets, &t.arrivals,
-                             &t.admission});
+    out.push_back(view_of(t.schedule != nullptr ? *t.schedule : schedule,
+                          t.name, t, t.priority, t.allowed_chiplets));
   }
 }
 
@@ -615,9 +609,9 @@ void check_run(const Schedule& schedule, const SimOptions& options,
     }
   }
   // Other values give negative, infinite or NaN transfer times; the engine
-  // reads these only with NoP delays on.
+  // reads these only with the NoP on.
   const NopParams& nop = pkg.nop();
-  if (options.model_nop_delays &&
+  if (options.nop_mode != NopMode::kOff &&
       !(nop.bandwidth_bytes_per_s > 0.0 && nop.hop_latency_s >= 0.0)) {
     fail(analysis::kRuleNopParams, -1,
          "NoP bandwidth " + format_si(nop.bandwidth_bytes_per_s) +
@@ -667,17 +661,16 @@ struct SimEngine::Impl {
   std::vector<double> scr_times;
   std::vector<double> scr_recovery;
 
-  ProgramEntry& program_for(const Schedule& sched, bool nop, bool contended,
+  ProgramEntry& program_for(const Schedule& sched, NopMode mode,
                             const PackageConfig& dense_pkg) {
-    const ProgramKey key{&sched, nop, contended};
+    const ProgramKey key{&sched, mode};
     const auto it = programs.find(key);
     if (it != programs.end()) {
       ++stats.program_cache_hits;
       return it->second;
     }
     ProgramEntry e;
-    e.prog = build_program(sched, nop, contended, fabric, dense_pkg,
-                           contended ? &e.links : nullptr);
+    e.prog = build_program(sched, mode, fabric, dense_pkg, e.links);
     canonicalize_links(e.links, fabric);
     ++stats.program_builds;
     // Inserted only after a successful build: a throwing build leaves the
@@ -686,8 +679,8 @@ struct SimEngine::Impl {
   }
 
   const DegradedEntry& degraded_for(ProgramEntry& entry,
-                                    const StreamView& stream, bool nop,
-                                    bool contended, const PackageConfig& pkg,
+                                    const StreamView& stream, NopMode mode,
+                                    const PackageConfig& pkg,
                                     const FaultPlan& fault) {
     for (const auto& d : entry.degraded) {
       if (d->fault_chiplet == fault.chiplet_id &&
@@ -710,8 +703,7 @@ struct SimEngine::Impl {
     d->remapped.emplace(remap_schedule(*stream.schedule, *pit->second,
                                        fault.chiplet_id, &d->remap_stats,
                                        *stream.allowed_chiplets));
-    d->prog = build_program(*d->remapped, nop, contended, fabric, pkg,
-                            contended ? &d->links : nullptr);
+    d->prog = build_program(*d->remapped, mode, fabric, pkg, d->links);
     // Reload plans (memory model active only: with it inactive nothing is
     // reloaded, and the reload routes' links must not join link_stats).
     if (pkg.memory_model_active()) {
@@ -723,12 +715,13 @@ struct SimEngine::Impl {
           throw std::out_of_range("reload destination not in package");
         }
         rp.bytes = bytes;
-        rp.delay_s =
-            nop ? routed.transfer_cost(-1, chiplet_id, bytes).latency_s : 0.0;
+        rp.delay_s = mode != NopMode::kOff
+                         ? nop_ingress_cost(routed, chiplet_id, bytes).latency_s
+                         : 0.0;
         const double bw =
             pkg.chiplet(chiplet_id).memory.reload_bandwidth_bytes_per_s;
         if (bw > 0.0) rp.delay_s += bytes / bw;
-        if (contended) {
+        if (mode == NopMode::kContended) {
           rp.route = fabric.resolve(routed.route_from_io(chiplet_id));
           d->links.insert(d->links.end(), rp.route.begin(), rp.route.end());
         }
@@ -823,8 +816,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
 
   const FaultPlan& fault = options.fault;
   const bool faulted = fault.active();
-  const bool nop = options.model_nop_delays;
-  const bool contended = nop && options.nop_mode == NopMode::kContended;
+  const NopMode mode = options.nop_mode;
+  const bool contended = mode == NopMode::kContended;
   const PackageConfig& pkg = schedule.package();
   fabric.set_params(pkg.nop());
   fabric.reset_state();
@@ -835,7 +828,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   for (int t = 0; t < num_tenants; ++t) {
     TenantCtx& c = ctx[static_cast<std::size_t>(t)];
     const StreamView& s = streams[static_cast<std::size_t>(t)];
-    ProgramEntry& e = program_for(*s.schedule, nop, contended, pkg);
+    ProgramEntry& e = program_for(*s.schedule, mode, pkg);
     c.entry = &e;
     c.primary = &e.prog;
     c.items = s.schedule->num_items();
@@ -852,9 +845,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   if (faulted) {
     for (int t = 0; t < num_tenants; ++t) {
       TenantCtx& c = ctx[static_cast<std::size_t>(t)];
-      c.degraded = &degraded_for(*c.entry,
-                                 streams[static_cast<std::size_t>(t)], nop,
-                                 contended, pkg, fault);
+      c.degraded = &degraded_for(
+          *c.entry, streams[static_cast<std::size_t>(t)], mode, pkg, fault);
     }
   }
 

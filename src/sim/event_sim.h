@@ -14,13 +14,14 @@
 // evaluator prices — so sim first-frame latency cross-validates against the
 // evaluator's E2E exactly on an uncongested schedule.
 //
-// Two NoP modes:
+// Three NoP modes:
+//  * kOff — every transfer is free: no ingress or edge delay, no route.
 //  * kAnalytical — every transfer is an independent fixed delay on an
 //    infinitely-parallel fabric (the paper's closed-form assumption).
 //  * kContended — transfers are messages injected onto the directed links
 //    of their XY route; each link is a FIFO-arbitrated shared resource at
 //    NopParams::bandwidth_bytes_per_s (see src/sim/nop_sim.h). With
-//    infinite link bandwidth the two modes are bitwise-identical; with
+//    infinite link bandwidth it is bitwise-identical to kAnalytical; with
 //    finite bandwidth, hot links queue and the measured interval can exceed
 //    the analytical prediction.
 //
@@ -73,11 +74,10 @@
 // Partitioned isolation is a steady-state load guarantee, not a
 // fault-transient one.
 //
-// Open-loop arrivals (TenantStream::arrivals / SimOptions::arrivals): a
-// tenant with an active ArrivalSpec (src/sim/arrivals.h) admits its frames
-// at the process's generated instants — Poisson, bursty, trace-replayed,
-// or rate-profiled — instead of the closed-loop f * frame_interval_s
-// schedule. Frame latency is measured from the REALIZED admission instant;
+// Open-loop arrivals (StreamSpec::arrivals): a stream with an active
+// ArrivalSpec (src/sim/arrivals.h) admits its frames at the process's
+// generated instants — Poisson, bursty, trace-replayed, or rate-profiled —
+// instead of the closed-loop f * frame_interval_s schedule. Frame latency is measured from the REALIZED admission instant;
 // steady_interval_s is NaN for open-loop streams (the estimator assumes
 // periodic admission, see SimResult). When no process is set, frame f is
 // admitted at exactly f * frame_interval_s.
@@ -113,6 +113,7 @@ namespace cnpu {
 enum class NopMode {
   kAnalytical,  // fixed per-edge delays, infinitely-parallel fabric
   kContended,   // FIFO link arbitration on the XY route of every edge
+  kOff,         // every NoP transfer is free and no route is resolved
 };
 
 // A runtime chiplet failure. Inactive (chiplet_id < 0) by default, in which
@@ -179,38 +180,11 @@ struct AdmissionControl {
   }
 };
 
-// One tenant's frame stream in a multi-tenant run.
-struct TenantStream {
-  std::string name = "tenant";
-  // Placement of this tenant's pipeline on the SHARED package; must outlive
-  // the simulate_schedule call and reference the same PackageConfig as the
-  // top-level schedule argument. nullptr uses the top-level schedule (N
-  // identical tenants differing only in rate/priority).
-  const Schedule* schedule = nullptr;
+// The description of one frame stream, declared once: the implicit stream
+// of SimOptions, every TenantStream and every TenantWorkload
+// (src/sim/serving.h) carry it.
+struct StreamSpec {
   int frames = 8;
-  double frame_interval_s = 0.0;  // same semantics as SimOptions
-  // Per-frame deadline for THIS tenant; 0 disables. Same semantics as
-  // SimOptions::deadline_s.
-  double deadline_s = 0.0;
-  // Dispatch priority under PlacementPolicy::kPriority (higher wins); inert
-  // under the other policies.
-  int priority = 0;
-  // Chiplet ids a fault remap may re-home this tenant's work onto (empty =
-  // any survivor). The partitioned placement policy sets this to the
-  // tenant's static pool so a mid-stream fault cannot leak work across the
-  // partition (falls back to all survivors only when the whole pool died).
-  std::vector<int> allowed_chiplets;
-  // Open-loop admission: when active, this tenant's frames are admitted at
-  // the process's generated instants and frame_interval_s is ignored.
-  ArrivalSpec arrivals;
-  // Bounded-queue load shedding for this tenant (inactive by default).
-  AdmissionControl admission;
-};
-
-struct SimOptions {
-  int frames = 8;
-  bool model_nop_delays = true;
-  NopMode nop_mode = NopMode::kAnalytical;
   // Seconds between camera frame admissions. 0 admits every frame at t=0
   // (a back-to-back burst that measures the pipeline's sustained rate);
   // > 0 models a periodic sensor, e.g. 1/30 for a 30 FPS camera.
@@ -219,18 +193,41 @@ struct SimOptions {
   // frames over the deadline count as deadline_miss_frames; at a fault
   // flush, frames that can no longer meet it are dropped outright.
   double deadline_s = 0.0;
-  FaultPlan fault;
-  // Open-loop admission for the implicit single stream (tenants empty);
-  // same semantics as TenantStream::arrivals.
+  // Open-loop admission: when active, the stream's frames are admitted at
+  // the process's generated instants and frame_interval_s is ignored.
   ArrivalSpec arrivals;
-  // Admission control for the implicit single stream.
+  // Bounded-queue load shedding (inactive by default).
   AdmissionControl admission;
+};
+
+// One tenant's frame stream in a multi-tenant run.
+struct TenantStream : StreamSpec {
+  std::string name = "tenant";
+  // Placement of this tenant's pipeline on the SHARED package; must outlive
+  // the simulate_schedule call and reference the same PackageConfig as the
+  // top-level schedule argument. nullptr uses the top-level schedule (N
+  // identical tenants differing only in rate/priority).
+  const Schedule* schedule = nullptr;
+  // Dispatch priority under PlacementPolicy::kPriority (higher wins); inert
+  // under the other policies.
+  int priority = 0;
+  // Chiplet ids a fault remap may re-home this tenant's work onto (empty =
+  // any survivor). The partitioned placement policy sets this to the
+  // tenant's static pool so a mid-stream fault cannot leak work across the
+  // partition (falls back to all survivors only when the whole pool died).
+  std::vector<int> allowed_chiplets;
+};
+
+// The inherited StreamSpec is the implicit single stream (tenants empty).
+struct SimOptions : StreamSpec {
+  NopMode nop_mode = NopMode::kAnalytical;
+  FaultPlan fault;
   // Dispatch tie-break policy between tenants; inert with a single stream.
   PlacementPolicy policy = PlacementPolicy::kShared;
   // Multi-tenant serving: when non-empty, these streams are admitted
-  // concurrently and the top-level frames / frame_interval_s / deadline_s /
-  // arrivals / admission are ignored (each stream carries its own). Empty =
-  // one implicit stream described by those fields (see resolve_streams).
+  // concurrently and the inherited StreamSpec is ignored (each stream
+  // carries its own). Empty = one implicit stream described by the
+  // inherited StreamSpec (see resolve_streams).
   std::vector<TenantStream> tenants;
 };
 
@@ -255,7 +252,7 @@ struct StreamView {
 // appends one view per TenantStream in order (a null TenantStream::schedule
 // resolves to `schedule`) or, when `tenants` is empty, the implicit stream
 // "stream" over `schedule` with no allowed-chiplet restriction and the
-// top-level frames / frame_interval_s / deadline_s / arrivals / admission.
+// options' own StreamSpec.
 // Checks nothing: a tenant on another package or with an empty schedule
 // is resolved as given. Allocation-free once `out` has the capacity.
 void resolve_streams(const Schedule& schedule, const SimOptions& options,
@@ -275,8 +272,8 @@ using RunCheckFail = std::function<void(const char* rule_id, int stream,
 // the stream's last check — then A002 (a ShedPolicy without a positive
 // queue_capacity); for an active fault plan, F002 (fails before t = 0,
 // recovers before it fails) and F001 (names a chiplet the package lacks);
-// with NoP delays modeled, R003 (bandwidth not > 0 or hop latency not
-// >= 0). `streams` is resolve_streams(schedule, options).
+// unless nop_mode is NopMode::kOff, R003 (bandwidth not > 0 or hop latency
+// not >= 0). `streams` is resolve_streams(schedule, options).
 void check_run(const Schedule& schedule, const SimOptions& options,
                const std::vector<StreamView>& streams,
                const RunCheckFail& fail);
@@ -499,7 +496,7 @@ class SimEngine {
 // package (or with no survivor to remap onto), a negative fail time,
 // recover_time_s in [0, fail_time_s), an invalid ArrivalSpec (see
 // generate_arrivals), a ShedPolicy other than kNone with a
-// non-positive queue_capacity, or — with model_nop_delays set — NoP
+// non-positive queue_capacity, or — unless nop_mode is NopMode::kOff — NoP
 // parameters with a non-positive (or NaN) link bandwidth or a negative (or
 // NaN) hop latency; throws std::logic_error when any item is unassigned
 // (matching evaluate_schedule). A fault on the chiplet whose router hosts

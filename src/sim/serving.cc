@@ -97,7 +97,6 @@ SimOptions fleet_sim_options(const std::vector<TenantWorkload>& tenants,
                              const TenantPlacement& placement,
                              const ServingOptions& options) {
   SimOptions sim;
-  sim.model_nop_delays = options.model_nop_delays;
   sim.nop_mode = options.nop_mode;
   sim.fault = options.fault;
   sim.policy = options.policy;
@@ -105,14 +104,10 @@ SimOptions fleet_sim_options(const std::vector<TenantWorkload>& tenants,
   for (std::size_t t = 0; t < tenants.size(); ++t) {
     const TenantWorkload& w = tenants[t];
     TenantStream stream;
+    static_cast<StreamSpec&>(stream) = w;
     stream.name = w.name.empty() ? "tenant" + std::to_string(t) : w.name;
     stream.schedule = &placement.schedules[t];
-    stream.frames = w.frames;
-    stream.frame_interval_s = w.frame_interval_s;
-    stream.deadline_s = w.deadline_s;
     stream.priority = w.priority;
-    stream.arrivals = w.arrivals;
-    stream.admission = w.admission;
     if (options.policy == PlacementPolicy::kPartitioned) {
       stream.allowed_chiplets = placement.pools[t];
     }

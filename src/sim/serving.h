@@ -36,23 +36,16 @@
 
 namespace cnpu {
 
-// One tenant's workload description, before placement. The pipeline must
-// outlive every call that receives the workload.
-struct TenantWorkload {
+// One tenant's workload description, before placement: its stream
+// (StreamSpec, src/sim/event_sim.h) plus what placement needs. Under
+// run_at_rate / max_sustainable_load the probe overrides the interval or
+// arrivals.rate_fps (kTrace tenants replay their trace unchanged: a
+// recorded trace has no rate knob). The pipeline must outlive every call
+// that receives the workload.
+struct TenantWorkload : StreamSpec {
   std::string name;  // empty -> "tenant<index>"
   const PerceptionPipeline* pipeline = nullptr;
-  int frames = 8;
-  double frame_interval_s = 0.0;
-  double deadline_s = 0.0;  // 0 disables deadline accounting
-  int priority = 0;         // kPriority dispatch order (higher wins)
-  // Open-loop admission (see src/sim/arrivals.h): when active, this
-  // tenant's frames are offered at the process's generated instants and
-  // frame_interval_s is ignored. Under run_at_rate / max_sustainable_load
-  // the probe overrides rate_fps (kTrace tenants replay their trace
-  // unchanged: a recorded trace has no rate knob).
-  ArrivalSpec arrivals;
-  // Bounded-queue load shedding for this tenant (inactive by default).
-  AdmissionControl admission;
+  int priority = 0;  // kPriority dispatch order (higher wins)
 };
 
 // Policy-resolved placement: one Schedule per tenant, all on `package`,
@@ -80,7 +73,6 @@ TenantPlacement place_tenants(const std::vector<TenantWorkload>& tenants,
 
 struct ServingOptions {
   PlacementPolicy policy = PlacementPolicy::kShared;
-  bool model_nop_delays = true;
   NopMode nop_mode = NopMode::kAnalytical;
   // Optional runtime chiplet failure; every tenant remaps independently,
   // restricted to its pool under kPartitioned. Note the fault TRANSIENT is
@@ -100,9 +92,9 @@ const char* placement_policy_name(PlacementPolicy policy);
 // options' NoP model, fault and policy, and one TenantStream per workload
 // in order, scheduled on placement.schedules[t] (so `placement` must
 // outlive the result), named "tenant<t>" when the workload is unnamed,
-// with the workload's frames, interval, deadline, priority, arrivals and
-// admission. Under kPartitioned the tenant's pool also restricts its fault
-// remap (allowed_chiplets); under shared placement any survivor may help.
+// with the workload's StreamSpec and priority. Under kPartitioned the
+// tenant's pool also restricts its fault remap (allowed_chiplets); under
+// shared placement any survivor may help.
 SimOptions fleet_sim_options(const std::vector<TenantWorkload>& tenants,
                              const TenantPlacement& placement,
                              const ServingOptions& options);

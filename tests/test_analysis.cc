@@ -222,7 +222,7 @@ TEST_F(ValidateScheduleTest, R001DisconnectedRouteIsRuntimeError) {
   // With NoP delays unmodeled the runtime never resolves routes, so the
   // same finding demotes to lint-only.
   SimOptions no_nop;
-  no_nop.model_nop_delays = false;
+  no_nop.nop_mode = NopMode::kOff;
   EXPECT_TRUE(validate(s, no_nop).has_rule(analysis::kRuleRouteUnreachable));
   EXPECT_NO_THROW(validate_or_throw(s, no_nop));
 }
@@ -258,7 +258,7 @@ TEST_F(ValidateScheduleTest, R003BadNopParamsAreInvalidArgument) {
     }
     // With NoP delays unmodeled the engine never reads the parameters.
     SimOptions no_nop;
-    no_nop.model_nop_delays = false;
+    no_nop.nop_mode = NopMode::kOff;
     EXPECT_FALSE(validate(s, no_nop).has_rule(analysis::kRuleNopParams));
     EXPECT_NO_THROW((void)simulate_schedule(s, no_nop));
   }

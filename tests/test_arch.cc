@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/chiplet.h"
@@ -230,11 +231,10 @@ TEST(MonolithicPackage, SplitsPeBudget) {
   EXPECT_EQ(four.total_pes(), 9216);
 }
 
-TEST(PackageConfig, TransferCostUsesMeshHops) {
+TEST(PackageConfig, TransferHopsUseMeshHops) {
   const PackageConfig pkg = make_simba_package();
-  const NopCost c = pkg.transfer_cost(0, 35, 1e6);
-  const NopCost expect = nop_transfer(pkg.nop(), 1e6, 10);
-  EXPECT_DOUBLE_EQ(c.latency_s, expect.latency_s);
+  EXPECT_EQ(pkg.hops_between(0, 35), 10);
+  EXPECT_EQ(pkg.hops_between(35, 0), 10);
 }
 
 TEST(PackageConfig, ChipletLookupThrowsOnBadId) {
@@ -261,9 +261,11 @@ TEST(PackageConfig, PositionOfMatchesFirstMatchScan) {
   };
   const int lo = std::numeric_limits<int>::min();
   const int hi = std::numeric_limits<int>::max();
+  // Repeated ids are refused, in the dense index and the sparse fallback.
+  EXPECT_THROW(package_with_ids({5, 3, 9, 3, 4}), std::invalid_argument);
+  EXPECT_THROW(package_with_ids({lo, hi, 0, hi}), std::invalid_argument);
   const std::vector<std::vector<int>> id_sets = {
-      {0, 1, 2, 3}, {5, 3, 9, 3, 4}, {7, -2, 0}, {0, 1000000}, {lo, hi, 0, hi},
-  };
+      {0, 1, 2, 3}, {7, -2, 0}, {0, 1000000}, {lo, 0, hi}};
   for (const std::vector<int>& ids : id_sets) {
     const PackageConfig pkg = package_with_ids(ids);
     for (const int id : {lo, lo + 1, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
@@ -280,6 +282,24 @@ TEST(PackageConfig, PositionOfMatchesFirstMatchScan) {
   EXPECT_EQ(degraded.position_of(1), -1);
   EXPECT_EQ(degraded.position_of(3), 2);
   EXPECT_THROW(degraded.chiplet(1), std::out_of_range);
+}
+
+TEST(PackageConfig, RepeatedChipletIdIsRefused) {
+  // Were id 4 both at (0,1) and at (1,1), without_chiplet(4) would remove
+  // both dies but record one failed site, leaving the other position
+  // routable.
+  const PackageConfig pkg = make_simba_package(3, 3);
+  std::vector<ChipletSpec> chiplets = pkg.chiplets();
+  ASSERT_EQ(chiplets[1].coord, (GridCoord{0, 1}));
+  ASSERT_EQ(chiplets[4].coord, (GridCoord{1, 1}));
+  chiplets[1].id = 4;
+  try {
+    const PackageConfig repeated(chiplets, pkg.nop());
+    FAIL() << "a repeated chiplet id must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("id 4"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PackageConfig, WithoutChipletRemovesOne) {
@@ -442,13 +462,13 @@ TEST(FaultRouting, CrossNpuFallbackRefusesDeadStartMirror) {
   EXPECT_THROW(degraded.hops_between(7, 0), std::runtime_error);
 }
 
-TEST(FaultRouting, DegradedTransferCostPaysDetourHops) {
+TEST(FaultRouting, DegradedTransferPaysDetourHops) {
   const PackageConfig pkg = make_simba_package();
   const PackageConfig degraded = pkg.without_chiplet(1);
   // 0 -> 2 pays 4 hops instead of 2: the analytical evaluator and the
   // contended route agree on the degraded topology.
-  EXPECT_GT(degraded.transfer_cost(0, 2, 1e6).latency_s,
-            pkg.transfer_cost(0, 2, 1e6).latency_s);
+  EXPECT_EQ(pkg.hops_between(0, 2), 2);
+  EXPECT_EQ(degraded.hops_between(0, 2), 4);
 }
 
 TEST(PackageConfig, DescribeCountsStyles) {

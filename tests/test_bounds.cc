@@ -108,14 +108,14 @@ TEST(BoundsLatencyTest, NopOffLeavesPureComputeBound) {
   s.assign(1, pkg.chiplets()[1].id);
 
   SimOptions opt;
-  opt.model_nop_delays = false;
+  opt.nop_mode = NopMode::kOff;
   const HandCosts h = hand_costs(s);
   const BoundsReport rep = compute_bounds(s, opt);
   ASSERT_EQ(rep.streams.size(), 1u);
   EXPECT_DOUBLE_EQ(rep.streams[0].latency_bound_s, h.lat0 + h.lat1);
   EXPECT_DOUBLE_EQ(rep.streams[0].bytes_per_frame, 0.0);
   EXPECT_TRUE(rep.links.empty());
-  EXPECT_FALSE(rep.nop_modeled);
+  EXPECT_EQ(rep.nop_mode, NopMode::kOff);
 }
 
 TEST(BoundsLatencyTest, BoundEqualsUncontendedFirstFrame) {
@@ -161,6 +161,33 @@ TEST(BoundsLatencyTest, StructurallyBrokenStreamIsSkipped) {
   EXPECT_TRUE(rep.streams.empty());
   EXPECT_TRUE(rep.links.empty());
   EXPECT_DOUBLE_EQ(rep.uniform_rate_bound_fps, 0.0);
+}
+
+TEST(BoundsDegraded, UnroutableStreamIsSkippedWhole) {
+  // A 1x3 row without its middle chiplet: tenant "cut" sends conv0's output
+  // from chiplet 0 to chiplet 2 across the dead router, so it is skipped
+  // with none of its links counted; tenant "local" keeps the I/O port link.
+  const PerceptionPipeline pipe = two_conv_pipeline();
+  const PackageConfig pkg = make_simba_package(1, 3).without_chiplet(1);
+  Schedule cut(pipe, pkg);
+  cut.assign(0, 0);
+  cut.assign(1, 2);
+  Schedule local(pipe, pkg);
+  local.assign(0, 0);
+  local.assign(1, 0);
+  SimOptions opt;
+  opt.nop_mode = NopMode::kContended;
+  opt.tenants.resize(2);
+  opt.tenants[0].name = "cut";
+  opt.tenants[0].schedule = &cut;
+  opt.tenants[1].name = "local";
+  opt.tenants[1].schedule = &local;
+
+  const BoundsReport rep = compute_bounds(cut, opt);
+  ASSERT_EQ(rep.streams.size(), 1u);
+  EXPECT_EQ(rep.streams[0].name, "local");
+  ASSERT_EQ(rep.links.size(), 1u);
+  EXPECT_TRUE(rep.links[0].link.is_io_port());
 }
 
 // --------------------------------------------------- arrival-rate helper

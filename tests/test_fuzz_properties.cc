@@ -1007,7 +1007,7 @@ TEST_P(FuzzSeed, ValidatorAgreesWithEngineAcceptance) {
 
     SimOptions opt;
     opt.frames = 2;
-    opt.model_nop_delays = rng.range(0, 3) != 0;
+    if (rng.range(0, 3) == 0) opt.nop_mode = NopMode::kOff;
     if (rng.range(0, 1) == 0) {  // random fault plan, sometimes nonsense
       const std::int64_t kind = rng.range(0, 3);
       opt.fault.chiplet_id =
@@ -1164,7 +1164,7 @@ TEST_P(FuzzSeed, BoundSoundness) {
                                ? 0.0
                                : static_cast<double>(rng.range(1, 50)) * 1e-5;
     if (rng.range(0, 2) == 0) opt.nop_mode = NopMode::kContended;
-    if (rng.range(0, 2) == 0) opt.model_nop_delays = false;
+    if (rng.range(0, 2) == 0) opt.nop_mode = NopMode::kOff;
 
     const analysis::BoundsReport bounds = analysis::compute_bounds(sched, opt);
     ASSERT_EQ(bounds.streams.size(), 1u);
@@ -1177,7 +1177,7 @@ TEST_P(FuzzSeed, BoundSoundness) {
 
     // (b) injection mirror: busy_s x bandwidth is the bytes the link
     // actually serialized over the run.
-    if (opt.nop_mode == NopMode::kContended && opt.model_nop_delays) {
+    if (opt.nop_mode == NopMode::kContended) {
       ASSERT_FALSE(bounds.links.empty());
       for (const analysis::LinkBound& lb : bounds.links) {
         const LinkStats* match = nullptr;

@@ -36,7 +36,7 @@ TEST(EventSim, SingleLayerMatchesCostModel) {
 
   SimOptions opt;
   opt.frames = 4;
-  opt.model_nop_delays = false;
+  opt.nop_mode = NopMode::kOff;
   const SimResult r = simulate_schedule(sched, opt);
   const double expect = analyze_layer(m.layers[0], pkg.chiplet(0).array).latency_s;
   EXPECT_NEAR(r.first_frame_latency_s, expect, expect * 1e-6);
@@ -58,7 +58,7 @@ TEST(EventSim, TwoStagePipelineOverlapsFrames) {
 
   SimOptions opt;
   opt.frames = 16;
-  opt.model_nop_delays = false;
+  opt.nop_mode = NopMode::kOff;
   const SimResult r = simulate_schedule(sched, opt);
   const double la = analyze_layer(m.layers[0], pkg.chiplet(0).array).latency_s;
   const double lb = analyze_layer(m.layers[1], pkg.chiplet(1).array).latency_s;
@@ -80,7 +80,7 @@ TEST(EventSim, SharedChipletSerializes) {
 
   SimOptions opt;
   opt.frames = 8;
-  opt.model_nop_delays = false;
+  opt.nop_mode = NopMode::kOff;
   const SimResult r = simulate_schedule(sched, opt);
   const double la = analyze_layer(m.layers[0], pkg.chiplet(0).array).latency_s;
   EXPECT_NEAR(r.steady_interval_s, 2 * la, la * 0.02);
@@ -99,7 +99,7 @@ TEST(EventSim, ShardedLayerParallelism) {
 
   SimOptions opt;
   opt.frames = 4;
-  opt.model_nop_delays = false;
+  opt.nop_mode = NopMode::kOff;
   const SimResult r = simulate_schedule(sched, opt);
   const LayerDesc quarter = shard_fraction(m.layers[0], 0.25);
   const double lq = analyze_layer(quarter, pkg.chiplet(0).array).latency_s;
@@ -582,7 +582,7 @@ TEST(EventSim, FrameAdmittedAtRecoveryInstantIsNotStranded) {
 
   SimOptions opt;
   opt.frames = 4;
-  opt.model_nop_delays = false;
+  opt.nop_mode = NopMode::kOff;
   opt.frame_interval_s = 1.0;
   opt.fault.chiplet_id = 3;
   opt.fault.fail_time_s = 0.5;
@@ -998,7 +998,7 @@ struct MiniServing {
   SimOptions base(int frames) const {
     SimOptions opt;
     opt.frames = frames;
-    opt.model_nop_delays = false;
+    opt.nop_mode = NopMode::kOff;
     return opt;
   }
 };

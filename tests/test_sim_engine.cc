@@ -531,7 +531,7 @@ TEST(SimEngineCorner, ShardedItemsWithZeroDelayArrivals) {
   SimOptions opt;
   opt.frames = 6;
   opt.frame_interval_s = 2e-5;
-  opt.model_nop_delays = false;
+  opt.nop_mode = NopMode::kOff;
 
   const SimResult r = simulate_schedule(sched, opt);
   EXPECT_EQ(r.frames_completed, opt.frames);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Fails when docs/ARCHITECTURE.md, docs/DIAGNOSTICS.md or docs/METRICS.md
-# references a source directory, file, bench target or sibling doc that no
-# longer exists, or when the rule catalogue in docs/DIAGNOSTICS.md and the
-# registry in src/analysis/rules.h list different rule IDs, so the module
-# map, rule catalogue, metric definitions and bench table cannot rot
-# silently. Run from anywhere: paths resolve relative to the repo root.
+# references a source directory, file, bench target, sibling doc or
+# `Type::member` that no longer exists, or when the rule catalogue in
+# docs/DIAGNOSTICS.md and the registry in src/analysis/rules.h list
+# different rule IDs, so the module map, rule catalogue, metric definitions
+# and bench table cannot rot silently. Run from anywhere: paths resolve
+# relative to the repo root.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -45,6 +46,17 @@ check_doc() {
     fi
   done < <(grep -oE 'bench_[a-z0-9_]+' "$doc" | sort -u)
 
+  # Every backticked `Type::member` must name a member that still appears
+  # as a word in src/ code (comments stripped), so a removed or renamed
+  # field cannot linger in the docs.
+  while IFS= read -r ref; do
+    if ! grep -qxF "${ref##*::}" <<<"$src_words"; then
+      echo "check_docs: $(basename "$doc") references missing member: $ref" >&2
+      failed=1
+    fi
+  done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' "$doc" \
+             | tr -d '`' | sort -u)
+
   # Linked sibling docs must exist (e.g. METRICS.md).
   while IFS= read -r link; do
     if [[ ! -f "$repo_root/docs/$link" ]]; then
@@ -53,6 +65,11 @@ check_doc() {
     fi
   done < <(grep -oE '\]\(([A-Za-z0-9_]+\.md)\)' "$doc" | sed 's/^](//;s/)$//' | sort -u)
 }
+
+# Every identifier of src/ code with `//` comments stripped.
+src_words="$(find "$repo_root/src" -name '*.h' -o -name '*.cc' \
+               | xargs sed -e 's://.*$::' \
+               | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)"
 
 check_doc "$repo_root/docs/ARCHITECTURE.md"
 check_doc "$repo_root/docs/DIAGNOSTICS.md"

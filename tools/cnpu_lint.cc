@@ -482,6 +482,7 @@ int main(int argc, char** argv) {
   bool self_test = false;
   bool rules = false;
   bool bounds = false;
+  bool no_nop = false;
   std::string out_path;
   SimOptions options;
   std::vector<std::string> files;
@@ -513,7 +514,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--deadline-ms") {
       options.deadline_s = std::atof(next("--deadline-ms")) * 1e-3;
     } else if (arg == "--no-nop") {
-      options.model_nop_delays = false;
+      no_nop = true;
     } else if (arg == "--bounds") {
       bounds = true;
     } else if (arg == "--contended") {
@@ -533,6 +534,8 @@ int main(int argc, char** argv) {
       files.push_back(arg);
     }
   }
+  // After parsing, so --no-nop wins over --contended in either order.
+  if (no_nop) options.nop_mode = NopMode::kOff;
 
   if (rules) {
     print_rules();
