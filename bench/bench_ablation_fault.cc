@@ -43,18 +43,10 @@ void print_tables() {
               "equivalent.\n\n");
 }
 
-void BM_DegradedMatching(benchmark::State& state) {
-  const PerceptionPipeline pipe = build_autopilot_pipeline();
-  const PackageConfig degraded = make_simba_package().without_chiplet(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(throughput_matching(pipe, degraded));
-  }
-}
-BENCHMARK(BM_DegradedMatching)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

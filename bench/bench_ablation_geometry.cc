@@ -42,19 +42,10 @@ void print_tables() {
               "rate faster than parallelism gains.\n\n");
 }
 
-void BM_GeometrySweep(benchmark::State& state) {
-  const PerceptionPipeline front = build_autopilot_front();
-  PackageDseOptions opt;
-  opt.mesh_sizes = {2, 6};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_package_dse(front, opt));
-  }
-}
-BENCHMARK(BM_GeometrySweep)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

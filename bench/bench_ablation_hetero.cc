@@ -37,16 +37,10 @@ void print_tables() {
               "WS chiplets the OS pool becomes the constraint.\n\n");
 }
 
-void BM_TrunkDseOsOnly(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_trunk_dse(TrunkDseOptions{}));
-  }
-}
-BENCHMARK(BM_TrunkDseOsOnly)->Unit(benchmark::kMillisecond)->Iterations(5);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

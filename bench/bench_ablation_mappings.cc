@@ -61,17 +61,10 @@ void print_tables() {
               "kernels and token ops, supporting the paper's OS/WS focus.\n\n");
 }
 
-void BM_MappingAnalysis(benchmark::State& state) {
-  const MappingSpec spec = shidiannao_mapping();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyze_mapping(kProbes[1].layer, spec));
-  }
-}
-BENCHMARK(BM_MappingAnalysis)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

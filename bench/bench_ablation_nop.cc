@@ -39,16 +39,10 @@ void print_tables() {
               "below compute; the claim is robust down to ~1/16 of that.\n\n");
 }
 
-void BM_NopSweepPoint(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_with_bw(100.0));
-  }
-}
-BENCHMARK(BM_NopSweepPoint)->Unit(benchmark::kMillisecond)->Iterations(5);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

@@ -50,20 +50,10 @@ void print_tables() {
               "(the paper's sharding contribution)\n\n", q / m);
 }
 
-void BM_QuadrantOnly(benchmark::State& state) {
-  const PerceptionPipeline pipe = build_autopilot_pipeline();
-  const PackageConfig pkg = make_simba_package();
-  for (auto _ : state) {
-    Schedule s(pipe, pkg);
-    initial_quadrant_assignment(s, partition_quadrants(pkg));
-    benchmark::DoNotOptimize(evaluate_schedule(s));
-  }
-}
-BENCHMARK(BM_QuadrantOnly)->Unit(benchmark::kMillisecond)->Iterations(10);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

@@ -32,20 +32,10 @@ void print_tables() {
   std::printf("%s\n", t.to_string().c_str());
 }
 
-void BM_MatchTightTolerance(benchmark::State& state) {
-  const PerceptionPipeline pipe = build_autopilot_pipeline();
-  const PackageConfig pkg = make_simba_package();
-  MatchOptions opt;
-  opt.tolerance = 0.02;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(throughput_matching(pipe, pkg, opt));
-  }
-}
-BENCHMARK(BM_MatchTightTolerance)->Unit(benchmark::kMillisecond)->Iterations(5);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cmath>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/bounds.h"
@@ -302,30 +301,10 @@ void print_tables() {
   run_prune_demo();
 }
 
-void BM_ComputeBounds(benchmark::State& state) {
-  const PerceptionPipeline pipe = build_autopilot_pipeline();
-  const PackageConfig pkg = make_simba_package();
-  const MatchResult r = throughput_matching(pipe, pkg);
-  SimOptions opt;
-  opt.nop_mode = NopMode::kContended;
-  opt.frame_interval_s = 1.0 / 30.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::compute_bounds(r.schedule, opt));
-  }
-}
-BENCHMARK(BM_ComputeBounds)->Unit(benchmark::kMillisecond)->Iterations(20);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      // CI path (a CTest `integration` test): reduced grid, no timings.
-      cnpu::g_smoke = true;
-      cnpu::print_tables();
-      return 0;
-    }
-  }
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::g_smoke = cnpu::bench::read_args(argc, argv, /*smoke_run=*/true);
+  cnpu::print_tables();
 }

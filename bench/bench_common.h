@@ -1,13 +1,12 @@
 // Shared helpers for the bench binaries that regenerate the paper's tables
-// and figures. Each binary prints its table(s) on stdout, then runs a small
-// set of google-benchmark timings of the underlying computation.
+// and figures. Each binary prints its table(s) on stdout and exits non-zero
+// when one of its checks fails.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "exp/sweep_runner.h"
 
@@ -62,14 +61,22 @@ inline void require_all_ok(const SweepResult& sweep) {
   std::exit(1);
 }
 
-// Prints tables first, then runs registered google-benchmark timings.
-inline int run(int argc, char** argv, void (*print_tables)()) {
-  print_tables();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+// Reads a bench's command line and returns whether `--smoke` was given.
+// No argument runs the full reproduction; `--smoke` (the reduced CTest run)
+// is accepted only by a bench that has one (`smoke_run`). Any other
+// argument exits 2.
+inline bool read_args(int argc, char** argv, bool smoke_run = false) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (smoke_run && std::string_view(argv[i]) == "--smoke") {
+      smoke = true;
+      continue;
+    }
+    std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
+    if (smoke_run) std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
+    std::exit(2);
+  }
+  return smoke;
 }
 
 }  // namespace cnpu::bench

@@ -16,23 +16,16 @@
 //  2. Injection-rate x mesh-size sweep on the SweepRunner grid, emitting
 //     CSV/JSON artifacts with per-point contended vs analytical steady
 //     intervals, p99 latency, and peak link utilization.
-//
-// Also hosts the event-sim microbench: the dense per-chiplet ready-heaps
-// replaced an O(queue) linear scan per dispatch; the 36-chiplet x 64-frame
-// matched-autopilot stream dropped from ~7.8 s to ~10 ms per simulation.
 #include <cstdio>
 #include <string>
-#include <string_view>
 
 #include "bench_common.h"
 #include "core/baselines.h"
-#include "core/throughput_matching.h"
 #include "exp/sweep_runner.h"
 #include "sim/event_sim.h"
 #include "util/csv.h"
 #include "util/strings.h"
 #include "util/table.h"
-#include "workloads/autopilot.h"
 #include "workloads/zoo.h"
 
 namespace cnpu {
@@ -170,38 +163,9 @@ void print_tables(bool smoke) {
   print_sweep(smoke);
 }
 
-// Microbench for the dense ready-heap dispatch path (formerly an O(queue)
-// linear scan: ~7.8 s per simulation on this exact workload).
-void BM_EventSim36Chiplet64Frames(benchmark::State& state) {
-  const PerceptionPipeline pipe = build_autopilot_pipeline();
-  const PackageConfig pkg = make_simba_package();
-  const MatchResult match = throughput_matching(pipe, pkg);
-  SimOptions opt;
-  opt.frames = 64;
-  opt.nop_mode =
-      state.range(0) == 0 ? NopMode::kAnalytical : NopMode::kContended;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate_schedule(match.schedule, opt));
-  }
-}
-BENCHMARK(BM_EventSim36Chiplet64Frames)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("contended")
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(5);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      // CI path (a CTest `integration` test): reduced grid, no timings.
-      cnpu::print_tables(true);
-      return 0;
-    }
-  }
-  return cnpu::bench::run(argc, argv,
-                          +[] { cnpu::print_tables(false); });
+  cnpu::print_tables(cnpu::bench::read_args(argc, argv, /*smoke_run=*/true));
 }

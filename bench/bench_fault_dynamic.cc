@@ -20,14 +20,10 @@
 //  3. Fail-time x reschedule-penalty sweep on the fault-probe workload
 //     (SweepRunner grid, CSV/JSON artifacts) showing how drop counts and
 //     peak latency scale with detection/reconfiguration cost.
-//
-// Also hosts the fault-path microbench: a full 36-chiplet fault + remap +
-// recovery stream per iteration.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <string_view>
 
 #include "bench_common.h"
 #include "core/baselines.h"
@@ -222,44 +218,9 @@ void print_tables(bool smoke) {
   print_sweep(smoke);
 }
 
-// Full fault + flush + remap + recovery stream on the matched 36-chiplet
-// autopilot schedule, per iteration.
-void BM_FaultRecoveryStream(benchmark::State& state) {
-  const PerceptionPipeline pipe = build_autopilot_pipeline();
-  const PackageConfig pkg = make_simba_package();
-  const MatchResult match = throughput_matching(pipe, pkg);
-  SimOptions opt;
-  opt.frames = 64;
-  opt.frame_interval_s = match.metrics.pipe_s * 1.25;
-  opt.fault.chiplet_id = busiest_non_io_chiplet(match.metrics, pkg);
-  opt.fault.fail_time_s = 16 * opt.frame_interval_s;
-  opt.fault.recover_time_s = 32 * opt.frame_interval_s;
-  opt.fault.reschedule_penalty_s = opt.frame_interval_s;
-  opt.nop_mode =
-      state.range(0) == 0 ? NopMode::kAnalytical : NopMode::kContended;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate_schedule(match.schedule, opt));
-  }
-}
-BENCHMARK(BM_FaultRecoveryStream)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("contended")
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(5);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      // CI path (a CTest `integration` test): reduced stream/grid, no
-      // timings; still enforces the degradation acceptance checks.
-      cnpu::print_tables(true);
-      return 0;
-    }
-  }
-  return cnpu::bench::run(argc, argv,
-                          +[] { cnpu::print_tables(false); });
+  cnpu::print_tables(cnpu::bench::read_args(argc, argv, /*smoke_run=*/true));
 }

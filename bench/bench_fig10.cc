@@ -33,16 +33,10 @@ void print_tables() {
               "(~2x the 36-chiplet case), chiplets remaining 27 -> 10\n\n");
 }
 
-void BM_ScaleOut(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scale_out_two_npus());
-  }
-}
-BENCHMARK(BM_ScaleOut)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

@@ -35,16 +35,10 @@ void print_tables() {
               max_feasible_context(points) * 100.0);
 }
 
-void BM_LaneContextSweep(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sweep());
-  }
-}
-BENCHMARK(BM_LaneContextSweep)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

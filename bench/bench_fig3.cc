@@ -84,16 +84,10 @@ void print_tables() {
               ws_e_f / os_e_f);
 }
 
-void BM_ComponentBreakdown(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(component_costs());
-  }
-}
-BENCHMARK(BM_ComponentBreakdown)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

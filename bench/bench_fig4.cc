@@ -67,18 +67,10 @@ void print_tables() {
   print_group("Trunks (bot)", trunks);
 }
 
-void BM_AffinitySweep(benchmark::State& state) {
-  const AutopilotConfig cfg;
-  const Model fe = build_fe_bfpn_model("FE", cfg.fe, cfg.bifpn);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(affinities(fe));
-  }
-}
-BENCHMARK(BM_AffinitySweep)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

@@ -205,18 +205,10 @@ void print_tables() {
   print_sweep_comparison();
 }
 
-void BM_ThroughputMatching(benchmark::State& state) {
-  const PerceptionPipeline pipe = build_autopilot_pipeline();
-  const PackageConfig pkg = make_simba_package();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(throughput_matching(pipe, pkg));
-  }
-}
-BENCHMARK(BM_ThroughputMatching)->Unit(benchmark::kMillisecond)->Iterations(5);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

@@ -83,19 +83,10 @@ void print_tables() {
               "hundreds of ms of compute); same holds here.\n\n");
 }
 
-void BM_NopEvaluation(benchmark::State& state) {
-  const PerceptionPipeline pipe = build_autopilot_front();
-  const PackageConfig pkg = make_simba_package();
-  const MatchResult r = throughput_matching(pipe, pkg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluate_schedule(r.schedule));
-  }
-}
-BENCHMARK(BM_NopEvaluation)->Unit(benchmark::kMillisecond)->Iterations(10);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

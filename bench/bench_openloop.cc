@@ -302,41 +302,9 @@ void print_tables(bool smoke) {
   print_closed_loop_guard(s, smoke);
 }
 
-// Microbench: open-loop serving cost with and without admission control.
-void BM_OpenLoopServe(benchmark::State& state) {
-  const Scenario s;
-  AdmissionControl ac;
-  if (state.range(0) == 1) {
-    ac.queue_capacity = 4;
-    ac.policy = ShedPolicy::kDropOldest;
-    ac.shed_expired = true;
-  }
-  const std::vector<TenantWorkload> fleet = make_open_fleet(
-      s.pipe, 32, 1.5 / s.healthy, s.healthy * 4.0, ac);
-  ServingOptions opt;
-  opt.policy = PlacementPolicy::kPartitioned;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(serve_tenants(s.pkg, fleet, opt));
-  }
-}
-BENCHMARK(BM_OpenLoopServe)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("shed")
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(5);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      // CI path (a CTest `integration` test): reduced grid, no timings.
-      cnpu::print_tables(true);
-      return 0;
-    }
-  }
-  return cnpu::bench::run(argc, argv,
-                          +[] { cnpu::print_tables(false); });
+  cnpu::print_tables(cnpu::bench::read_args(argc, argv, /*smoke_run=*/true));
 }

@@ -23,14 +23,10 @@
 //  3. Capacity x tenant-count sweep (CSV/JSON artifacts) — which fleet
 //     sizes fit at which per-chiplet weight capacities, and what the
 //     fault-reload tail costs where they do.
-//
-// Also hosts the reload-path microbench: a full fault + remap + reload
-// stream with the memory model active, per iteration.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -330,50 +326,9 @@ void print_tables(bool smoke) {
   print_sweep(smoke);
 }
 
-// Full fault + remap + weight-reload stream with the memory model active,
-// per iteration.
-void BM_ReloadFaultStream(benchmark::State& state) {
-  const PerceptionPipeline pipe = build_fault_probe_pipeline(7);
-  PackageConfig pkg = make_simba_package(2, 4);
-  MemorySpec mem = make_calibrated_memory();
-  mem.reload_bandwidth_bytes_per_s = kFiniteReloadBw;
-  pkg.set_memory(mem);
-  const Schedule sched = build_chainwise_schedule(pipe, pkg);
-  SimOptions burst;
-  burst.frames = 8;
-  SimOptions opt;
-  opt.frames = 64;
-  opt.frame_interval_s =
-      simulate_schedule(sched, burst).steady_interval_s * 1.3;
-  opt.fault.chiplet_id = 5;
-  opt.fault.fail_time_s = 16 * opt.frame_interval_s;
-  opt.fault.recover_time_s = 32 * opt.frame_interval_s;
-  opt.fault.reschedule_penalty_s = opt.frame_interval_s;
-  opt.nop_mode =
-      state.range(0) == 0 ? NopMode::kAnalytical : NopMode::kContended;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate_schedule(sched, opt));
-  }
-}
-BENCHMARK(BM_ReloadFaultStream)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("contended")
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(5);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      // CI path (a CTest `integration` test): reduced stream/grid, no
-      // timings; still enforces every acceptance check above.
-      cnpu::print_tables(true);
-      return 0;
-    }
-  }
-  return cnpu::bench::run(argc, argv,
-                          +[] { cnpu::print_tables(false); });
+  cnpu::print_tables(cnpu::bench::read_args(argc, argv, /*smoke_run=*/true));
 }

@@ -102,17 +102,10 @@ void print_tables() {
               "pixels and the base latency with it).\n\n");
 }
 
-void BM_SensitivityPoint(benchmark::State& state) {
-  AutopilotConfig cfg;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_point(cfg));
-  }
-}
-BENCHMARK(BM_SensitivityPoint)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

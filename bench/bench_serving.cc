@@ -21,7 +21,6 @@
 //     batches through the sweep engine.
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -276,39 +275,9 @@ void print_tables(bool smoke) {
   print_sustainable_load(s, smoke);
 }
 
-// Microbench: the co-simulation cost of a 4-tenant stream vs policies.
-void BM_ServeTenants(benchmark::State& state) {
-  const PackageConfig pkg = make_simba_package(4, 4);
-  const PerceptionPipeline pipe =
-      build_fault_probe_pipeline(kCamerasPerTenant);
-  const double healthy = quadrant_steady_s(pipe, pkg);
-  const std::vector<TenantWorkload> fleet =
-      make_fleet(pipe, 32, healthy * 1.5, healthy * 4.0);
-  ServingOptions opt;
-  opt.policy = state.range(0) == 0 ? PlacementPolicy::kShared
-                                   : PlacementPolicy::kPartitioned;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(serve_tenants(pkg, fleet, opt));
-  }
-}
-BENCHMARK(BM_ServeTenants)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("partitioned")
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(5);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      // CI path (a CTest `integration` test): reduced grid, no timings.
-      cnpu::print_tables(true);
-      return 0;
-    }
-  }
-  return cnpu::bench::run(argc, argv,
-                          +[] { cnpu::print_tables(false); });
+  cnpu::print_tables(cnpu::bench::read_args(argc, argv, /*smoke_run=*/true));
 }

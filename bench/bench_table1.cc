@@ -61,16 +61,10 @@ void print_tables() {
               "(see EXPERIMENTS.md).\n\n");
 }
 
-void BM_TrunkDseHet2(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dse(2));
-  }
-}
-BENCHMARK(BM_TrunkDseHet2)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

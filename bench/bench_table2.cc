@@ -142,19 +142,10 @@ void print_tables() {
               max_util * 100.0);
 }
 
-void BM_BaselineEvaluation(benchmark::State& state) {
-  const PerceptionPipeline front = build_autopilot_front();
-  const PackageConfig pkg = make_monolithic_package(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_baseline(front, pkg, PipelineMode::kLayerwise, "x"));
-  }
-}
-BENCHMARK(BM_BaselineEvaluation)->Unit(benchmark::kMillisecond)->Iterations(10);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

@@ -60,16 +60,10 @@ void print_tables() {
               last / sweep.back().e2e_ms * 100.0);
 }
 
-void BM_OccupancySweep(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(occupancy_sweep());
-  }
-}
-BENCHMARK(BM_OccupancySweep)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

@@ -35,20 +35,10 @@ void print_tables() {
   std::printf("%s\n", t.to_string().c_str());
 }
 
-void BM_ZooScheduling(benchmark::State& state) {
-  const auto zoo = workload_zoo();
-  const PackageConfig pkg = make_simba_package();
-  for (auto _ : state) {
-    PerceptionPipeline pipe;
-    pipe.stages.push_back(Stage{"NET", {{zoo[0].model, false}}});
-    benchmark::DoNotOptimize(throughput_matching(pipe, pkg));
-  }
-}
-BENCHMARK(BM_ZooScheduling)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 }  // namespace cnpu
 
 int main(int argc, char** argv) {
-  return cnpu::bench::run(argc, argv, cnpu::print_tables);
+  cnpu::bench::read_args(argc, argv);
+  cnpu::print_tables();
 }

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Fails when docs/ARCHITECTURE.md, docs/DIAGNOSTICS.md or docs/METRICS.md
-# references a source directory, file, bench target, sibling doc or
-# `Type::member` that no longer exists, or when the rule catalogue in
-# docs/DIAGNOSTICS.md and the registry in src/analysis/rules.h list
-# different rule IDs, so the module map, rule catalogue, metric definitions
-# and bench table cannot rot silently. Run from anywhere: paths resolve
-# relative to the repo root.
+# references a source directory, file, sibling doc or `Type::member` that no
+# longer exists; when any of those, README.md or the verify skill
+# (.claude/skills/verify/SKILL.md) names a bench target, bench or example
+# binary that has no source, or passes a bench a flag other than --smoke;
+# or when the rule catalogue in docs/DIAGNOSTICS.md and the registry in
+# src/analysis/rules.h list different rule IDs. So the module map, rule
+# catalogue, metric definitions, bench table and quoted commands cannot rot
+# silently. Run from anywhere: paths resolve relative to the repo root.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -13,12 +15,6 @@ failed=0
 
 check_doc() {
   local doc="$1"
-
-  if [[ ! -f "$doc" ]]; then
-    echo "check_docs: missing $doc" >&2
-    failed=1
-    return
-  fi
 
   # Every `src/<dir>/`, `tests/`, `bench/`, ... style directory reference
   # (directory references end with a slash; `src/foo/bar.h` is a file ref).
@@ -37,14 +33,6 @@ check_doc() {
       failed=1
     fi
   done < <(grep -oE '(src|tests|bench|examples|tools)/[A-Za-z0-9_/-]+\.[a-z]+' "$doc" | sort -u)
-
-  # Every `bench_<name>` token must be a real bench target (a bench/ source).
-  while IFS= read -r target; do
-    if [[ ! -f "$repo_root/bench/$target.cc" ]]; then
-      echo "check_docs: $(basename "$doc") references missing bench target: $target" >&2
-      failed=1
-    fi
-  done < <(grep -oE 'bench_[a-z0-9_]+' "$doc" | sort -u)
 
   # Every backticked `Type::member` must name a member that still appears
   # as a word in src/ code (comments stripped), so a removed or renamed
@@ -66,14 +54,61 @@ check_doc() {
   done < <(grep -oE '\]\(([A-Za-z0-9_]+\.md)\)' "$doc" | sed 's/^](//;s/)$//' | sort -u)
 }
 
+# Bench and example names and the commands that run them.
+check_commands() {
+  local doc="$1" name target path dir cmd flag
+  name="$(basename "$doc")"
+
+  # Every `bench_<name>` word must be a bench target (a bench/ source) or
+  # the bench_all aggregate; words like .bench_build or
+  # check_perfbench_digests are not bench names.
+  while IFS= read -r target; do
+    if [[ "$target" != bench_all && ! -f "$repo_root/bench/$target.cc" ]]; then
+      echo "check_docs: $name references missing bench target: $target" >&2
+      failed=1
+    fi
+  done < <(grep -oE '[A-Za-z0-9_.]*bench_[a-z0-9_]+' "$doc" | grep -E '^bench_' | sort -u)
+
+  # Every ./build/bench/<name> and ./build/examples/<name> binary must be
+  # built from bench/<name>.cc or examples/<name>.cc.
+  while IFS= read -r path; do
+    dir="${path#./build/}"
+    dir="${dir%%/*}"
+    if [[ ! -f "$repo_root/$dir/${path##*/}.cc" ]]; then
+      echo "check_docs: $name runs a binary with no source: $path" >&2
+      failed=1
+    fi
+  done < <(grep -oE '\./build/(bench|examples)/[A-Za-z0-9_]+' "$doc" | sort -u)
+
+  # A bench takes no flag but --smoke (bench::read_args exits 2 on any
+  # other argument).
+  while IFS= read -r cmd; do
+    for flag in $(grep -oE ' -[^ ]*' <<<"$cmd"); do
+      if [[ "$flag" != --smoke ]]; then
+        echo "check_docs: $name passes $flag to a bench: $cmd" >&2
+        failed=1
+      fi
+    done
+  done < <(grep -oE '\./build/bench/[A-Za-z0-9_]+( +-[^ `#]*)*' "$doc" | sort -u)
+}
+
 # Every identifier of src/ code with `//` comments stripped.
 src_words="$(find "$repo_root/src" -name '*.h' -o -name '*.cc' \
                | xargs sed -e 's://.*$::' \
                | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)"
 
-check_doc "$repo_root/docs/ARCHITECTURE.md"
-check_doc "$repo_root/docs/DIAGNOSTICS.md"
-check_doc "$repo_root/docs/METRICS.md"
+for doc in docs/ARCHITECTURE.md docs/DIAGNOSTICS.md docs/METRICS.md \
+           README.md .claude/skills/verify/SKILL.md; do
+  if [[ ! -f "$repo_root/$doc" ]]; then
+    echo "check_docs: missing $doc" >&2
+    failed=1
+    continue
+  fi
+  if [[ "$doc" == docs/* ]]; then
+    check_doc "$repo_root/$doc"
+  fi
+  check_commands "$repo_root/$doc"
+done
 
 # The rule catalogue table lists exactly the IDs src/analysis/rules.h
 # registers: a rule added or retired on one side only fails here.

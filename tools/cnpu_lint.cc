@@ -13,7 +13,11 @@
 // configurations through an export/import round trip, and checks each is
 // flagged with exactly the expected rule ID. CI runs it under Release and
 // ASan and uploads the --out artifact.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -81,6 +85,36 @@ void print_usage(std::FILE* out) {
       "With several bundles the exit code is the worst across files; a\n"
       "malformed file is reported and linting continues.\n",
       out);
+}
+
+// Rejects a malformed numeric flag value: exit 2, naming the flag.
+[[noreturn]] void bad_value(const char* flag, const char* need,
+                            const char* text) {
+  std::fprintf(stderr, "cnpu_lint: %s needs %s, got '%s'\n", flag, need, text);
+  std::exit(2);
+}
+
+// --frames: the whole token must be an integer >= 1.
+int parse_frames(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 1 || v > INT_MAX) {
+    bad_value("--frames", "an integer >= 1", text);
+  }
+  return static_cast<int>(v);
+}
+
+// The whole token must be a finite, in-range number above zero.
+double parse_positive(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v <= 0.0) {
+    bad_value(flag, "a positive number", text);
+  }
+  return v;
 }
 
 void print_rules() {
@@ -510,9 +544,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_path = next("--out");
     } else if (arg == "--frames") {
-      options.frames = std::atoi(next("--frames"));
+      options.frames = parse_frames(next("--frames"));
     } else if (arg == "--deadline-ms") {
-      options.deadline_s = std::atof(next("--deadline-ms")) * 1e-3;
+      options.deadline_s =
+          parse_positive("--deadline-ms", next("--deadline-ms")) * 1e-3;
     } else if (arg == "--no-nop") {
       no_nop = true;
     } else if (arg == "--bounds") {
@@ -520,12 +555,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--contended") {
       options.nop_mode = NopMode::kContended;
     } else if (arg == "--rate-fps") {
-      const double fps = std::atof(next("--rate-fps"));
-      if (!(fps > 0.0)) {
-        std::fprintf(stderr, "cnpu_lint: --rate-fps needs a positive rate\n");
-        return 2;
-      }
-      options.frame_interval_s = 1.0 / fps;
+      options.frame_interval_s =
+          1.0 / parse_positive("--rate-fps", next("--rate-fps"));
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "cnpu_lint: unknown option %s\n", arg.c_str());
       print_usage(stderr);
