@@ -23,6 +23,7 @@
 // "pruned: ..." verdicts included) via CNPU_ARTIFACT_DIR.
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -169,13 +170,32 @@ SimOptions prune_point_options(const SweepPoint& p) {
   return opt;
 }
 
+// One demo point's design. The schedule references the pipeline and the
+// package, so a design is built in place and never moved.
+struct PruneDesign {
+  explicit PruneDesign(const SweepPoint& p)
+      : pipe(build_fanin_pipeline(static_cast<int>(p.int_at("cameras")))),
+        pkg(make_simba_package()),
+        sched(build_fanin_schedule(pipe, pkg)) {}
+  const PerceptionPipeline pipe;
+  const PackageConfig pkg;
+  const Schedule sched;
+};
+
+// One slot per point index. In the pruned sweep the predicate builds the
+// point's design and the evaluation reuses it and then releases it, so a
+// surviving point is built once; the full sweep has no predicate, and its
+// evaluation builds the design itself. A point's predicate and evaluation
+// run on one worker, and each index is its own slot. Sized by
+// run_prune_demo.
+std::vector<std::unique_ptr<PruneDesign>> g_prune_designs;
+
 SweepRecord prune_point_eval(const SweepPoint& p) {
-  // The pipeline must outlive the schedule (which references it).
-  const PerceptionPipeline pipe =
-      build_fanin_pipeline(static_cast<int>(p.int_at("cameras")));
-  const PackageConfig pkg = make_simba_package();
-  const Schedule sched = build_fanin_schedule(pipe, pkg);
-  const SimResult sim = simulate_schedule(sched, prune_point_options(p));
+  std::unique_ptr<PruneDesign> design =
+      std::move(g_prune_designs[static_cast<std::size_t>(p.index)]);
+  if (design == nullptr) design = std::make_unique<PruneDesign>(p);
+  const SimResult sim =
+      simulate_schedule(design->sched, prune_point_options(p));
   SweepRecord rec;
   rec.set("p99_ms", sim.p99_latency_s * 1e3)
       .set("deadline_misses", static_cast<double>(sim.deadline_miss_frames))
@@ -184,18 +204,18 @@ SweepRecord prune_point_eval(const SweepPoint& p) {
 }
 
 std::string prune_predicate(const SweepPoint& p) {
-  const PerceptionPipeline pipe =
-      build_fanin_pipeline(static_cast<int>(p.int_at("cameras")));
-  const PackageConfig pkg = make_simba_package();
-  const Schedule sched = build_fanin_schedule(pipe, pkg);
+  std::unique_ptr<PruneDesign>& design =
+      g_prune_designs[static_cast<std::size_t>(p.index)];
+  design = std::make_unique<PruneDesign>(p);
   const analysis::BoundsReport bounds =
-      analysis::compute_bounds(sched, prune_point_options(p));
+      analysis::compute_bounds(design->sched, prune_point_options(p));
   const analysis::StreamBound& s = bounds.streams.front();
   if (s.deadline_infeasible) {
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "bound %.4g ms > deadline %.4g ms (P001)",
                   s.latency_bound_s * 1e3, s.deadline_s * 1e3);
+    design.reset();  // pruned: the evaluation never runs
     return buf;
   }
   return "";
@@ -211,6 +231,7 @@ constexpr double kMinTimingMs = 400.0;
 void run_prune_demo() {
   using clock = std::chrono::steady_clock;
   const SweepSpec spec = prune_spec();
+  g_prune_designs.resize(static_cast<std::size_t>(spec.num_points()));
   // Serial: the ratio compares per-point work, not thread-pool start-up.
   const SweepRunner runner(SweepOptions{1});
 

@@ -70,21 +70,22 @@ StreamContribution price_stream(const StreamView& v, std::string locus,
   // one-message-per-shard fraction-scaled routing. Every pair routes here:
   // route and hop count come from one walk, so critical_path_s above has
   // already thrown for an unroutable one.
-  auto add_route = [&](const std::vector<NopLink>& route, double bytes) {
+  std::vector<NopLink> route;  // the route walk's buffer
+  auto add_route = [&](double bytes) {
     for (const NopLink& l : route) out.link_bytes[l] += bytes;
   };
   if (nop) {
     for_each_schedule_edge(
         s,
         [&](int item) {
-          add_route(pkg.route_from_io(s.placement(item).primary_chiplet()),
-                    kCameraInputBytes);
+          pkg.route_from_io(s.placement(item).primary_chiplet(), route);
+          add_route(kCameraInputBytes);
         },
         [&](int producer, int consumer, double bytes) {
           const int dst = s.placement(consumer).primary_chiplet();
           for (const ShardAssignment& sh : s.placement(producer).shards) {
-            add_route(pkg.route_between(sh.chiplet_id, dst),
-                      sh.fraction * bytes);
+            pkg.route_between(sh.chiplet_id, dst, route);
+            add_route(sh.fraction * bytes);
           }
         });
   }

@@ -270,22 +270,20 @@ int PackageConfig::hops_from_io(int chiplet_id) const {
   return hops;
 }
 
-std::vector<NopLink> PackageConfig::route_between(int chiplet_a,
-                                                  int chiplet_b) const {
-  std::vector<NopLink> route;
-  if (chiplet_a == chiplet_b) return route;
+void PackageConfig::route_between(int chiplet_a, int chiplet_b,
+                                  std::vector<NopLink>& out) const {
+  out.clear();
+  if (chiplet_a == chiplet_b) return;
   const ChipletSpec& a = chiplet(chiplet_a);
   const ChipletSpec& b = chiplet(chiplet_b);
-  walk_route(&a, b, [&route](const NopLink& link) { route.push_back(link); });
-  return route;
+  walk_route(&a, b, [&out](const NopLink& link) { out.push_back(link); });
 }
 
-std::vector<NopLink> PackageConfig::route_from_io(int chiplet_id) const {
+void PackageConfig::route_from_io(int chiplet_id,
+                                  std::vector<NopLink>& out) const {
+  out.clear();
   const ChipletSpec& c = chiplet(chiplet_id);
-  std::vector<NopLink> route;
-  walk_route(nullptr, c,
-             [&route](const NopLink& link) { route.push_back(link); });
-  return route;
+  walk_route(nullptr, c, [&out](const NopLink& link) { out.push_back(link); });
 }
 
 std::string NopLink::describe() const {

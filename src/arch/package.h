@@ -99,14 +99,18 @@ class PackageConfig {
   // route never touches a failed position: when the straight XY walk would
   // cross one, a shortest detour (BFS over the surviving routers,
   // column-first neighbor order for determinism) is taken instead; throws
-  // std::runtime_error when no detour exists.
-  std::vector<NopLink> route_between(int chiplet_a, int chiplet_b) const;
+  // std::runtime_error when no detour exists. The route is written into
+  // `out`, which is cleared first and keeps its capacity, so a caller
+  // walking many routes reuses one buffer.
+  void route_between(int chiplet_a, int chiplet_b,
+                     std::vector<NopLink>& out) const;
   // Route of a sensor/DRAM ingress transfer: the XY path from the single
   // physical west-edge I/O port across NPU 0's mesh (its first link is the
   // shared ingress bottleneck every camera frame crosses, whatever the
   // destination NPU), then substrate crossings into the chiplet's NPU.
-  // Length equals hops_from_io(chiplet_id).
-  std::vector<NopLink> route_from_io(int chiplet_id) const;
+  // Length equals hops_from_io(chiplet_id). Written into `out` as
+  // route_between's is.
+  void route_from_io(int chiplet_id, std::vector<NopLink>& out) const;
 
   int inter_npu_hops() const { return inter_npu_hops_; }
   void set_inter_npu_hops(int hops) { inter_npu_hops_ = hops; }

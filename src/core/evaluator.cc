@@ -144,19 +144,43 @@ ScheduleMetrics evaluate_schedule(const Schedule& s) {
 }
 
 ScheduleMetrics aggregate_schedule(ShardCostTable& costs) {
+  ScheduleMetrics m;
+  aggregate_schedule(costs, m);
+  return m;
+}
+
+void aggregate_schedule(ShardCostTable& costs, ScheduleMetrics& m) {
   const Schedule& s = costs.schedule();
   const PerceptionPipeline& pipe = s.pipeline();
   const PackageConfig& pkg = s.package();
   const int num_stages = pipe.num_stages();
+  const std::size_t ns = static_cast<std::size_t>(num_stages);
 
-  ScheduleMetrics m;
-  m.stages.resize(static_cast<std::size_t>(num_stages));
+  m.stages.resize(ns);
+  for (std::size_t st = 0; st < ns; ++st) {
+    StageMetrics& sm = m.stages[st];
+    sm.name = pipe.stages[st].name;
+    sm.e2e_s = 0.0;
+    sm.pipe_s = 0.0;
+    sm.compute_energy_j = 0.0;
+    sm.nop = NopCost{};
+    sm.chiplets_used = 0;
+  }
   m.chiplets.resize(static_cast<std::size_t>(pkg.num_chiplets()));
   for (int c = 0; c < pkg.num_chiplets(); ++c) {
-    m.chiplets[static_cast<std::size_t>(c)].chiplet_id = pkg.chiplets()[static_cast<std::size_t>(c)].id;
-    m.chiplets[static_cast<std::size_t>(c)].stage_busy_s.assign(
-        static_cast<std::size_t>(num_stages), 0.0);
+    ChipletUsage& u = m.chiplets[static_cast<std::size_t>(c)];
+    u.chiplet_id = pkg.chiplets()[static_cast<std::size_t>(c)].id;
+    u.busy_s = 0.0;
+    u.macs = 0.0;
+    u.energy_j = 0.0;
+    u.stage_busy_s.assign(ns, 0.0);
   }
+  m.e2e_s = 0.0;
+  m.pipe_s = 0.0;
+  m.compute_energy_j = 0.0;
+  m.nop = NopCost{};
+  m.total_macs = 0.0;
+  m.utilization = 0.0;
 
   // Pass 1: shard costs -> chiplet usage + compute energy.
   for (int i = 0; i < s.num_items(); ++i) {
@@ -178,7 +202,6 @@ ScheduleMetrics aggregate_schedule(ShardCostTable& costs) {
   for (int st = 0; st < num_stages; ++st) {
     const Stage& stage = pipe.stages[static_cast<std::size_t>(st)];
     StageMetrics& sm = m.stages[static_cast<std::size_t>(st)];
-    sm.name = stage.name;
 
     double prefix_chain = 0.0;
     double max_parallel_chain = 0.0;
@@ -272,7 +295,6 @@ ScheduleMetrics aggregate_schedule(ShardCostTable& costs) {
                           ? cal::kFrequencyHz
                           : pkg.chiplets().front().array.frequency_hz;
   m.utilization = pe_seconds > 0.0 ? m.total_macs / (pe_seconds * freq) : 0.0;
-  return m;
 }
 
 int ScheduleMetrics::chiplets_used() const {

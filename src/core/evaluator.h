@@ -166,7 +166,10 @@ class ShardCostTable {
 // The aggregation half of evaluate_schedule: one pass that sums the table
 // in item order, then the NoP edges in edge order, pricing the stage input
 // edges and any chain edge the table has not priced yet. The only
-// aggregation path.
+// aggregation path. It writes into `m`, reusing its vectors.
+void aggregate_schedule(ShardCostTable& costs, ScheduleMetrics& m);
+
+// aggregate_schedule into a fresh ScheduleMetrics.
 ScheduleMetrics aggregate_schedule(ShardCostTable& costs);
 
 // aggregate_schedule(ShardCostTable(s)).

@@ -117,7 +117,8 @@ void for_each_unplaced(const Schedule& s, BadFn&& bad) {
 // every inter-item edge with the payload bytes the producer emits.
 // Enumeration order is the simulator's wiring order — note it is NOT
 // topological (a stage's prefix model may be enumerated after the models
-// that consume its output).
+// that consume its output). Each producer's edges do come in increasing
+// consumer order, which the simulator's fan-out relies on.
 template <typename IngressFn, typename EdgeFn>
 void for_each_schedule_edge(const Schedule& s, IngressFn&& ingress,
                             EdgeFn&& edge) {
@@ -145,7 +146,7 @@ void for_each_schedule_edge(const Schedule& s, IngressFn&& ingress,
         }
       }
       const bool receives_stage_input =
-          sm.prefix || stage.prefix_models().empty();
+          sm.prefix || stage.num_prefix_models() == 0;
       if (st > 0 && receives_stage_input) {
         const Stage& prev = pipe.stages[static_cast<std::size_t>(st - 1)];
         for (int pm = 0; pm < prev.num_models(); ++pm) {

@@ -169,8 +169,10 @@ MatchResult throughput_matching_with_pools(
   initial_quadrant_assignment(sched, pools);
   // One shard-cost table for the whole match. Each step re-prices only the
   // items it re-placed, and `metrics` is always aggregate_schedule of the
-  // current table, which is bitwise equal to evaluate_schedule(sched).
+  // current table, which is bitwise equal to evaluate_schedule(sched),
+  // written into the one ScheduleMetrics every step reuses.
   ShardCostTable costs(sched);
+  ScheduleMetrics metrics;
 
   // Capacity-aware matching: a sharding step replicates the bottleneck
   // layer's weights onto the target chiplet, so targets without weight room
@@ -223,7 +225,7 @@ MatchResult throughput_matching_with_pools(
                                      static_cast<int>(free_list().size())});
   };
 
-  ScheduleMetrics metrics = aggregate_schedule(costs);
+  aggregate_schedule(costs, metrics);
   double latbase = metrics.stages.front().pipe_s;
   result.latbase_s = latbase;
   record("initial quadrant assignment", metrics, latbase);
@@ -281,7 +283,7 @@ MatchResult throughput_matching_with_pools(
           placement_chiplets(sched.placement(worst_item));
       chiplets.push_back(target);
       rebalance(sched, costs, worst_item, chiplets);
-      metrics = aggregate_schedule(costs);
+      aggregate_schedule(costs, metrics);
       refresh_residency();
       latbase = metrics.stages.front().pipe_s;
       record("absorb-surplus " + sched.item(worst_item).desc->name + " x" +
@@ -343,7 +345,7 @@ MatchResult throughput_matching_with_pools(
           }
           base_split_done = true;
           saturated.clear();
-          metrics = aggregate_schedule(costs);
+          aggregate_schedule(costs, metrics);
           refresh_residency();
           latbase = metrics.stages.front().pipe_s;
           record("split FE chains into 2 pipeline sub-stages", metrics, latbase);
@@ -410,7 +412,7 @@ MatchResult throughput_matching_with_pools(
     std::vector<int> chiplets = placement_chiplets(cur);
     chiplets.push_back(target);
     rebalance(sched, costs, worst_item, chiplets);
-    metrics = aggregate_schedule(costs);
+    aggregate_schedule(costs, metrics);
     refresh_residency();
     latbase = metrics.stages.front().pipe_s;
     record(how + " " + sched.item(worst_item).desc->name + " x" +

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -35,54 +36,87 @@ struct ShardTask {
   double service_s = 0.0;
 };
 
-// One producer shard's message on a contended edge: its share of the tensor
-// routed from that shard's chiplet to the consumer.
-struct EdgeMsg {
-  std::vector<int> route;  // dense link indices, traversal order
+// A contended-mode message: its bytes and its route, the dense link indices
+// Program::links[link_begin, link_end) in traversal order.
+struct Message {
+  int link_begin = 0;
+  int link_end = 0;
   double bytes = 0.0;
 };
 
+// Completion fan-out: one edge from a finished producer to `consumer`.
 struct Edge {
-  int producer = 0;
+  int consumer = 0;
+  // Contended mode: one message per producer shard whose route is not
+  // empty, Program::msgs[msg_begin, msg_end) in shard order.
+  int msg_begin = 0;
+  int msg_end = 0;
   // Analytical (fraction-weighted mean hop) edge delay via nop_gather_cost —
   // the same formula evaluate_schedule prices, so the modes cross-validate.
   double delay_s = 0.0;
-  std::vector<EdgeMsg> msgs;  // contended mode: one message per producer shard
 };
 
 struct Ingress {
   int item = 0;
+  int msg = -1;  // contended mode: the camera tensor's message, else -1
   double delay_s = 0.0;
-  EdgeMsg msg;  // contended mode: the camera tensor's route from the I/O port
 };
 
-// Completion fan-out: one consumer edge of a finished producer.
-struct OutEdge {
-  int consumer = 0;
-  const Edge* edge = nullptr;
-};
-
-// Static (frame-independent) view of one schedule. Compiled once per
-// (schedule, NoP mode) and cached by the engine across runs; a run holds
-// up to two per tenant: the primary program and, under a FaultPlan, the
-// remapped degraded program swapped in per frame while the chiplet is down.
+// Static (frame-independent) view of one schedule, as flat arrays with
+// offset ranges. Compiled once per (schedule, NoP mode) and cached by the
+// engine across runs; a run holds up to two per tenant: the primary program
+// and, under a FaultPlan, the remapped degraded program swapped in per frame
+// while the chiplet is down.
 struct Program {
-  std::vector<std::vector<ShardTask>> shards_of_item;
-  std::vector<std::vector<Edge>> deps;  // deps[consumer] = producer edges
-  std::vector<std::vector<OutEdge>> outs;  // reverse adjacency of deps
-  std::vector<Ingress> ingress;         // stage-0 camera edges, model order
-  std::vector<int> base_deps;           // producer edges + ingress, per item
+  // Item i's shards are shards[shard_begin[i], shard_begin[i + 1]).
+  std::vector<int> shard_begin;
+  std::vector<ShardTask> shards;
+  // Producer i's out-edges are outs[out_begin[i], out_begin[i + 1]), in
+  // wiring order (for_each_schedule_edge), which is by consumer.
+  std::vector<int> out_begin;
+  std::vector<Edge> outs;
+  std::vector<Message> msgs;
+  std::vector<int> links;        // every message's route, back to back
+  std::vector<Ingress> ingress;  // stage-0 camera edges, model order
+  std::vector<int> base_deps;    // producer edges + ingress, per item
   int num_chiplets = 0;
+
+  std::span<const ShardTask> shards_of(int item) const {
+    const std::size_t i = static_cast<std::size_t>(item);
+    return {shards.data() + shard_begin[i],
+            static_cast<std::size_t>(shard_begin[i + 1] - shard_begin[i])};
+  }
+  std::span<const Edge> outs_of(int item) const {
+    const std::size_t i = static_cast<std::size_t>(item);
+    return {outs.data() + out_begin[i],
+            static_cast<std::size_t>(out_begin[i + 1] - out_begin[i])};
+  }
+  std::span<const int> route(int msg) const {
+    const Message& m = msgs[static_cast<std::size_t>(msg)];
+    return {links.data() + m.link_begin,
+            static_cast<std::size_t>(m.link_end - m.link_begin)};
+  }
 };
 
-// `dense_pkg` defines the dense chiplet index space (always the ORIGINAL
-// package, so the primary and degraded programs share calendars); routes
-// and costs come from the schedule's own package, which for the degraded
-// program detours around the failed router. `links` collects every
-// resolved dense link index (see canonicalize_links): none unless
-// contended.
-Program build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
-                      const PackageConfig& dense_pkg, std::vector<int>& links) {
+// build_program's reused buffers. A program is assembled in `prog` and then
+// copied out at its exact size, so once the buffers have grown, a build
+// allocates once per non-empty array whatever the schedule's size.
+struct ProgramBuilder {
+  Program prog;
+  std::vector<Edge> wired;     // every edge, wiring order
+  std::vector<int> producer;   // wired[e]'s producer
+  std::vector<int> cursor;     // per-producer fill position in outs
+  std::vector<NopLink> route;  // the route walk's buffer
+  std::vector<int> links;      // a canonical link list being assembled
+};
+
+// Compiles `sched` into `b.prog`. `dense_pkg` defines the dense chiplet
+// index space (always the ORIGINAL package, so the primary and degraded
+// programs share calendars); routes and costs come from the schedule's own
+// package, which for the degraded program detours around the failed router.
+// Routes are resolved (and their links registered) only when contended.
+void build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
+                   const PackageConfig& dense_pkg, ProgramBuilder& b) {
   const PackageConfig& pkg = sched.package();
   const bool nop = mode != NopMode::kOff;
   const bool contended = mode == NopMode::kContended;
@@ -93,22 +127,33 @@ Program build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
     throw std::logic_error("unassigned layer: " + sched.item(item).desc->name);
   });
 
-  Program prog;
+  const std::size_t n = static_cast<std::size_t>(sched.num_items());
+  Program& prog = b.prog;
   prog.num_chiplets = dense_pkg.num_chiplets();
-  prog.shards_of_item.resize(static_cast<std::size_t>(sched.num_items()));
-  prog.deps.resize(static_cast<std::size_t>(sched.num_items()));
+  prog.shard_begin.assign(1, 0);
+  prog.shards.clear();
   for (int i = 0; i < sched.num_items(); ++i) {
     for (const auto& sh : sched.placement(i).shards) {
       const CostReport r = analyze_shard(pkg, *sched.item(i).desc, sh);
-      prog.shards_of_item[static_cast<std::size_t>(i)].push_back(
+      prog.shards.push_back(
           ShardTask{dense_pkg.position_of(sh.chiplet_id), r.latency_s});
     }
+    prog.shard_begin.push_back(static_cast<int>(prog.shards.size()));
   }
 
-  const auto resolve_route = [&](const std::vector<NopLink>& route) {
-    std::vector<int> indices = fabric.resolve(route);
-    links.insert(links.end(), indices.begin(), indices.end());
-    return indices;
+  prog.msgs.clear();
+  prog.links.clear();
+  prog.ingress.clear();
+  b.wired.clear();
+  b.producer.clear();
+  // Resolves the route in `b.route` into one message; -1 when it is empty.
+  const auto add_message = [&](double bytes) {
+    if (b.route.empty()) return -1;
+    const int begin = static_cast<int>(prog.links.size());
+    fabric.resolve(b.route, prog.links);
+    prog.msgs.push_back(
+        Message{begin, static_cast<int>(prog.links.size()), bytes});
+    return static_cast<int>(prog.msgs.size()) - 1;
   };
   for_each_schedule_edge(
       sched,
@@ -120,46 +165,52 @@ Program build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
         in.item = item;
         in.delay_s = nop ? nop_ingress_cost(pkg, dst).latency_s : 0.0;
         if (contended) {
-          in.msg = EdgeMsg{resolve_route(pkg.route_from_io(dst)),
-                           kCameraInputBytes};
+          pkg.route_from_io(dst, b.route);
+          in.msg = add_message(kCameraInputBytes);
         }
-        prog.ingress.push_back(std::move(in));
+        prog.ingress.push_back(in);
       },
       [&](int producer, int consumer, double bytes) {
         const Placement& from = sched.placement(producer);
         const Placement& to = sched.placement(consumer);
         Edge e;
-        e.producer = producer;
+        e.consumer = consumer;
         e.delay_s = nop ? nop_gather_cost(pkg, from, to, bytes).latency_s : 0.0;
+        e.msg_begin = static_cast<int>(prog.msgs.size());
         if (contended) {
           for (const auto& sh : from.shards) {
-            std::vector<NopLink> route =
-                pkg.route_between(sh.chiplet_id, to.primary_chiplet());
-            if (route.empty()) continue;
-            e.msgs.push_back(
-                EdgeMsg{resolve_route(route), sh.fraction * bytes});
+            pkg.route_between(sh.chiplet_id, to.primary_chiplet(), b.route);
+            add_message(sh.fraction * bytes);
           }
         }
-        prog.deps[static_cast<std::size_t>(consumer)].push_back(std::move(e));
+        e.msg_end = static_cast<int>(prog.msgs.size());
+        b.wired.push_back(e);
+        b.producer.push_back(producer);
       });
 
-  prog.base_deps.resize(static_cast<std::size_t>(sched.num_items()), 0);
-  for (int i = 0; i < sched.num_items(); ++i) {
-    prog.base_deps[static_cast<std::size_t>(i)] =
-        static_cast<int>(prog.deps[static_cast<std::size_t>(i)].size());
+  // Group the edges by producer, a stable counting sort. The walk wires
+  // each producer's edges in increasing consumer order, so every producer's
+  // fan-out stays by consumer, then wiring order.
+  prog.out_begin.assign(n + 1, 0);
+  for (const int p : b.producer) {
+    ++prog.out_begin[static_cast<std::size_t>(p) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    prog.out_begin[i + 1] += prog.out_begin[i];
+  }
+  b.cursor.assign(prog.out_begin.begin(), prog.out_begin.end() - 1);
+  prog.outs.resize(b.wired.size());
+  for (std::size_t e = 0; e < b.wired.size(); ++e) {
+    const std::size_t p = static_cast<std::size_t>(b.producer[e]);
+    prog.outs[static_cast<std::size_t>(b.cursor[p]++)] = b.wired[e];
+  }
+  prog.base_deps.assign(n, 0);
+  for (const Edge& e : b.wired) {
+    ++prog.base_deps[static_cast<std::size_t>(e.consumer)];
   }
   for (const Ingress& in : prog.ingress) {
     ++prog.base_deps[static_cast<std::size_t>(in.item)];
   }
-  // Reverse adjacency for completion fan-out. Edge pointers stay valid when
-  // the Program is moved: they point into the deps vectors' heap storage.
-  prog.outs.resize(static_cast<std::size_t>(sched.num_items()));
-  for (int i = 0; i < sched.num_items(); ++i) {
-    for (const Edge& e : prog.deps[static_cast<std::size_t>(i)]) {
-      prog.outs[static_cast<std::size_t>(e.producer)].push_back(OutEdge{i, &e});
-    }
-  }
-  return prog;
 }
 
 // Sorts dense link indices by the link each names and drops repeats —
@@ -631,6 +682,7 @@ struct SimEngine::Impl {
   std::map<std::pair<const PackageConfig*, int>, std::unique_ptr<PackageConfig>>
       degraded_pkgs;  // keyed by (original package, failed chiplet id)
   std::map<ProgramKey, ProgramEntry> programs;
+  ProgramBuilder builder;  // build_program's buffers, reused across builds
   NopFabric fabric;  // persistent link registry, per-run occupancy
   EngineStats stats;
 
@@ -661,6 +713,17 @@ struct SimEngine::Impl {
   std::vector<double> scr_times;
   std::vector<double> scr_recovery;
 
+  // The canonical list (see canonicalize_links) of the links in `a` and
+  // `b`, at its exact size.
+  std::vector<int> canonical_links(std::span<const int> a,
+                                   std::span<const int> b) {
+    std::vector<int>& out = builder.links;
+    out.assign(a.begin(), a.end());
+    out.insert(out.end(), b.begin(), b.end());
+    canonicalize_links(out, fabric);
+    return out;
+  }
+
   ProgramEntry& program_for(const Schedule& sched, NopMode mode,
                             const PackageConfig& dense_pkg) {
     const ProgramKey key{&sched, mode};
@@ -670,8 +733,9 @@ struct SimEngine::Impl {
       return it->second;
     }
     ProgramEntry e;
-    e.prog = build_program(sched, mode, fabric, dense_pkg, e.links);
-    canonicalize_links(e.links, fabric);
+    build_program(sched, mode, fabric, dense_pkg, builder);
+    e.prog = builder.prog;
+    e.links = canonical_links(builder.prog.links, {});
     ++stats.program_builds;
     // Inserted only after a successful build: a throwing build leaves the
     // cache without a half-constructed entry.
@@ -703,9 +767,11 @@ struct SimEngine::Impl {
     d->remapped.emplace(remap_schedule(*stream.schedule, *pit->second,
                                        fault.chiplet_id, &d->remap_stats,
                                        *stream.allowed_chiplets));
-    d->prog = build_program(*d->remapped, mode, fabric, pkg, d->links);
+    build_program(*d->remapped, mode, fabric, pkg, builder);
+    d->prog = builder.prog;
     // Reload plans (memory model active only: with it inactive nothing is
     // reloaded, and the reload routes' links must not join link_stats).
+    std::vector<int> reload_links;
     if (pkg.memory_model_active()) {
       const auto plan = [&](const PackageConfig& routed, int chiplet_id,
                             double bytes) {
@@ -722,8 +788,10 @@ struct SimEngine::Impl {
             pkg.chiplet(chiplet_id).memory.reload_bandwidth_bytes_per_s;
         if (bw > 0.0) rp.delay_s += bytes / bw;
         if (mode == NopMode::kContended) {
-          rp.route = fabric.resolve(routed.route_from_io(chiplet_id));
-          d->links.insert(d->links.end(), rp.route.begin(), rp.route.end());
+          routed.route_from_io(chiplet_id, builder.route);
+          fabric.resolve(builder.route, rp.route);
+          reload_links.insert(reload_links.end(), rp.route.begin(),
+                              rp.route.end());
         }
         return rp;
       };
@@ -736,7 +804,7 @@ struct SimEngine::Impl {
         d->recover_reload = plan(pkg, fault.chiplet_id, cr->weight_bytes);
       }
     }
-    canonicalize_links(d->links, fabric);
+    d->links = canonical_links(d->prog.links, reload_links);
     ++stats.program_builds;
     entry.degraded.push_back(std::move(d));
     return *entry.degraded.back();
@@ -777,8 +845,8 @@ struct SimEngine::Impl {
     const int items = ctx[static_cast<std::size_t>(job.tenant)].items;
     for (int i = 0; i < items; ++i) {
       const std::size_t k = static_cast<std::size_t>(i);
-      slots[job.slot + k] = Slot{
-          0.0, pr.base_deps[k], static_cast<int>(pr.shards_of_item[k].size())};
+      slots[job.slot + k] =
+          Slot{0.0, pr.base_deps[k], pr.shard_begin[k + 1] - pr.shard_begin[k]};
     }
     job.items_left = items;
   }
@@ -986,8 +1054,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // ready heap: the next dispatch there would move it from `pending` first.
   const auto enqueue_item_shards = [&](int j, int item, double at) {
     const Job& job = jobs[static_cast<std::size_t>(j)];
-    const auto& shards =
-        job.prog->shards_of_item[static_cast<std::size_t>(item)];
+    const std::span<const ShardTask> shards = job.prog->shards_of(item);
     for (int s = 0; s < static_cast<int>(shards.size()); ++s) {
       const int c = shards[static_cast<std::size_t>(s)].chiplet;
       Chiplet& ch = chiplets[static_cast<std::size_t>(c)];
@@ -1021,8 +1088,10 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     TenantCtx& tc = ctx[static_cast<std::size_t>(job.tenant)];
     for (const Ingress& in : pr.ingress) {
       double arrival = t + in.delay_s;
-      if (contended && !in.msg.route.empty()) {
-        const double wait = fabric.inject(in.msg.route, in.msg.bytes, t);
+      if (in.msg >= 0) {
+        const double wait = fabric.inject(
+            pr.route(in.msg), pr.msgs[static_cast<std::size_t>(in.msg)].bytes,
+            t);
         tc.nop_wait += wait;
         arrival = t + in.delay_s + wait;
       }
@@ -1201,19 +1270,21 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           move(job, JobState::kDone);
           result.frame_completion_s[static_cast<std::size_t>(f)] = finished;
         }
-        for (const OutEdge& oe :
-             job.prog->outs[static_cast<std::size_t>(item)]) {
-          double arrival = finished + oe.edge->delay_s;
-          if (contended && !oe.edge->msgs.empty()) {
+        const Program& pr = *job.prog;
+        for (const Edge& e : pr.outs_of(item)) {
+          double arrival = finished + e.delay_s;
+          if (e.msg_begin != e.msg_end) {
             double wait = 0.0;
-            for (const EdgeMsg& m : oe.edge->msgs) {
-              const double w = fabric.inject(m.route, m.bytes, finished);
+            for (int m = e.msg_begin; m < e.msg_end; ++m) {
+              const double w = fabric.inject(
+                  pr.route(m), pr.msgs[static_cast<std::size_t>(m)].bytes,
+                  finished);
               if (w > wait) wait = w;
             }
             ctx[static_cast<std::size_t>(job.tenant)].nop_wait += wait;
-            arrival = finished + oe.edge->delay_s + wait;
+            arrival = finished + e.delay_s + wait;
           }
-          deliver(f, oe.consumer, arrival);
+          deliver(f, e.consumer, arrival);
         }
         break;
       }
@@ -1352,8 +1423,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           }
         }
         const double service =
-            job.prog->shards_of_item[static_cast<std::size_t>(task.item)]
-                                    [static_cast<std::size_t>(task.shard)]
+            job.prog->shards_of(task.item)[static_cast<std::size_t>(task.shard)]
                 .service_s;
         const double done = now + service;
         ch.free = done;

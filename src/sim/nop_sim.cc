@@ -32,14 +32,12 @@ int NopFabric::index_of(const NopLink& link) {
   return it->second;
 }
 
-std::vector<int> NopFabric::resolve(const std::vector<NopLink>& route) {
-  std::vector<int> indices;
-  indices.reserve(route.size());
-  for (const NopLink& link : route) indices.push_back(index_of(link));
-  return indices;
+void NopFabric::resolve(const std::vector<NopLink>& route,
+                        std::vector<int>& out) {
+  for (const NopLink& link : route) out.push_back(index_of(link));
 }
 
-double NopFabric::inject(const std::vector<int>& route, double bytes,
+double NopFabric::inject(std::span<const int> route, double bytes,
                          double time) {
   // Infinite bandwidth divides to exactly 0.0: zero-width occupancies never
   // conflict and the returned wait is exactly 0.0.

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "arch/package.h"
@@ -68,13 +69,14 @@ class NopFabric {
   // Dense index of `link`, registering it on first use. Routes are resolved
   // once at program build; the per-message hot path is index-based.
   int index_of(const NopLink& link);
-  std::vector<int> resolve(const std::vector<NopLink>& route);
+  // Appends the dense index of every link of `route`, in order, to `out`.
+  void resolve(const std::vector<NopLink>& route, std::vector<int>& out);
 
   // Injects a `bytes`-sized message at `time` along `route` (dense link
   // indices, in traversal order). Advances per-link occupancy and returns
   // the total FIFO queueing wait the message suffered (0.0 when every link
   // was free). Calls must be made in nondecreasing `time` order.
-  double inject(const std::vector<int>& route, double bytes, double time);
+  double inject(std::span<const int> route, double bytes, double time);
 
   // The link registered under dense index `index`.
   const NopLink& link(int index) const {

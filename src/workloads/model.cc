@@ -16,12 +16,12 @@ std::vector<const Model*> Stage::parallel_models() const {
   return out;
 }
 
-std::vector<const Model*> Stage::prefix_models() const {
-  std::vector<const Model*> out;
+int Stage::num_prefix_models() const {
+  int n = 0;
   for (const auto& m : models) {
-    if (m.prefix) out.push_back(&m.model);
+    if (m.prefix) ++n;
   }
-  return out;
+  return n;
 }
 
 double PerceptionPipeline::macs() const {

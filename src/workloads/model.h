@@ -41,7 +41,7 @@ struct Stage {
   double macs() const;
   int num_models() const { return static_cast<int>(models.size()); }
   std::vector<const Model*> parallel_models() const;
-  std::vector<const Model*> prefix_models() const;
+  int num_prefix_models() const;
 };
 
 // The full four-stage pipeline (FE+BFPN, S_FUSE, T_FUSE, TRUNKS).

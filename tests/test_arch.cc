@@ -12,6 +12,19 @@
 namespace cnpu {
 namespace {
 
+// A package's routes as fresh vectors, for comparing whole routes.
+std::vector<NopLink> route_between(const PackageConfig& pkg, int a, int b) {
+  std::vector<NopLink> route;
+  pkg.route_between(a, b, route);
+  return route;
+}
+
+std::vector<NopLink> route_from_io(const PackageConfig& pkg, int chiplet_id) {
+  std::vector<NopLink> route;
+  pkg.route_from_io(chiplet_id, route);
+  return route;
+}
+
 TEST(MeshHops, ManhattanDistance) {
   EXPECT_EQ(mesh_hops({0, 0}, {0, 0}), 0);
   EXPECT_EQ(mesh_hops({0, 0}, {2, 3}), 5);
@@ -125,19 +138,19 @@ TEST(NopRoute, LengthMatchesHopsBetween) {
   const PackageConfig pkg = make_simba_package();
   for (const int a : {0, 7, 35}) {
     for (const int b : {0, 14, 21, 35}) {
-      const auto route = pkg.route_between(a, b);
+      const auto route = route_between(pkg, a, b);
       EXPECT_EQ(static_cast<int>(route.size()), pkg.hops_between(a, b))
           << a << "->" << b;
       expect_contiguous(route);
     }
   }
-  EXPECT_TRUE(pkg.route_between(7, 7).empty());
+  EXPECT_TRUE(route_between(pkg, 7, 7).empty());
 }
 
 TEST(NopRoute, XyRoutingIsColumnFirst) {
   const PackageConfig pkg = make_simba_package();
   // (0,0) -> (2,2): two eastward column links at row 0, then two south.
-  const auto route = pkg.route_between(0, 14);
+  const auto route = route_between(pkg, 0, 14);
   ASSERT_EQ(route.size(), 4u);
   EXPECT_EQ(route[0].from, (GridCoord{0, 0}));
   EXPECT_EQ(route[0].to, (GridCoord{0, 1}));
@@ -148,8 +161,8 @@ TEST(NopRoute, XyRoutingIsColumnFirst) {
 
 TEST(NopRoute, DirectedLinksAreDistinctResources) {
   const PackageConfig pkg = make_simba_package();
-  const auto forward = pkg.route_between(0, 1);
-  const auto backward = pkg.route_between(1, 0);
+  const auto forward = route_between(pkg, 0, 1);
+  const auto backward = route_between(pkg, 1, 0);
   ASSERT_EQ(forward.size(), 1u);
   ASSERT_EQ(backward.size(), 1u);
   EXPECT_FALSE(forward[0] == backward[0]);
@@ -159,7 +172,7 @@ TEST(NopRoute, DirectedLinksAreDistinctResources) {
 TEST(NopRoute, IoRouteStartsAtWestEdgePort) {
   const PackageConfig pkg = make_simba_package();
   for (const int c : {0, 12, 35}) {
-    const auto route = pkg.route_from_io(c);
+    const auto route = route_from_io(pkg, c);
     EXPECT_EQ(static_cast<int>(route.size()), pkg.hops_from_io(c));
     ASSERT_FALSE(route.empty());
     EXPECT_TRUE(route.front().is_io_port()) << route.front().describe();
@@ -167,12 +180,12 @@ TEST(NopRoute, IoRouteStartsAtWestEdgePort) {
   }
   // Every ingress shares the single west-edge port link: the contended
   // simulator's canonical hot link.
-  EXPECT_EQ(pkg.route_from_io(0).front(), pkg.route_from_io(35).front());
+  EXPECT_EQ(route_from_io(pkg, 0).front(), route_from_io(pkg, 35).front());
 }
 
 TEST(NopRoute, CrossNpuAppendsSubstrateLinks) {
   const PackageConfig pkg = make_multi_npu_package(2);
-  const auto route = pkg.route_between(0, 36);  // same coord, other NPU
+  const auto route = route_between(pkg, 0, 36);  // same coord, other NPU
   ASSERT_EQ(static_cast<int>(route.size()), pkg.inter_npu_hops());
   for (const NopLink& link : route) {
     EXPECT_EQ(link.kind, NopLink::Kind::kSubstrate);
@@ -182,10 +195,10 @@ TEST(NopRoute, CrossNpuAppendsSubstrateLinks) {
   // Ingress into NPU 1 walks NPU 0's mesh from the one physical port, then
   // crosses the substrate — so both NPUs' camera traffic shares the same
   // west-edge port link.
-  const auto ingress = pkg.route_from_io(36);
+  const auto ingress = route_from_io(pkg, 36);
   EXPECT_EQ(static_cast<int>(ingress.size()), pkg.hops_from_io(36));
   EXPECT_TRUE(ingress.front().is_io_port());
-  EXPECT_EQ(ingress.front(), pkg.route_from_io(0).front());
+  EXPECT_EQ(ingress.front(), route_from_io(pkg, 0).front());
   EXPECT_EQ(ingress.back().kind, NopLink::Kind::kSubstrate);
 }
 
@@ -199,8 +212,8 @@ TEST(NopRoute, SubstrateChainsAdjacentNpuBoundaries) {
   const int chip_npu1 = 4;  // same (0,0) coord on NPU 1
   const int chip_npu2 = 8;  // same (0,0) coord on NPU 2
   EXPECT_EQ(pkg.hops_between(chip_npu0, chip_npu2), 2 * pkg.inter_npu_hops());
-  const auto far = pkg.route_between(chip_npu0, chip_npu2);
-  const auto near = pkg.route_between(chip_npu0, chip_npu1);
+  const auto far = route_between(pkg, chip_npu0, chip_npu2);
+  const auto near = route_between(pkg, chip_npu0, chip_npu1);
   ASSERT_EQ(static_cast<int>(far.size()), 2 * pkg.inter_npu_hops());
   ASSERT_EQ(static_cast<int>(near.size()), pkg.inter_npu_hops());
   // The far route's first boundary crossing is exactly the near route.
@@ -208,17 +221,17 @@ TEST(NopRoute, SubstrateChainsAdjacentNpuBoundaries) {
     EXPECT_EQ(far[i], near[i]) << i;
   }
   // Reverse direction uses distinct (directed) substrate links.
-  const auto back = pkg.route_between(chip_npu1, chip_npu0);
+  const auto back = route_between(pkg, chip_npu1, chip_npu0);
   EXPECT_FALSE(back.front() == near.front());
   // Ingress into NPU 2 crosses the same chained boundaries.
-  const auto ingress = pkg.route_from_io(chip_npu2);
+  const auto ingress = route_from_io(pkg, chip_npu2);
   EXPECT_EQ(ingress.back(), far.back());
 }
 
 TEST(NopLinkId, DescribeIsHumanReadable) {
   const PackageConfig pkg = make_simba_package();
-  EXPECT_EQ(pkg.route_from_io(0).front().describe(), "npu0:io->(2,0)");
-  EXPECT_EQ(pkg.route_between(0, 1).front().describe(), "npu0:(0,0)->(0,1)");
+  EXPECT_EQ(route_from_io(pkg, 0).front().describe(), "npu0:io->(2,0)");
+  EXPECT_EQ(route_between(pkg, 0, 1).front().describe(), "npu0:(0,0)->(0,1)");
 }
 
 TEST(MonolithicPackage, SplitsPeBudget) {
@@ -349,7 +362,7 @@ TEST(FaultRouting, RouteDetoursAroundFailedChiplet) {
   EXPECT_EQ(degraded.failed_sites().front().coord, (GridCoord{0, 1}));
   // (0,0) -> (0,2) previously went straight through (0,1); the detour adds
   // two hops and hops_between reports the detoured length.
-  const auto route = degraded.route_between(0, 2);
+  const auto route = route_between(degraded, 0, 2);
   EXPECT_EQ(static_cast<int>(route.size()), degraded.hops_between(0, 2));
   EXPECT_EQ(route.size(), 4u);
   expect_avoids(route, GridCoord{0, 1}, 0);
@@ -360,7 +373,7 @@ TEST(FaultRouting, UnaffectedRoutesStayManhattan) {
   const PackageConfig pkg = make_simba_package();
   const PackageConfig degraded = pkg.without_chiplet(1);
   // A pair far from the hole keeps its healthy XY route exactly.
-  EXPECT_EQ(degraded.route_between(24, 28), pkg.route_between(24, 28));
+  EXPECT_EQ(route_between(degraded, 24, 28), route_between(pkg, 24, 28));
   EXPECT_EQ(degraded.hops_between(24, 28), pkg.hops_between(24, 28));
 }
 
@@ -369,7 +382,7 @@ TEST(FaultRouting, IngressDetoursAroundFailedChiplet) {
   // The I/O port enters at (2,0) = id 12; kill (2,1) = id 13 on the
   // straight ingress path to (2,2) = id 14.
   const PackageConfig degraded = pkg.without_chiplet(13);
-  const auto route = degraded.route_from_io(14);
+  const auto route = route_from_io(degraded, 14);
   EXPECT_EQ(static_cast<int>(route.size()), degraded.hops_from_io(14));
   EXPECT_GT(route.size(), static_cast<std::size_t>(pkg.hops_from_io(14)));
   EXPECT_TRUE(route.front().is_io_port());
@@ -383,10 +396,10 @@ TEST(FaultRouting, IoPortRouterRemovalThrows) {
   // ingress entirely (documented policy) rather than silently rerouting a
   // port that is physically bonded to that router.
   const PackageConfig degraded = pkg.without_chiplet(12);
-  EXPECT_THROW(degraded.route_from_io(0), std::runtime_error);
+  EXPECT_THROW(route_from_io(degraded, 0), std::runtime_error);
   EXPECT_THROW(degraded.hops_from_io(0), std::runtime_error);
   // Chiplet-to-chiplet routing still works around the hole.
-  EXPECT_EQ(static_cast<int>(degraded.route_between(6, 18).size()),
+  EXPECT_EQ(static_cast<int>(route_between(degraded, 6, 18).size()),
             degraded.hops_between(6, 18));
 }
 
@@ -395,7 +408,7 @@ TEST(FaultRouting, DisconnectedPairThrows) {
   // surviving path.
   const PackageConfig pkg = make_simba_package(1, 3);
   const PackageConfig degraded = pkg.without_chiplet(1);
-  EXPECT_THROW(degraded.route_between(0, 2), std::runtime_error);
+  EXPECT_THROW(route_between(degraded, 0, 2), std::runtime_error);
   EXPECT_THROW(degraded.hops_between(0, 2), std::runtime_error);
 }
 
@@ -403,7 +416,7 @@ TEST(FaultRouting, StackedRemovalsAccumulate) {
   const PackageConfig degraded =
       make_simba_package().without_chiplet(7).without_chiplet(8);
   ASSERT_EQ(degraded.failed_sites().size(), 2u);
-  const auto route = degraded.route_between(6, 9);  // row 1 with a 2-hole
+  const auto route = route_between(degraded, 6, 9);  // row 1 with a 2-hole
   EXPECT_EQ(static_cast<int>(route.size()), degraded.hops_between(6, 9));
   expect_avoids(route, GridCoord{1, 1}, 0);
   expect_avoids(route, GridCoord{1, 2}, 0);
@@ -423,7 +436,7 @@ TEST(FaultRouting, CrossNpuRouteSurvivesDeadExitMirrorSymmetrically) {
   const int backward = degraded.hops_between(43, 0);
   EXPECT_EQ(forward, backward);
   EXPECT_EQ(forward, 2 + degraded.inter_npu_hops());
-  const auto route = degraded.route_between(0, 43);
+  const auto route = route_between(degraded, 0, 43);
   EXPECT_EQ(static_cast<int>(route.size()), forward);
   expect_avoids(route, GridCoord{1, 1}, 0);  // npu 0's dead router
   // The fallback's mesh segment runs on the destination NPU, after the
@@ -440,7 +453,7 @@ TEST(FaultRouting, IngressToRemoteNpuSurvivesDeadMirrorViaSubstrateFirst) {
   // hops_between's fallback, instead of throwing for a live chiplet.
   const PackageConfig pkg = make_multi_npu_package(2, 2, 2);
   const PackageConfig degraded = pkg.without_chiplet(3);
-  const auto route = degraded.route_from_io(7);
+  const auto route = route_from_io(degraded, 7);
   EXPECT_EQ(static_cast<int>(route.size()), degraded.hops_from_io(7));
   EXPECT_TRUE(route.front().is_io_port());
   expect_avoids(route, GridCoord{1, 1}, 0);
@@ -456,9 +469,9 @@ TEST(FaultRouting, CrossNpuFallbackRefusesDeadStartMirror) {
   // count — never a route that silently departs a dead router.
   const PackageConfig degraded =
       make_multi_npu_package(2, 2, 2).without_chiplet(3).without_chiplet(4);
-  EXPECT_THROW(degraded.route_between(0, 7), std::runtime_error);
+  EXPECT_THROW(route_between(degraded, 0, 7), std::runtime_error);
   EXPECT_THROW(degraded.hops_between(0, 7), std::runtime_error);
-  EXPECT_THROW(degraded.route_between(7, 0), std::runtime_error);
+  EXPECT_THROW(route_between(degraded, 7, 0), std::runtime_error);
   EXPECT_THROW(degraded.hops_between(7, 0), std::runtime_error);
 }
 

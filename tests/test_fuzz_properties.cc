@@ -164,16 +164,17 @@ PackageConfig random_package(Lcg& rng) {
 // chiplet pair and every ingress, whatever the geometry.
 TEST_P(FuzzSeed, RouteLengthsMatchAnalyticalHopCounts) {
   Lcg rng(static_cast<std::uint64_t>(GetParam()) * 9176u + 29u);
+  std::vector<NopLink> route;
   for (int trial = 0; trial < 6; ++trial) {
     const PackageConfig pkg = random_package(rng);
     for (const auto& a : pkg.chiplets()) {
       for (const auto& b : pkg.chiplets()) {
-        EXPECT_EQ(static_cast<int>(pkg.route_between(a.id, b.id).size()),
-                  pkg.hops_between(a.id, b.id))
+        pkg.route_between(a.id, b.id, route);
+        EXPECT_EQ(static_cast<int>(route.size()), pkg.hops_between(a.id, b.id))
             << a.id << "->" << b.id;
       }
-      EXPECT_EQ(static_cast<int>(pkg.route_from_io(a.id).size()),
-                pkg.hops_from_io(a.id))
+      pkg.route_from_io(a.id, route);
+      EXPECT_EQ(static_cast<int>(route.size()), pkg.hops_from_io(a.id))
           << "io->" << a.id;
     }
   }
@@ -272,7 +273,8 @@ TEST_P(FuzzSeed, DegradedRoutesAvoidFailedSitesOrThrowConsistently) {
     const PackageConfig degraded = pkg.without_chiplet(victim);
     ASSERT_EQ(degraded.failed_sites().size(), 1u);
 
-    const auto check_route = [&](const std::vector<NopLink>& route, int hops) {
+    std::vector<NopLink> route;
+    const auto check_route = [&](int hops) {
       ASSERT_EQ(static_cast<int>(route.size()), hops);
       for (const NopLink& link : route) {
         if (link.kind != NopLink::Kind::kMesh || link.npu != spec.npu) continue;
@@ -283,15 +285,16 @@ TEST_P(FuzzSeed, DegradedRoutesAvoidFailedSitesOrThrowConsistently) {
     for (const auto& a : degraded.chiplets()) {
       for (const auto& b : degraded.chiplets()) {
         try {
-          check_route(degraded.route_between(a.id, b.id),
-                      degraded.hops_between(a.id, b.id));
+          degraded.route_between(a.id, b.id, route);
+          check_route(degraded.hops_between(a.id, b.id));
         } catch (const std::runtime_error&) {
           EXPECT_THROW(degraded.hops_between(a.id, b.id), std::runtime_error)
               << a.id << "->" << b.id;
         }
       }
       try {
-        check_route(degraded.route_from_io(a.id), degraded.hops_from_io(a.id));
+        degraded.route_from_io(a.id, route);
+        check_route(degraded.hops_from_io(a.id));
       } catch (const std::runtime_error&) {
         EXPECT_THROW(degraded.hops_from_io(a.id), std::runtime_error)
             << "io->" << a.id;
@@ -309,6 +312,7 @@ TEST_P(FuzzSeed, DegradedRoutesAvoidFailedSitesOrThrowConsistently) {
 // exist (the entry router died or is cut off).
 TEST_P(FuzzSeed, DegradedHopCountsAreShortestPaths) {
   Lcg rng(static_cast<std::uint64_t>(GetParam()) * 48611u + 23u);
+  std::vector<NopLink> route;
   for (int trial = 0; trial < 12; ++trial) {
     PackageConfig pkg = random_package(rng);
     if (pkg.num_chiplets() < 2) continue;
@@ -360,12 +364,14 @@ TEST_P(FuzzSeed, DegradedHopCountsAreShortestPaths) {
         if (d < 0) {
           EXPECT_THROW(pkg.hops_between(a.id, b.id), std::runtime_error)
               << a.id << "->" << b.id;
-          EXPECT_THROW(pkg.route_between(a.id, b.id), std::runtime_error)
+          EXPECT_THROW(pkg.route_between(a.id, b.id, route),
+                       std::runtime_error)
               << a.id << "->" << b.id;
           continue;
         }
         EXPECT_EQ(pkg.hops_between(a.id, b.id), d) << a.id << "->" << b.id;
-        EXPECT_EQ(static_cast<int>(pkg.route_between(a.id, b.id).size()), d)
+        pkg.route_between(a.id, b.id, route);
+        EXPECT_EQ(static_cast<int>(route.size()), d)
             << a.id << "->" << b.id;
       }
       if (a.npu != 0) continue;
@@ -1313,9 +1319,13 @@ void expect_metrics_bitwise(const ScheduleMetrics& got,
 // re-prices only the items a random re-shard or chain split touched must
 // aggregate to exactly what a fresh evaluate_schedule computes, after every
 // step: on healthy and degraded packages, over random-layer chains in
-// parallel-model stages behind an optional stage prefix model.
+// parallel-model stages behind an optional stage prefix model. Every
+// aggregation writes into one ScheduleMetrics reused across steps and
+// trials, as Algorithm 1 reuses one per match, so a field it fails to reset
+// shows.
 TEST_P(FuzzSeed, IncrementalPricingMatchesFreshEvaluation) {
   Lcg rng(static_cast<std::uint64_t>(GetParam()) * 40503u + 19u);
+  ScheduleMetrics reused;
   for (int trial = 0; trial < 6; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     PackageConfig pkg = random_package(rng);
@@ -1365,11 +1375,12 @@ TEST_P(FuzzSeed, IncrementalPricingMatchesFreshEvaluation) {
       fresh = evaluate_schedule(sched);
     } catch (const std::runtime_error&) {
       ShardCostTable costs(sched);
-      EXPECT_THROW(aggregate_schedule(costs), std::runtime_error);
+      EXPECT_THROW(aggregate_schedule(costs, reused), std::runtime_error);
       continue;
     }
     ShardCostTable costs(sched);
-    expect_metrics_bitwise(aggregate_schedule(costs), fresh);
+    aggregate_schedule(costs, reused);
+    expect_metrics_bitwise(reused, fresh);
 
     for (int step = 0; step < 12; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
@@ -1398,10 +1409,11 @@ TEST_P(FuzzSeed, IncrementalPricingMatchesFreshEvaluation) {
       try {
         fresh = evaluate_schedule(sched);
       } catch (const std::runtime_error&) {
-        EXPECT_THROW(aggregate_schedule(costs), std::runtime_error);
+        EXPECT_THROW(aggregate_schedule(costs, reused), std::runtime_error);
         break;
       }
-      expect_metrics_bitwise(aggregate_schedule(costs), fresh);
+      aggregate_schedule(costs, reused);
+      expect_metrics_bitwise(reused, fresh);
       EXPECT_EQ(costs.free_chiplets(), sched.free_chiplets());
       for (int i = 0; i < sched.num_items(); ++i) {
         expect_same_bits(costs.item_latency_s(i), item_latency_s(sched, i),

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "core/baselines.h"
 #include "core/remap.h"
@@ -102,6 +103,40 @@ TEST_F(ScheduleTest, DescribeReportsProgress) {
   sched_.assign(0, 0);
   const std::string d = sched_.describe();
   EXPECT_NE(d.find("1/"), std::string::npos);
+}
+
+// build_program groups the edge walk's edges by producer and keeps their
+// wiring order, which is its fan-out order by consumer only because the
+// walk wires each producer's edges in increasing consumer order: a producer
+// feeds the next layer of its model, or the first layers of later models in
+// model order.
+TEST(ScheduleEdges, EachProducerWiresItsConsumersInOrder) {
+  Model one;
+  one.name = "M";
+  one.layers = {gemm("G0", 256, 64, 64), gemm("G1", 256, 64, 64)};
+  PerceptionPipeline prefixes;
+  prefixes.stages.push_back(Stage{"S0", {{one, false}, {one, false}}});
+  // Prefix models listed after, between and before the models they gate.
+  prefixes.stages.push_back(
+      Stage{"S1", {{one, false}, {one, true}, {one, false}, {one, true}}});
+  prefixes.stages.push_back(Stage{"S2", {{one, true}, {one, false}}});
+  const PackageConfig pkg = make_simba_package();
+  for (const PerceptionPipeline& pipe :
+       {build_autopilot_pipeline(), prefixes}) {
+    const Schedule sched(pipe, pkg);
+    std::vector<int> last_consumer(static_cast<std::size_t>(sched.num_items()),
+                                   -1);
+    int edges = 0;
+    for_each_schedule_edge(
+        sched, [](int) {},
+        [&](int producer, int consumer, double) {
+          int& last = last_consumer[static_cast<std::size_t>(producer)];
+          EXPECT_LT(last, consumer) << "producer " << producer;
+          last = consumer;
+          ++edges;
+        });
+    EXPECT_GT(edges, 0);
+  }
 }
 
 TEST(ShardFraction, ScalesRows) {

@@ -25,12 +25,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/baselines.h"
+#include "core/throughput_matching.h"
 #include "dataflow/layer.h"
 #include "sim/serving.h"
 #include "sim_result_eq.h"
+#include "workloads/autopilot.h"
 #include "workloads/model.h"
 #include "workloads/zoo.h"
 
@@ -405,6 +408,43 @@ TEST(SimEngine, SteadyStateRunsAreAllocationFree) {
     engine.run_into(s0, opt, out);
     const long long allocs = g_new_calls - before;
     EXPECT_EQ(allocs, 0) << label << ": steady-state run allocated";
+  }
+}
+
+// A program build allocates once per array of the compiled program and of
+// its link list, never per item, edge, message or route. Each count is one
+// run of a fresh copy of a matched autopilot schedule on an engine that
+// already ran the original, so the copy misses the program cache while
+// every link is already registered and every run buffer is sized: the run
+// allocates the cache entry's map node, the program's six arrays (shard
+// and out-edge offsets, shards, out-edges, ingress edges, base dependency
+// counts) and, when contended, its messages, their links and the entry's
+// canonical link list.
+TEST(SimEngine, ProgramBuildAllocationsDoNotGrowWithTheSchedule) {
+  const PackageConfig pkg = make_simba_package();
+  for (const auto& [mode, pinned] : {std::pair{NopMode::kAnalytical, 7LL},
+                                     std::pair{NopMode::kContended, 10LL}}) {
+    SCOPED_TRACE(mode == NopMode::kContended ? "contended" : "analytical");
+    for (const int cameras : {4, 8, 12}) {
+      SCOPED_TRACE(std::to_string(cameras) + " cameras");
+      AutopilotConfig cfg;
+      cfg.num_cameras = cameras;
+      cfg.fusion.num_cameras = cameras;
+      const PerceptionPipeline pipe = build_autopilot_pipeline(cfg);
+      const MatchResult match = throughput_matching(pipe, pkg);
+      SimOptions opt;
+      opt.frames = 2;
+      opt.nop_mode = mode;
+      SimEngine engine;
+      SimResult out;
+      engine.run_into(match.schedule, opt, out);
+      const Schedule copy = match.schedule;
+      const long long before = g_new_calls;
+      engine.run_into(copy, opt, out);
+      const long long allocs = g_new_calls - before;
+      EXPECT_EQ(engine.stats().program_builds, 2);
+      EXPECT_EQ(allocs, pinned);
+    }
   }
 }
 

@@ -97,7 +97,7 @@ TEST(BuildTrunkPipeline, OneStageSixModels) {
   const PerceptionPipeline p = build_trunk_pipeline(TrunkConfig{}, 0.6);
   ASSERT_EQ(p.num_stages(), 1);
   EXPECT_EQ(p.stages[0].num_models(), 6);
-  EXPECT_EQ(p.stages[0].prefix_models().size(), 1u);
+  EXPECT_EQ(p.stages[0].num_prefix_models(), 1);
 }
 
 }  // namespace

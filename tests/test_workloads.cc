@@ -234,7 +234,7 @@ TEST(Autopilot, FourStagesWithEightCameras) {
   EXPECT_EQ(pipe.stages[2].num_models(), 1);
   // pre + occ + lane + 3 det heads.
   EXPECT_EQ(pipe.stages[3].num_models(), 6);
-  EXPECT_EQ(pipe.stages[3].prefix_models().size(), 1u);
+  EXPECT_EQ(pipe.stages[3].num_prefix_models(), 1);
   EXPECT_EQ(pipe.stages[3].parallel_models().size(), 5u);
 }
 

@@ -13,6 +13,12 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 failed=0
 
+# A repo-root path starts where no path character precedes it (a leading
+# `./` is allowed), so the tail of a longer path such as perfbench/run.py
+# is not read as bench/run.py.
+path_start='(^|[^A-Za-z0-9_./-])(\./)?'
+path_roots='(src|tests|bench|examples|tools|perfbench)'
+
 check_doc() {
   local doc="$1"
 
@@ -23,8 +29,8 @@ check_doc() {
       echo "check_docs: $(basename "$doc") references missing directory: $dir" >&2
       failed=1
     fi
-  done < <(grep -oE '(src|tests|bench|examples|tools)(/[A-Za-z0-9_-]+)*/' "$doc" \
-             | sed 's:/$::' | sort -u)
+  done < <(grep -oE "$path_start$path_roots(/[A-Za-z0-9_-]+)*/" "$doc" \
+             | sed -E 's:^[^a-z]+::; s:/$::' | sort -u)
 
   # Every `path/file.ext` reference (module headers, test files).
   while IFS= read -r file; do
@@ -32,7 +38,8 @@ check_doc() {
       echo "check_docs: $(basename "$doc") references missing file: $file" >&2
       failed=1
     fi
-  done < <(grep -oE '(src|tests|bench|examples|tools)/[A-Za-z0-9_/-]+\.[a-z]+' "$doc" | sort -u)
+  done < <(grep -oE "$path_start$path_roots/[A-Za-z0-9_/-]+\.[a-z]+" "$doc" \
+             | sed -E 's:^[^a-z]+::' | sort -u)
 
   # Every backticked `Type::member` must name a member that still appears
   # as a word in src/ code (comments stripped), so a removed or renamed
@@ -61,13 +68,16 @@ check_commands() {
 
   # Every `bench_<name>` word must be a bench target (a bench/ source) or
   # the bench_all aggregate; words like .bench_build or
-  # check_perfbench_digests are not bench names.
+  # check_perfbench_digests are not bench names, nor is a script under
+  # tools/ such as tools/bench_trajectory.py.
   while IFS= read -r target; do
     if [[ "$target" != bench_all && ! -f "$repo_root/bench/$target.cc" ]]; then
       echo "check_docs: $name references missing bench target: $target" >&2
       failed=1
     fi
-  done < <(grep -oE '[A-Za-z0-9_.]*bench_[a-z0-9_]+' "$doc" | grep -E '^bench_' | sort -u)
+  done < <(grep -oE '[A-Za-z0-9_./]*bench_[a-z0-9_]+' "$doc" \
+             | grep -vE '(^|/)tools/' | sed 's:.*/::' | grep -E '^bench_' \
+             | sort -u)
 
   # Every ./build/bench/<name> and ./build/examples/<name> binary must be
   # built from bench/<name>.cc or examples/<name>.cc.
