@@ -14,6 +14,7 @@
 //  * utilization     - total MACs / (PE-seconds of busy chiplets * freq)
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -112,6 +113,16 @@ struct ShardCost {
 // instead of re-pricing the schedule every step. The schedule must outlive
 // the table, and after changing a placement the caller re-prices that item
 // before reading the table again.
+//
+// The table also keeps the folds a matching step reads, so that a step
+// refolds only what it re-placed: per chiplet, its busy time and per-stage
+// busy time, summed over the items it carries in item order; per model,
+// its chain (item latencies plus chain-edge latencies); per model, its
+// input edges. reprice marks the folds of the chiplets and models it
+// touches stale, and the next read refolds them, each in
+// aggregate_schedule's own order (chiplets by item then shard, chains in
+// layer order, input edges in edge order), so every value read is bitwise
+// what a full aggregation of the current placements gives.
 class ShardCostTable {
  public:
   // Prices every item. Throws what evaluate_schedule throws for the first
@@ -119,15 +130,18 @@ class ShardCostTable {
   // std::out_of_range for a shard on a chiplet the package lacks.
   explicit ShardCostTable(const Schedule& s);
 
-  // Re-prices item `idx` from its current placement, and drops the chain
-  // edges into and out of it. Throws like the constructor and then leaves
-  // the table unchanged.
+  // Re-prices item `idx` from its current placement, drops the chain edges
+  // into and out of it, and marks stale the folds it enters: the chiplets
+  // of its old and new shards, its model's chain, its model's input edges
+  // when it is the model's first item, and the next stage's input edges
+  // when it is the last item of a non-prefix model. Throws like the
+  // constructor and then leaves the table unchanged.
   void reprice(int idx);
 
   const Schedule& schedule() const { return *s_; }
   std::span<const ShardCost> shards(int idx) const {
     const Run& r = runs_[static_cast<std::size_t>(idx)];
-    return {costs_.data() + r.begin, r.size};
+    return {costs_.data() + r.shards.begin, r.shards.size};
   }
   // item_latency_s of the item's priced placement.
   double item_latency_s(int idx) const {
@@ -138,35 +152,148 @@ class ShardCostTable {
   // use after a reprice of either end, so the aggregation prices edges in
   // its own edge order and throws where a fresh evaluation would.
   const NopCost& chain_edge_cost(int idx);
-  // Chiplet ids carrying no shard, in package order: the schedule's
-  // free_chiplets().
-  std::vector<int> free_chiplets() const;
+  // NoP costs of the edges into the first item of (stage, model), in
+  // aggregate_schedule's order: the camera ingress in stage 0, the gathers
+  // from each of the previous stage's non-prefix models otherwise, none
+  // into a later stage's prefix model or an empty model. Priced on first
+  // use after a reprice of either end.
+  std::span<const NopCost> input_edges(int stage, int model);
+  // Adds the chain edges of (stage, model) to `nop`, in layer order,
+  // refolding the model's chain on the way.
+  void add_chain_edges(int stage, int model, NopCost& nop);
+  // Hands every shard to fn(stage, cost), by item, then placement order:
+  // aggregate_schedule's item-order pass. A table that no reprice has
+  // touched folds every chiplet on the way, in the same order.
+  template <typename Fn>
+  void for_each_shard(Fn&& fn);
+
+  // Busy seconds per frame of the chiplet at package position `pos`, and
+  // the same split per stage index.
+  double chiplet_busy_s(int pos);
+  std::span<const double> chiplet_stage_busy_s(int pos);
+  // A stage's pipe latency: its largest per-chiplet busy time.
+  double stage_pipe_s(int stage);
+  // A stage's end-to-end latency: the prefix chains plus the longest
+  // parallel chain, floored at the stage pipe, plus the largest input edge.
+  // Prices the stage's unpriced chain and input edges, in model order.
+  double stage_e2e_s(int stage);
+
+  // Chiplets carrying no shard; `out` gets their ids in package order (the
+  // schedule's free_chiplets()), cleared first.
+  int num_free_chiplets() const;
+  void free_chiplets(std::vector<int>& out) const;
 
  private:
-  // One item's shards: costs_[begin, begin + size), room for `capacity`.
-  struct Run {
+  // A list stored in a flat buffer: buf[begin, begin + size), room for
+  // `capacity`. A list that outgrows its room moves to the end of the
+  // buffer; the old room is left unused.
+  struct Extent {
     std::size_t begin = 0;
     std::size_t size = 0;
     std::size_t capacity = 0;
+  };
+  struct Run {  // one item
+    Extent shards;  // in costs_
     double latency_s = 0.0;
     bool chain_priced = false;
     NopCost chain;
   };
+  // One shard in a chiplet's fold: its item, the item's stage and the
+  // shard's latency.
+  struct Member {
+    int item = 0;
+    int stage = 0;
+    double latency_s = 0.0;
+  };
+  struct ChipletFold {  // one package position
+    Extent members;  // in members_, by item, then placement order
+    int shards = 0;
+    bool stale = true;
+    double busy_s = 0.0;
+  };
+  struct ModelFold {  // one (stage, model)
+    std::size_t in_begin = 0;  // input edges: in_edges_[in_begin, in_end)
+    std::size_t in_end = 0;
+    bool chain_stale = true;
+    bool in_stale = true;
+    double chain_s = 0.0;
+  };
+
+  template <typename T>
+  static void make_room(Extent& e, std::vector<T>& buf, std::size_t size);
+  // Calls fn(pm) for each input edge into (stage, model), in edge order:
+  // pm is the previous stage's source model, or -1 for the camera ingress.
+  template <typename Fn>
+  void for_each_input(int stage, int model, Fn&& fn) const;
+  ModelFold& model_fold(int stage, int model) {
+    return models_[static_cast<std::size_t>(
+        model_base_[static_cast<std::size_t>(stage)] + model)];
+  }
+  std::span<Member> members(const ChipletFold& f) {
+    return {members_.data() + f.members.begin, f.members.size};
+  }
+  // The member lists, each chiplet's shards in fold order, from the
+  // current costs.
+  void build_members();
+  void add_member(int pos, const Member& m);
+  void remove_members(int pos, int idx);
+  // Refolds every stale chiplet, then every stage pipe.
+  void refold_chiplets();
+  void fold_stage_pipes();
+  double chain_s(int stage, int model);
 
   const Schedule* s_;
   std::vector<Run> runs_;  // per item
   // Every item's shards in one buffer. An item re-priced onto more shards
-  // than its run holds moves to a new run at the end; the old run is left
-  // unused, which costs at most the shards of the re-priced placements.
+  // than its run holds moves to a new run at the end, so the buffer grows
+  // by at most the shards of the re-priced placements.
   std::vector<ShardCost> costs_;
-  std::vector<int> shards_on_;      // per package position
+  std::vector<ChipletFold> chiplets_;  // per package position
+  // Each chiplet's shards, built by the first reprice: a table that is
+  // never re-priced folds every chiplet in one item-order pass instead.
+  std::vector<Member> members_;
+  bool members_built_ = false;
+  std::vector<double> stage_busy_;  // [pos * stages + stage]
+  std::vector<double> stage_pipe_;  // per stage
+  bool chiplets_stale_ = true;
+  // First ModelFold of each stage, then the total.
+  std::vector<int> model_base_;
+  std::vector<ModelFold> models_;
+  std::vector<NopCost> in_edges_;
   std::vector<ShardCost> scratch_;  // reprice's staging buffer
 };
 
-// The aggregation half of evaluate_schedule: one pass that sums the table
-// in item order, then the NoP edges in edge order, pricing the stage input
-// edges and any chain edge the table has not priced yet. The only
-// aggregation path. It writes into `m`, reusing its vectors.
+template <typename Fn>
+void ShardCostTable::for_each_shard(Fn&& fn) {
+  const bool fold = !members_built_ && chiplets_stale_;
+  const std::size_t ns = stage_pipe_.size();
+  if (fold) {
+    std::fill(stage_busy_.begin(), stage_busy_.end(), 0.0);
+    for (ChipletFold& f : chiplets_) f.busy_s = 0.0;
+  }
+  for (int i = 0; i < s_->num_items(); ++i) {
+    const int stage = s_->item(i).stage;
+    for (const ShardCost& c : shards(i)) {
+      if (fold) {
+        const auto p = static_cast<std::size_t>(c.chiplet_pos);
+        chiplets_[p].busy_s += c.latency_s;
+        stage_busy_[p * ns + static_cast<std::size_t>(stage)] += c.latency_s;
+      }
+      fn(stage, c);
+    }
+  }
+  if (fold) {
+    for (ChipletFold& f : chiplets_) f.stale = false;
+    fold_stage_pipes();
+  }
+}
+
+// The aggregation half of evaluate_schedule: one pass that sums the MACs
+// and energy of the table in item order, then the NoP edges in edge order,
+// pricing the prefix handoffs and any input or chain edge the table has
+// not priced yet; chiplet busy, stage pipe and stage E2E come from the
+// table's folds. The only aggregation path. It writes into `m`, reusing
+// its vectors.
 void aggregate_schedule(ShardCostTable& costs, ScheduleMetrics& m);
 
 // aggregate_schedule into a fresh ScheduleMetrics.

@@ -72,11 +72,34 @@ std::size_t split_chain(Schedule& schedule, int stage, int model,
   return cut;
 }
 
-std::vector<int> placement_chiplets(const Placement& p) {
-  std::vector<int> ids;
-  ids.reserve(p.shards.size());
-  for (const auto& sh : p.shards) ids.push_back(sh.chiplet_id);
-  return ids;
+// Calls fn(idx) for every item of `stage` in item order, as
+// Schedule::items_of_stage lists them, without building the list.
+template <typename Fn>
+void for_each_stage_item(const Schedule& s, int stage, Fn&& fn) {
+  const int models =
+      s.pipeline().stages[static_cast<std::size_t>(stage)].num_models();
+  for (int mod = 0; mod < models; ++mod) {
+    for (const int idx : s.items_of_model(stage, mod)) fn(idx);
+  }
+}
+
+// `p`'s chiplet ids, in shard order, then `target`, into `out`.
+void placement_chiplets_plus(const Placement& p, int target,
+                             std::vector<int>& out) {
+  out.clear();
+  for (const auto& sh : p.shards) out.push_back(sh.chiplet_id);
+  out.push_back(target);
+}
+
+// "<how> <layer> x<shards>", a trace step's action.
+std::string step_action(const char* how, const std::string& layer,
+                        std::size_t shards) {
+  std::string action = how;
+  action += ' ';
+  action += layer;
+  action += " x";
+  action += std::to_string(shards);
+  return action;
 }
 
 }  // namespace
@@ -168,17 +191,17 @@ MatchResult throughput_matching_with_pools(
 
   initial_quadrant_assignment(sched, pools);
   // One shard-cost table for the whole match. Each step re-prices only the
-  // items it re-placed, and `metrics` is always aggregate_schedule of the
-  // current table, which is bitwise equal to evaluate_schedule(sched),
-  // written into the one ScheduleMetrics every step reuses.
+  // items it re-placed and reads chiplet busy, stage pipe and stage E2E
+  // from the table's folds, which are bitwise what aggregate_schedule would
+  // report for the current placements; the match aggregates once, at the
+  // end.
   ShardCostTable costs(sched);
-  ScheduleMetrics metrics;
 
   // Capacity-aware matching: a sharding step replicates the bottleneck
   // layer's weights onto the target chiplet, so targets without weight room
-  // are skipped. Residency is refreshed alongside the metrics after every
-  // mutation; with unbounded memory (the default) every check passes and
-  // the algorithm is unchanged.
+  // are skipped. Residency is refreshed after every mutation; with
+  // unbounded memory (the default) every check passes and the algorithm is
+  // unchanged.
   const bool mem_bounded = package_memory_bounded(package);
   ResidencyReport residency;
   auto refresh_residency = [&] {
@@ -203,32 +226,32 @@ MatchResult throughput_matching_with_pools(
     stage_pool[static_cast<std::size_t>(st)].insert(pool.begin(), pool.end());
   }
 
-  auto free_list = [&]() { return costs.free_chiplets(); };
+  // Buffers reused across steps.
+  std::vector<int> frees;     // free chiplet ids
+  std::vector<int> chiplets;  // a re-placed item's chiplets
+  std::vector<int> order;     // absorb_surplus' stage order
+  std::vector<double> e2e(static_cast<std::size_t>(num_stages));
+
   auto frozen = [&](int st) {
     return std::find(options.frozen_stages.begin(), options.frozen_stages.end(),
                      st) != options.frozen_stages.end();
   };
   // Trace pipe over the stages the algorithm is responsible for (the paper's
   // Fig. 10 excludes the frozen trunk stage).
-  auto traced_pipe = [&](const ScheduleMetrics& m) {
+  auto record = [&](std::string action, double latbase) {
     double pipe = 0.0;
-    for (std::size_t st = 0; st < m.stages.size(); ++st) {
-      if (frozen(static_cast<int>(st))) continue;
-      pipe = std::max(pipe, m.stages[st].pipe_s);
+    for (int st = 0; st < num_stages; ++st) {
+      if (frozen(st)) continue;
+      pipe = std::max(pipe, costs.stage_pipe_s(st));
     }
-    return pipe;
-  };
-  auto record = [&](const std::string& action, const ScheduleMetrics& m,
-                    double latbase) {
-    result.trace.push_back(TraceStep{action, traced_pipe(m) * 1e3,
+    result.trace.push_back(TraceStep{std::move(action), pipe * 1e3,
                                      latbase * 1e3,
-                                     static_cast<int>(free_list().size())});
+                                     costs.num_free_chiplets()});
   };
 
-  aggregate_schedule(costs, metrics);
-  double latbase = metrics.stages.front().pipe_s;
+  double latbase = costs.stage_pipe_s(0);
   result.latbase_s = latbase;
-  record("initial quadrant assignment", metrics, latbase);
+  record("initial quadrant assignment", latbase);
 
   bool base_split_done = false;
 
@@ -237,17 +260,18 @@ MatchResult throughput_matching_with_pools(
   // Runs once per call after the stages are matched; pulls from the stage's
   // own pool, or from the global free list once base-splitting is settled.
   auto absorb_surplus = [&]() -> bool {
-    const std::vector<int> frees = free_list();
+    costs.free_chiplets(frees);
     const bool allow_global = !options.allow_base_split || base_split_done;
     // Stages with the worst end-to-end latency absorb first. The base stage
     // only absorbs when it is the whole pipeline (single-stage workloads).
-    std::vector<int> order;
+    order.clear();
     for (int st = num_stages == 1 ? 0 : 1; st < num_stages; ++st) {
       order.push_back(st);
+      e2e[static_cast<std::size_t>(st)] = costs.stage_e2e_s(st);
     }
     std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return metrics.stages[static_cast<std::size_t>(a)].e2e_s >
-             metrics.stages[static_cast<std::size_t>(b)].e2e_s;
+      return e2e[static_cast<std::size_t>(a)] >
+             e2e[static_cast<std::size_t>(b)];
     });
     for (int st : order) {
       if (frozen(st)) continue;
@@ -263,32 +287,28 @@ MatchResult throughput_matching_with_pools(
       int worst_item = -1;
       // Layers far below the base latency are not worth a chiplet.
       double worst_lat = std::min(2e-3, latbase * 0.25);
-      for (int idx : sched.items_of_stage(st)) {
-        if (sched.placement(idx).num_shards() >= 12) continue;
-        const LayerDesc& l = *sched.item(idx).desc;
-        if (rides_with_predecessor(l)) continue;
+      for_each_stage_item(sched, st, [&](int idx) {
+        if (sched.placement(idx).num_shards() >= 12) return;
+        if (rides_with_predecessor(*sched.item(idx).desc)) return;
         const double lat = costs.item_latency_s(idx);
         if (lat > worst_lat) {
           worst_lat = lat;
           worst_item = idx;
         }
-      }
+      });
       if (worst_item < 0) continue;
       if (!weight_room(target,
                        layer_weight_bytes(*sched.item(worst_item).desc))) {
         continue;
       }
       stage_pool[static_cast<std::size_t>(st)].insert(target);
-      std::vector<int> chiplets =
-          placement_chiplets(sched.placement(worst_item));
-      chiplets.push_back(target);
+      placement_chiplets_plus(sched.placement(worst_item), target, chiplets);
       rebalance(sched, costs, worst_item, chiplets);
-      aggregate_schedule(costs, metrics);
       refresh_residency();
-      latbase = metrics.stages.front().pipe_s;
-      record("absorb-surplus " + sched.item(worst_item).desc->name + " x" +
-                 std::to_string(chiplets.size()),
-             metrics, latbase);
+      latbase = costs.stage_pipe_s(0);
+      record(step_action("absorb-surplus", sched.item(worst_item).desc->name,
+                         chiplets.size()),
+             latbase);
       return true;
     }
     return false;
@@ -300,11 +320,8 @@ MatchResult throughput_matching_with_pools(
     double worst = latbase * (1.0 + options.tolerance);
     for (int st = 1; st < num_stages; ++st) {
       if (saturated.count(st)) continue;
-      if (std::find(options.frozen_stages.begin(), options.frozen_stages.end(),
-                    st) != options.frozen_stages.end()) {
-        continue;
-      }
-      const double pipe = metrics.stages[static_cast<std::size_t>(st)].pipe_s;
+      if (frozen(st)) continue;
+      const double pipe = costs.stage_pipe_s(st);
       if (pipe > worst) {
         worst = pipe;
         bottleneck = st;
@@ -317,7 +334,7 @@ MatchResult throughput_matching_with_pools(
       // chiplets, then finish.
       if (options.allow_base_split && !base_split_done) {
         const Stage& fe = pipeline.stages.front();
-        std::vector<int> frees = free_list();
+        costs.free_chiplets(frees);
         bool splittable = static_cast<int>(frees.size()) >= fe.num_models();
         if (splittable && mem_bounded) {
           // The moved chain suffix's weights must fit the fresh chiplet;
@@ -345,10 +362,9 @@ MatchResult throughput_matching_with_pools(
           }
           base_split_done = true;
           saturated.clear();
-          aggregate_schedule(costs, metrics);
           refresh_residency();
-          latbase = metrics.stages.front().pipe_s;
-          record("split FE chains into 2 pipeline sub-stages", metrics, latbase);
+          latbase = costs.stage_pipe_s(0);
+          record("split FE chains into 2 pipeline sub-stages", latbase);
           continue;
         }
         base_split_done = true;  // not enough chiplets: settle at this base
@@ -361,13 +377,13 @@ MatchResult throughput_matching_with_pools(
     // Bottleneck layer within the stage.
     int worst_item = -1;
     double worst_lat = 0.0;
-    for (int idx : sched.items_of_stage(bottleneck)) {
+    for_each_stage_item(sched, bottleneck, [&](int idx) {
       const double lat = costs.item_latency_s(idx);
       if (lat > worst_lat) {
         worst_lat = lat;
         worst_item = idx;
       }
-    }
+    });
     if (worst_item < 0) {
       saturated.insert(bottleneck);
       continue;
@@ -378,8 +394,7 @@ MatchResult throughput_matching_with_pools(
     const Placement& cur = sched.placement(worst_item);
     auto busy_of = [&](int id) {
       const int pos = package.position_of(id);
-      return pos < 0 ? 0.0
-                     : metrics.chiplets[static_cast<std::size_t>(pos)].busy_s;
+      return pos < 0 ? 0.0 : costs.chiplet_busy_s(pos);
     };
     const double item_weight = layer_weight_bytes(*sched.item(worst_item).desc);
     int target = -1;
@@ -394,9 +409,10 @@ MatchResult throughput_matching_with_pools(
         target_busy = busy_of(id);
       }
     }
-    std::string how = "shard";
+    const char* how = "shard";
     if (target < 0) {
-      for (int id : free_list()) {
+      costs.free_chiplets(frees);
+      for (int id : frees) {
         if (!weight_room(id, item_weight)) continue;
         target = id;
         stage_pool[static_cast<std::size_t>(bottleneck)].insert(target);
@@ -409,17 +425,15 @@ MatchResult throughput_matching_with_pools(
       continue;
     }
 
-    std::vector<int> chiplets = placement_chiplets(cur);
-    chiplets.push_back(target);
+    placement_chiplets_plus(cur, target, chiplets);
     rebalance(sched, costs, worst_item, chiplets);
-    aggregate_schedule(costs, metrics);
     refresh_residency();
-    latbase = metrics.stages.front().pipe_s;
-    record(how + " " + sched.item(worst_item).desc->name + " x" +
-               std::to_string(chiplets.size()),
-           metrics, latbase);
+    latbase = costs.stage_pipe_s(0);
+    record(step_action(how, sched.item(worst_item).desc->name, chiplets.size()),
+           latbase);
   }
 
+  result.metrics = aggregate_schedule(costs);
   // The steps above gate only on weight room; activation working sets are
   // checked here, on the final placement. An overflowing placement is
   // infeasible and refused, as place_tenants refuses one.
@@ -429,7 +443,6 @@ MatchResult throughput_matching_with_pools(
         residency.describe_overflow());
   }
 
-  result.metrics = std::move(metrics);
   result.latbase_s = result.metrics.stages.front().pipe_s;
   if (result.trace.empty() || !result.converged) {
     result.converged =

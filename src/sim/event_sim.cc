@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
@@ -81,11 +82,6 @@ struct Program {
   std::vector<int> base_deps;    // producer edges + ingress, per item
   int num_chiplets = 0;
 
-  std::span<const ShardTask> shards_of(int item) const {
-    const std::size_t i = static_cast<std::size_t>(item);
-    return {shards.data() + shard_begin[i],
-            static_cast<std::size_t>(shard_begin[i + 1] - shard_begin[i])};
-  }
   std::span<const Edge> outs_of(int item) const {
     const std::size_t i = static_cast<std::size_t>(item);
     return {outs.data() + out_begin[i],
@@ -240,45 +236,75 @@ enum EvKind : int {
   kRecover = 4,
 };
 
+// An event: its instant, its order key and its payload. The key holds the
+// kind in its top bits, then, for a finish, the (job, item) slot
+// (Job::slot + item) and the frame epoch at dispatch (the stale-event
+// filter); for a dispatch, its chiplet. Slots are laid out tenant-major,
+// then frame, then item, so slot order is (job, item) order, and a run has
+// at most one fault, so an epoch is 0 or 1 and fits its bit. The key thus
+// orders events by (kind, job, item, epoch), and dispatches by chiplet.
 struct Ev {
   double time;
-  int kind;
-  int a;  // admit: frame; finish: frame; dispatch: dense chiplet
-  int b;  // finish: item
-  int c;  // finish: frame epoch at dispatch (stale-event filter)
-  int d;  // finish: dense chiplet the task ran on
-};
+  std::uint64_t key;
+  int job;      // admit, finish: the job
+  int chiplet;  // finish, dispatch: dense chiplet
 
+  static constexpr int kKindShift = 61;
+  static std::uint64_t key_of(EvKind kind, std::uint64_t rest) {
+    return static_cast<std::uint64_t>(kind) << kKindShift | rest;
+  }
+  static std::uint64_t finish_key(std::size_t slot, int epoch) {
+    return key_of(kFinish, static_cast<std::uint64_t>(slot) << 1 |
+                               static_cast<std::uint64_t>(epoch));
+  }
+  EvKind kind() const { return static_cast<EvKind>(key >> kKindShift); }
+  // Finish: the slot and the epoch bit.
+  std::size_t slot() const {
+    return static_cast<std::size_t>(
+        (key & ((std::uint64_t{1} << kKindShift) - 1)) >> 1);
+  }
+  int epoch() const { return static_cast<int>(key & 1); }
+};
+static_assert(sizeof(Ev) == 24);
+
+// (time, key) order. Two finishes that tie on (time, slot, epoch) are two
+// shards of one item that end at one instant on different chiplets; they
+// pop in either order with the same result: each only queues its chiplet's
+// wake-up on the due list (ordered by chiplet) and counts the item's
+// shards down, and whichever pops last releases the item's consumers at
+// the same instant.
 struct EvAfter {
   bool operator()(const Ev& x, const Ev& y) const {
     if (x.time != y.time) return x.time > y.time;
-    if (x.kind != y.kind) return x.kind > y.kind;
-    if (x.a != y.a) return x.a > y.a;
-    if (x.b != y.b) return x.b > y.b;
-    if (x.c != y.c) return x.c > y.c;
-    return x.d > y.d;
+    return x.key > y.key;
   }
 };
 
-// A shard waiting for its ready time on a chiplet's calendar. `rank` is
-// the owning job's dispatch rank — equal to its frame index for a single
-// closed-loop stream (FIFO by frame), and the policy-resolved admission
-// order across tenants otherwise. Ranks are a bijection over jobs, so
-// (rank) alone identifies the job in comparators.
+// Dispatch order key of a queued shard: its job's rank (see PendingShard)
+// in the high word, then its index in the program's shard array, which
+// lists shards by item, then placement order; so the key orders by (rank,
+// item, shard).
+inline std::uint64_t shard_key(int rank, int shard_index) {
+  return static_cast<std::uint64_t>(rank) << 32 |
+         static_cast<std::uint32_t>(shard_index);
+}
+
+// A shard waiting for its ready time on a chiplet's calendar. Its key
+// leads with the owning job's dispatch rank — equal to its frame index for
+// a single closed-loop stream (FIFO by frame), and the policy-resolved
+// admission order across tenants otherwise. Ranks are a bijection over
+// jobs, so the rank alone identifies the job in comparators.
 struct PendingShard {
   double ready;
-  int rank;
+  std::uint64_t key;  // shard_key
   int job;
   int item;
-  int shard;
 };
 
 struct PendingAfter {
   bool operator()(const PendingShard& a, const PendingShard& b) const {
     if (a.ready != b.ready) return a.ready > b.ready;
-    if (a.rank != b.rank) return a.rank > b.rank;
-    if (a.item != b.item) return a.item > b.item;
-    return a.shard > b.shard;
+    return a.key > b.key;
   }
 };
 
@@ -286,17 +312,18 @@ struct PendingAfter {
 // then program order — the same policy the former O(queue) linear scan
 // encoded, generalized from "frame" to "rank".
 struct ReadyShard {
-  int rank;
+  std::uint64_t key;  // shard_key
   int job;
   int item;
-  int shard;
+  // The shard's index in its job's program.
+  std::size_t index() const {
+    return static_cast<std::size_t>(key & 0xffffffffu);
+  }
 };
 
 struct ReadyAfter {
   bool operator()(const ReadyShard& a, const ReadyShard& b) const {
-    if (a.rank != b.rank) return a.rank > b.rank;
-    if (a.item != b.item) return a.item > b.item;
-    return a.shard > b.shard;
+    return a.key > b.key;
   }
 };
 
@@ -306,8 +333,9 @@ struct ReadyAfter {
 // push/pop are exactly std::priority_queue's specified algorithms
 // (push_back + std::push_heap / std::pop_heap + pop_back over the same
 // comparator), so the pop sequence is bitwise-identical — and since every
-// comparator here is a TOTAL order over its live elements, any conforming
-// heap would pop the same sequence anyway.
+// comparator here is a total order over its live elements, save EvAfter's
+// harmless finish ties, any conforming heap would pop the same sequence
+// anyway.
 template <typename T, typename After>
 class MinHeap {
  public:
@@ -552,7 +580,8 @@ struct Job {
   int tenant = 0;
   int rank = 0;  // dispatch rank (see PendingShard)
   // Bumped when the fault flush re-admits or drops the job: a finish
-  // dispatched in an older epoch is stale.
+  // dispatched in an older epoch is stale. A run has at most one fault, so
+  // it is 0 or 1.
   int epoch = 0;
   int items_left = 0;
   JobState state = JobState::kWaiting;
@@ -1047,21 +1076,24 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
       return;
     }
     ch.wake_at = t;
-    push_event(Ev{t, kDispatch, c, 0, 0, 0}, stats.pushes.dispatch);
+    push_event(Ev{t, Ev::key_of(kDispatch, static_cast<std::uint64_t>(c)), 0,
+                  c},
+               stats.pushes.dispatch);
   };
 
   // A shard ready by the current instant goes straight to its chiplet's
   // ready heap: the next dispatch there would move it from `pending` first.
   const auto enqueue_item_shards = [&](int j, int item, double at) {
     const Job& job = jobs[static_cast<std::size_t>(j)];
-    const std::span<const ShardTask> shards = job.prog->shards_of(item);
-    for (int s = 0; s < static_cast<int>(shards.size()); ++s) {
-      const int c = shards[static_cast<std::size_t>(s)].chiplet;
+    const Program& pr = *job.prog;
+    const int end = pr.shard_begin[static_cast<std::size_t>(item) + 1];
+    for (int s = pr.shard_begin[static_cast<std::size_t>(item)]; s < end; ++s) {
+      const int c = pr.shards[static_cast<std::size_t>(s)].chiplet;
       Chiplet& ch = chiplets[static_cast<std::size_t>(c)];
       if (at <= now + kTimeEps) {
-        ch.ready.push(ReadyShard{job.rank, j, item, s});
+        ch.ready.push(ReadyShard{shard_key(job.rank, s), j, item});
       } else {
-        ch.pending.push(PendingShard{at, job.rank, j, item, s});
+        ch.pending.push(PendingShard{at, shard_key(job.rank, s), j, item});
       }
       wake(at, c);
     }
@@ -1142,9 +1174,10 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   std::size_t next_admit = 0;
 
   if (faulted) {
-    push_event(Ev{fault.fail_time_s, kFault, 0, 0, 0, 0}, stats.pushes.fault);
+    push_event(Ev{fault.fail_time_s, Ev::key_of(kFault, 0), 0, 0},
+               stats.pushes.fault);
     if (fault.recover_time_s >= 0.0) {
-      push_event(Ev{fault.recover_time_s, kRecover, 0, 0, 0, 0},
+      push_event(Ev{fault.recover_time_s, Ev::key_of(kRecover, 0), 0, 0},
                  stats.pushes.recover);
     }
   }
@@ -1168,23 +1201,24 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         // Due wake-ups are at `now`: after admissions at `now`, the heap's
         // finishes at `now` and its dispatches at `now` on lower chiplets.
         heap_first = !(admit_left && admit_t <= now) && top.time == now &&
-                     (top.kind == kFinish ||
-                      (top.kind == kDispatch && top.a < due.top()));
+                     (top.kind() == kFinish ||
+                      (top.kind() == kDispatch && top.chiplet < due.top()));
       }
     }
     if (heap_first) {
       ev = events.top();
       events.pop();
-      if (ev.kind == kDispatch) {
-        Chiplet& ch = chiplets[static_cast<std::size_t>(ev.a)];
+      if (ev.kind() == kDispatch) {
+        Chiplet& ch = chiplets[static_cast<std::size_t>(ev.chiplet)];
         if (ch.wake_at == ev.time) {
           ch.wake_at = -std::numeric_limits<double>::infinity();
         }
       }
     } else if (admit_left && (due.empty() || admit_t <= now)) {
-      ev = Ev{admit_t, kAdmit, (*admits)[next_admit++], 0, 0, 0};
+      ev = Ev{admit_t, Ev::key_of(kAdmit, 0), (*admits)[next_admit++], 0};
     } else if (!due.empty()) {
-      ev = Ev{now, kDispatch, due.top(), 0, 0, 0};
+      const int c = due.top();
+      ev = Ev{now, Ev::key_of(kDispatch, static_cast<std::uint64_t>(c)), 0, c};
       chiplets[static_cast<std::size_t>(due.top())].due = false;
       due.pop();
     } else {
@@ -1196,9 +1230,9 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   Ev ev{};
   while (next_event(ev)) {
     now = ev.time;
-    switch (ev.kind) {
+    switch (ev.kind()) {
       case kAdmit: {
-        const int f = ev.a;
+        const int f = ev.job;
         Job& job = jobs[static_cast<std::size_t>(f)];
         TenantCtx& tc = ctx[static_cast<std::size_t>(job.tenant)];
         const AdmissionControl& ac =
@@ -1244,21 +1278,21 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         break;
       }
       case kFinish: {
-        const int f = ev.a;
-        const int item = ev.b;
+        const int f = ev.job;
         // The task's chiplet is free: dispatch there once this instant's
         // finishes are in, stale or not.
-        wake(now, ev.d);
+        wake(now, ev.chiplet);
         Job& job = jobs[static_cast<std::size_t>(f)];
         // Stale: the frame was flushed (and possibly dropped) after this
         // task was dispatched.
-        if (ev.c != job.epoch) {
+        if (ev.epoch() != job.epoch) {
           ++stats.stale_finishes;
           break;
         }
+        const int item = static_cast<int>(ev.slot() - job.slot);
         // The last shard's finish event carries the item's completion time
         // (events pop in nondecreasing time order).
-        Slot& slot = slots[job.slot + static_cast<std::size_t>(item)];
+        Slot& slot = slots[ev.slot()];
         if (--slot.shards_left != 0) break;
         const double finished = now;
         if (--job.items_left == 0) {
@@ -1365,7 +1399,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
       }
       case kDispatch:
       default: {
-        Chiplet& ch = chiplets[static_cast<std::size_t>(ev.a)];
+        Chiplet& ch = chiplets[static_cast<std::size_t>(ev.chiplet)];
         // Busy: the running task's finish wakes this chiplet again.
         if (ch.free > now + kTimeEps) {
           ++stats.busy_dispatches;
@@ -1374,7 +1408,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         while (!ch.pending.empty() &&
                ch.pending.top().ready <= now + kTimeEps) {
           const PendingShard& p = ch.pending.top();
-          ch.ready.push(ReadyShard{p.rank, p.job, p.item, p.shard});
+          ch.ready.push(ReadyShard{p.key, p.job, p.item});
           ch.pending.pop();
         }
         if (shed_any) {
@@ -1403,7 +1437,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         }
         if (ch.ready.empty()) {
           ++stats.idle_dispatches;
-          if (!ch.pending.empty()) wake(ch.pending.top().ready, ev.a);
+          if (!ch.pending.empty()) wake(ch.pending.top().ready, ev.chiplet);
           break;
         }
         const ReadyShard task = ch.ready.top();
@@ -1422,14 +1456,16 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
             ++tc.qd_count;
           }
         }
-        const double service =
-            job.prog->shards_of(task.item)[static_cast<std::size_t>(task.shard)]
-                .service_s;
+        const double service = job.prog->shards[task.index()].service_s;
         const double done = now + service;
         ch.free = done;
         ch.busy += service;
         ++result.tasks_executed;
-        push_event(Ev{done, kFinish, task.job, task.item, job.epoch, ev.a},
+        push_event(Ev{done,
+                      Ev::finish_key(
+                          job.slot + static_cast<std::size_t>(task.item),
+                          job.epoch),
+                      task.job, ev.chiplet},
                    stats.pushes.finish);
         break;
       }

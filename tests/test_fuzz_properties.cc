@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -1315,17 +1316,45 @@ void expect_metrics_bitwise(const ScheduleMetrics& got,
   expect_same_bits(got.utilization, want.utilization, "utilization");
 }
 
+// The folds Algorithm 1's steps read, straight from the table: every
+// chiplet's busy and per-stage busy time, every stage's pipe and E2E.
+void expect_folds_bitwise(ShardCostTable& costs, const ScheduleMetrics& want) {
+  for (std::size_t c = 0; c < want.chiplets.size(); ++c) {
+    const ChipletUsage& w = want.chiplets[c];
+    const std::string at = "chiplet " + std::to_string(w.chiplet_id) + " fold";
+    const int pos = static_cast<int>(c);
+    expect_same_bits(costs.chiplet_busy_s(pos), w.busy_s, at + " busy_s");
+    const std::span<const double> busy = costs.chiplet_stage_busy_s(pos);
+    ASSERT_EQ(busy.size(), w.stage_busy_s.size()) << at;
+    for (std::size_t st = 0; st < busy.size(); ++st) {
+      expect_same_bits(busy[st], w.stage_busy_s[st],
+                       at + " stage_busy_s[" + std::to_string(st) + "]");
+    }
+  }
+  for (std::size_t st = 0; st < want.stages.size(); ++st) {
+    const std::string at = "stage " + std::to_string(st) + " fold";
+    const int stage = static_cast<int>(st);
+    expect_same_bits(costs.stage_pipe_s(stage), want.stages[st].pipe_s,
+                     at + " pipe_s");
+    expect_same_bits(costs.stage_e2e_s(stage), want.stages[st].e2e_s,
+                     at + " e2e_s");
+  }
+}
+
 // Oracle for Algorithm 1's incremental evaluation. A ShardCostTable that
 // re-prices only the items a random re-shard or chain split touched must
-// aggregate to exactly what a fresh evaluate_schedule computes, after every
-// step: on healthy and degraded packages, over random-layer chains in
-// parallel-model stages behind an optional stage prefix model. Every
-// aggregation writes into one ScheduleMetrics reused across steps and
-// trials, as Algorithm 1 reuses one per match, so a field it fails to reset
-// shows.
+// read and aggregate exactly what a fresh evaluate_schedule computes, after
+// every step: on healthy and degraded packages, over random-layer chains in
+// parallel-model stages behind an optional stage prefix model, with
+// multi-shard placements (repeated chiplets included) and chain cuts. The
+// table's folds are read first, as a matching step reads them, so a fold
+// that a re-placement failed to mark stale shows before any aggregation.
+// Every aggregation writes into one ScheduleMetrics reused across steps and
+// trials, as a caller may reuse one, so a field it fails to reset shows.
 TEST_P(FuzzSeed, IncrementalPricingMatchesFreshEvaluation) {
   Lcg rng(static_cast<std::uint64_t>(GetParam()) * 40503u + 19u);
   ScheduleMetrics reused;
+  std::vector<int> frees;
   for (int trial = 0; trial < 6; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     PackageConfig pkg = random_package(rng);
@@ -1412,9 +1441,12 @@ TEST_P(FuzzSeed, IncrementalPricingMatchesFreshEvaluation) {
         EXPECT_THROW(aggregate_schedule(costs, reused), std::runtime_error);
         break;
       }
+      expect_folds_bitwise(costs, fresh);
       aggregate_schedule(costs, reused);
       expect_metrics_bitwise(reused, fresh);
-      EXPECT_EQ(costs.free_chiplets(), sched.free_chiplets());
+      costs.free_chiplets(frees);
+      EXPECT_EQ(frees, sched.free_chiplets());
+      EXPECT_EQ(costs.num_free_chiplets(), static_cast<int>(frees.size()));
       for (int i = 0; i < sched.num_items(); ++i) {
         expect_same_bits(costs.item_latency_s(i), item_latency_s(sched, i),
                          "item " + std::to_string(i) + " latency");

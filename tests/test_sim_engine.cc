@@ -8,7 +8,8 @@
 // new/delete with counting forwarders to malloc/free (ASan still
 // intercepts the underlying malloc, so the sanitizer job checks the same
 // property). Only the delta across one run_into call is asserted; gtest's
-// own allocations outside the window don't matter.
+// own allocations outside the window don't matter. The same counter pins
+// the allocations of degraded hop counts and of Algorithm 1's steps.
 #include "sim/event_sim.h"
 
 #include <gtest/gtest.h>
@@ -446,6 +447,36 @@ TEST(SimEngine, ProgramBuildAllocationsDoNotGrowWithTheSchedule) {
       EXPECT_EQ(allocs, pinned);
     }
   }
+}
+
+// Algorithm 1's steps reuse their buffers and refold only what they
+// re-place, so a match's allocations are mostly fixed: one shard vector
+// per item from the initial assignment, the schedule and the shard-cost
+// table. The two matches differ only in tolerance: the tighter one takes
+// 11 more steps on the same 8-camera design, and each extra step allocates
+// its re-placed item's shard vector and, at most, its action string, a
+// stage-pool node and a share of the trace's and the table's growth.
+TEST(ThroughputMatching, AllocationsPerExtraStepArePinned) {
+  const PackageConfig pkg = make_simba_package();
+  AutopilotConfig cfg;
+  cfg.num_cameras = 8;
+  cfg.fusion.num_cameras = 8;
+  cfg.fusion.queue_frames = 18;
+  const PerceptionPipeline pipe = build_autopilot_pipeline(cfg);
+  long long allocs[2] = {};
+  std::size_t steps[2] = {};
+  for (const int k : {0, 1}) {
+    MatchOptions mo;
+    mo.tolerance = k == 0 ? 0.30 : 0.02;
+    const long long before = g_new_calls;
+    const MatchResult match = throughput_matching(pipe, pkg, mo);
+    allocs[k] = g_new_calls - before;
+    steps[k] = match.trace.size();
+  }
+  ASSERT_EQ(steps[1] - steps[0], 11u);
+  EXPECT_LE(allocs[1] - allocs[0], 18)
+      << "allocations per extra step grew: " << allocs[0] << " -> "
+      << allocs[1] << " over " << steps[1] - steps[0] << " steps";
 }
 
 // A degraded package prices its NoP edges through hops_between and

@@ -11,8 +11,10 @@ workload, seed, samples) and then its result ({"correct": ..., "metrics":
 record/result pair to BENCH_perfbench.json at the repository root (or
 --out), tagged with the change it measures (--pr) and the side of the
 comparison (--side parent for the commit a change starts from, change for
-the change itself). A file whose lines do not alternate record and result
-is refused whole, and nothing is written.
+the change itself). Each side is one code version, so a file is refused
+whole, and nothing is written, when its lines do not alternate record and
+result, when its runs carry more than one source_digest, or when its
+digest is already filed under the other side of the same --pr.
 
 BENCH_perfbench.json holds {"entries": [...]}, one entry per line in the
 order appended: {"pr", "side", "record", "result"}.
@@ -56,6 +58,19 @@ def read_pairs(path):
     return pairs
 
 
+def check_one_version(path, pairs, entries, pr, side):
+    """Refuses runs of several code versions, or of the other side's."""
+    digests = sorted({str(record.get("source_digest")) for record, _ in pairs})
+    if len(digests) > 1:
+        fail("%s holds runs of %d code versions (source digests %s); a side is one version"
+             % (path, len(digests), ", ".join(digests)))
+    for e in entries:
+        filed = str(e.get("record", {}).get("source_digest"))
+        if e.get("pr") == pr and e.get("side") != side and filed == digests[0]:
+            fail("source digest %s is already filed under --side %s of --pr %s"
+                 % (digests[0], e.get("side"), pr))
+
+
 def load_trajectory(path):
     if not os.path.exists(path):
         return []
@@ -84,6 +99,7 @@ def main():
     if not pairs:
         fail("%s holds no runs" % args.records)
     entries = load_trajectory(args.out)
+    check_one_version(args.records, pairs, entries, args.pr, args.side)
     for record, result in pairs:
         entries.append({"pr": args.pr, "side": args.side, "record": record, "result": result})
     write_trajectory(args.out, entries)
