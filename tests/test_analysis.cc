@@ -1,10 +1,13 @@
 // Static verification layer: registry integrity, one triggering + one clean
 // fixture per rule ID, validate_or_throw raising the engine's exception
 // types, the table/JSON renderings, and the schedule-bundle round trip that
-// feeds tools/cnpu_lint.
+// feeds tools/cnpu_lint, including the committed bundles in tests/bundles/.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -692,6 +695,26 @@ TEST(ScheduleBundleTest, MalformedPlacementsSurviveLoadForTheLinter) {
   EXPECT_EQ(rt.schedule->placement(0).shards[0].chiplet_id, 99);
   EXPECT_TRUE(
       validate(*rt.schedule).has_rule(analysis::kRuleSchedDanglingChiplet));
+}
+
+// tests/bundles/ holds the bundles the cnpu_lint_* CTest cases lint through
+// the CLI. Each loads from disk and re-exports byte for byte, so a change
+// to the bundle format fails here until the corpus is rewritten with it.
+TEST(ScheduleBundleTest, CommittedBundlesRoundTripByteForByte) {
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CNPU_BUNDLE_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    ++files;
+    const std::string path = entry.path().string();
+    SCOPED_TRACE(path);
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    const ScheduleBundle b = load_schedule_bundle(path);
+    EXPECT_EQ(bundle_to_json(*b.schedule) + "\n", bytes);
+  }
+  EXPECT_GE(files, 10);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 # references a source directory, file, sibling doc or `Type::member` that no
 # longer exists; when any of those, README.md or the verify skill
 # (.claude/skills/verify/SKILL.md) names a bench target, bench or example
-# binary that has no source, or passes a bench a flag other than --smoke;
-# or when the rule catalogue in docs/DIAGNOSTICS.md and the registry in
+# binary that has no source, passes a bench a flag other than --smoke, or
+# passes cnpu_lint an option tools/cnpu_lint.cc does not parse; or when the
+# rule catalogue in docs/DIAGNOSTICS.md and the registry in
 # src/analysis/rules.h list different rule IDs. So the module map, rule
 # catalogue, metric definitions, bench table and quoted commands cannot rot
 # silently. Run from anywhere: paths resolve relative to the repo root.
@@ -100,6 +101,17 @@ check_commands() {
       fi
     done
   done < <(grep -oE '\./build/bench/[A-Za-z0-9_]+( +-[^ `#]*)*' "$doc" | sort -u)
+
+  # Every option a quoted cnpu_lint command passes must be one
+  # tools/cnpu_lint.cc parses: its "--flag" literal appears there.
+  while IFS= read -r cmd; do
+    for flag in $(grep -oE ' --?[a-z][a-z-]*' <<<"$cmd"); do
+      if ! grep -qF -- "\"$flag\"" "$repo_root/tools/cnpu_lint.cc"; then
+        echo "check_docs: $name passes cnpu_lint an option it does not parse: $cmd" >&2
+        failed=1
+      fi
+    done
+  done < <(grep -oE 'cnpu_lint( +[^ `#]+)*' "$doc" | sort -u)
 }
 
 # Every identifier of src/ code with `//` comments stripped.
