@@ -59,7 +59,7 @@ const std::vector<RuleInfo>& rule_registry() {
        "FaultPlan names a chiplet not in the package"},
       {kRuleFaultOrder, "fault-order", Severity::kError,
        ThrowKind::kInvalidArgument,
-       "fail/recover instants are negative or out of order"},
+       "fail instant is negative or NaN, or recovery precedes it"},
       {kRuleFaultPenaltySign, "fault-penalty-sign", Severity::kWarning,
        ThrowKind::kNone,
        "reschedule penalty is negative (treated as a time travel stall)"},

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "arch/chiplet.h"
@@ -39,8 +40,15 @@ struct NopLink {
   bool operator==(const NopLink&) const = default;
 };
 
-// Strict weak order so links can key associative containers.
-bool operator<(const NopLink& a, const NopLink& b);
+// Strict weak order, field by field, so link lists sort canonically
+// (SimResult::link_stats). Inline: canonicalizing a contended program's
+// links compares thousands of pairs.
+inline bool operator<(const NopLink& a, const NopLink& b) {
+  return std::tie(a.kind, a.npu, a.npu_to, a.from.row, a.from.col, a.to.row,
+                  a.to.col, a.substrate_step) <
+         std::tie(b.kind, b.npu, b.npu_to, b.from.row, b.from.col, b.to.row,
+                  b.to.col, b.substrate_step);
+}
 
 // A grid position whose chiplet was removed by without_chiplet. The
 // position's mesh router dies with its chiplet (there is no standalone

@@ -1,9 +1,9 @@
 #include "sim/event_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -18,6 +18,7 @@
 #include "core/evaluator.h"
 #include "core/remap.h"
 #include "core/residency.h"
+#include "sim/min_heap.h"
 #include "util/stats.h"
 #include "util/strings.h"
 
@@ -98,12 +99,25 @@ struct Program {
 // copied out at its exact size, so once the buffers have grown, a build
 // allocates once per non-empty array whatever the schedule's size.
 struct ProgramBuilder {
+  // One (source, destination) pair's route in the build numbered `build`:
+  // Program::links[begin, end).
+  struct Route {
+    int begin = 0;
+    int end = 0;
+    std::uint64_t build = 0;
+  };
+
   Program prog;
   std::vector<Edge> wired;     // every edge, wiring order
   std::vector<int> producer;   // wired[e]'s producer
   std::vector<int> cursor;     // per-producer fill position in outs
   std::vector<NopLink> route;  // the route walk's buffer
   std::vector<int> links;      // a canonical link list being assembled
+  // Contended builds' route memo, source-major over dense chiplets, with
+  // the I/O port as source num_chiplets; an entry is valid only in the
+  // pass that stamped it, so no build clears it.
+  std::vector<Route> routes;
+  std::uint64_t build = 0;  // the current pass's stamp, two per build
 };
 
 // Compiles `sched` into `b.prog`. `dense_pkg` defines the dense chiplet
@@ -142,13 +156,73 @@ void build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
   prog.ingress.clear();
   b.wired.clear();
   b.producer.clear();
-  // Resolves the route in `b.route` into one message; -1 when it is empty.
-  const auto add_message = [&](double bytes) {
-    if (b.route.empty()) return -1;
-    const int begin = static_cast<int>(prog.links.size());
-    fabric.resolve(b.route, prog.links);
-    prog.msgs.push_back(
-        Message{begin, static_cast<int>(prog.links.size()), bytes});
+  const std::size_t nc = static_cast<std::size_t>(prog.num_chiplets);
+  // The memo entry of the route from chiplet `src_id` (-1: the I/O port)
+  // to `dst_id`.
+  const auto route_of = [&](int src_id, int dst_id) -> ProgramBuilder::Route& {
+    const std::size_t src =
+        src_id < 0 ? nc
+                   : static_cast<std::size_t>(dense_pkg.position_of(src_id));
+    const std::size_t dst =
+        static_cast<std::size_t>(dense_pkg.position_of(dst_id));
+    return b.routes[src * nc + dst];
+  };
+  if (contended) {
+    if (b.routes.size() < (nc + 1) * nc) b.routes.resize((nc + 1) * nc);
+    fabric.reserve_for(dense_pkg);
+    // Size the messages and their links before the walk, so that each
+    // buffer grows at most once per build: one message per non-empty
+    // route, one route (its hop count in links) per (source, destination)
+    // pair.
+    std::size_t num_msgs = 0;
+    std::size_t num_links = 0;
+    std::size_t max_hops = 0;
+    ++b.build;
+    const auto count = [&](int src_id, int dst_id) {
+      if (src_id == dst_id) return;  // an empty route: no message
+      ++num_msgs;
+      ProgramBuilder::Route& r = route_of(src_id, dst_id);
+      if (r.build == b.build) return;
+      r.build = b.build;
+      const std::size_t hops = static_cast<std::size_t>(
+          src_id < 0 ? pkg.hops_from_io(dst_id)
+                     : pkg.hops_between(src_id, dst_id));
+      num_links += hops;
+      max_hops = std::max(max_hops, hops);
+    };
+    for_each_schedule_edge(
+        sched,
+        [&](int item) { count(-1, sched.placement(item).primary_chiplet()); },
+        [&](int producer, int consumer, double) {
+          const int dst = sched.placement(consumer).primary_chiplet();
+          for (const auto& sh : sched.placement(producer).shards) {
+            count(sh.chiplet_id, dst);
+          }
+        });
+    prog.msgs.reserve(num_msgs);
+    prog.links.reserve(num_links);
+    b.route.reserve(max_hops);
+    ++b.build;
+  }
+  // A message of `bytes` from chiplet `src_id` (-1: the I/O port) to
+  // `dst_id`; -1 when the route is empty. A pair's route is walked and its
+  // links resolved at its first message, in walk order, so links register
+  // in first-seen order; later messages of the pair reuse its range.
+  const auto add_message = [&](int src_id, int dst_id, double bytes) {
+    ProgramBuilder::Route& r = route_of(src_id, dst_id);
+    if (r.build != b.build) {
+      if (src_id < 0) {
+        pkg.route_from_io(dst_id, b.route);
+      } else {
+        pkg.route_between(src_id, dst_id, b.route);
+      }
+      r.begin = static_cast<int>(prog.links.size());
+      fabric.resolve(b.route, prog.links);
+      r.end = static_cast<int>(prog.links.size());
+      r.build = b.build;
+    }
+    if (r.begin == r.end) return -1;
+    prog.msgs.push_back(Message{r.begin, r.end, bytes});
     return static_cast<int>(prog.msgs.size()) - 1;
   };
   for_each_schedule_edge(
@@ -160,10 +234,7 @@ void build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
         Ingress in;
         in.item = item;
         in.delay_s = nop ? nop_ingress_cost(pkg, dst).latency_s : 0.0;
-        if (contended) {
-          pkg.route_from_io(dst, b.route);
-          in.msg = add_message(kCameraInputBytes);
-        }
+        if (contended) in.msg = add_message(-1, dst, kCameraInputBytes);
         prog.ingress.push_back(in);
       },
       [&](int producer, int consumer, double bytes) {
@@ -175,8 +246,8 @@ void build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
         e.msg_begin = static_cast<int>(prog.msgs.size());
         if (contended) {
           for (const auto& sh : from.shards) {
-            pkg.route_between(sh.chiplet_id, to.primary_chiplet(), b.route);
-            add_message(sh.fraction * bytes);
+            add_message(sh.chiplet_id, to.primary_chiplet(),
+                        sh.fraction * bytes);
           }
         }
         e.msg_end = static_cast<int>(prog.msgs.size());
@@ -209,15 +280,28 @@ void build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
   }
 }
 
-// Sorts dense link indices by the link each names and drops repeats —
-// the order SimResult::link_stats reports in. Each cached program's list
-// is canonicalized once at build; a run sorts again only when it unions
-// several programs' lists.
-void canonicalize_links(std::vector<int>& links, const NopFabric& fabric) {
+// Drops repeated dense link indices, then sorts the rest by the link each
+// names: the order SimResult::link_stats reports in. `seen` is a per-link
+// mark, all zero on entry and on return; once it covers the registry,
+// nothing here allocates. Each cached program's list is canonicalized once
+// at build; a run canonicalizes again only when it unions several
+// programs' lists.
+void canonicalize_links(std::vector<int>& links, const NopFabric& fabric,
+                        std::vector<unsigned char>& seen) {
+  if (seen.size() < fabric.size()) seen.resize(fabric.size());
+  std::size_t kept = 0;
+  for (const int l : links) {
+    unsigned char& mark = seen[static_cast<std::size_t>(l)];
+    if (mark == 0) {
+      mark = 1;
+      links[kept++] = l;
+    }
+  }
+  links.resize(kept);
+  for (const int l : links) seen[static_cast<std::size_t>(l)] = 0;
   std::sort(links.begin(), links.end(), [&](int a, int b) {
     return fabric.link(a) < fabric.link(b);
   });
-  links.erase(std::unique(links.begin(), links.end()), links.end());
 }
 
 // Event kinds, in tie-break order at equal timestamps: frame admissions
@@ -267,16 +351,15 @@ struct Ev {
 };
 static_assert(sizeof(Ev) == 24);
 
-// (time, key) order. Two finishes that tie on (time, slot, epoch) are two
-// shards of one item that end at one instant on different chiplets; they
-// pop in either order with the same result: each only queues its chiplet's
-// wake-up on the due list (ordered by chiplet) and counts the item's
-// shards down, and whichever pops last releases the item's consumers at
-// the same instant.
+// (time, key) order, as one packed integer (see pack_time_key). Two
+// finishes that tie on (time, slot, epoch) are two shards of one item that
+// end at one instant on different chiplets; they pop in either order with
+// the same result: each only marks its chiplet due (the due set is read by
+// chiplet) and counts the item's shards down, and whichever pops last
+// releases the item's consumers at the same instant.
 struct EvAfter {
   bool operator()(const Ev& x, const Ev& y) const {
-    if (x.time != y.time) return x.time > y.time;
-    return x.key > y.key;
+    return pack_time_key(x.time, x.key) > pack_time_key(y.time, y.key);
   }
 };
 
@@ -303,8 +386,7 @@ struct PendingShard {
 
 struct PendingAfter {
   bool operator()(const PendingShard& a, const PendingShard& b) const {
-    if (a.ready != b.ready) return a.ready > b.ready;
-    return a.key > b.key;
+    return pack_time_key(a.ready, a.key) > pack_time_key(b.ready, b.key);
   }
 };
 
@@ -327,33 +409,39 @@ struct ReadyAfter {
   }
 };
 
-// Vector-backed binary min-heap whose clear() retains capacity, replacing
-// the std::priority_queue the one-shot simulator used (whose only
-// "reset" is replacement, discarding the backing allocation every run).
-// push/pop are exactly std::priority_queue's specified algorithms
-// (push_back + std::push_heap / std::pop_heap + pop_back over the same
-// comparator), so the pop sequence is bitwise-identical — and since every
-// comparator here is a total order over its live elements, save EvAfter's
-// harmless finish ties, any conforming heap would pop the same sequence
-// anyway.
-template <typename T, typename After>
-class MinHeap {
+// Dispatch wake-ups at the current instant: a grow-only bitset over dense
+// chiplets, read lowest-first. `first_` is the lowest word holding a bit,
+// or `end_` when the set is empty; a chiplet that joins below it moves it
+// back (a zero-service task's finish can wake a chiplet below the one
+// dispatching).
+class DueSet {
  public:
-  bool empty() const { return v_.empty(); }
-  const T& top() const { return v_.front(); }
-  std::size_t size() const { return v_.size(); }
-  void push(T x) {
-    v_.push_back(std::move(x));
-    std::push_heap(v_.begin(), v_.end(), After{});
+  // Empties the set and sizes it for `chiplets` dense chiplets.
+  void reset(int chiplets) {
+    end_ = (static_cast<std::size_t>(chiplets) + 63) / 64;
+    if (words_.size() < end_) words_.resize(end_);
+    std::fill_n(words_.begin(), end_, std::uint64_t{0});
+    first_ = end_;
+  }
+  bool empty() const { return first_ == end_; }
+  void insert(int c) {
+    const std::size_t w = static_cast<std::size_t>(c) / 64;
+    words_[w] |= std::uint64_t{1} << (c % 64);
+    if (w < first_) first_ = w;
+  }
+  // The lowest due chiplet; the set must not be empty.
+  int top() const {
+    return static_cast<int>(first_ * 64) + std::countr_zero(words_[first_]);
   }
   void pop() {
-    std::pop_heap(v_.begin(), v_.end(), After{});
-    v_.pop_back();
+    words_[first_] &= words_[first_] - 1;
+    while (first_ < end_ && words_[first_] == 0) ++first_;
   }
-  void clear() { v_.clear(); }
 
  private:
-  std::vector<T> v_;
+  std::vector<std::uint64_t> words_;
+  std::size_t first_ = 0;
+  std::size_t end_ = 0;
 };
 
 // Recovery metric (see SimResult::recovery_time_s), per latency/completion
@@ -608,7 +696,6 @@ struct Chiplet {
   // Instant of its latest dispatch wake-up still in the event heap (-inf
   // when none), so an identical wake-up is not queued twice.
   double wake_at = -std::numeric_limits<double>::infinity();
-  bool due = false;  // on the due list (a wake-up at the current instant)
 };
 
 }  // namespace evsim
@@ -619,13 +706,18 @@ namespace {
 const std::string kImplicitStreamName = "stream";
 const std::vector<int> kNoAllowedChiplets;
 
+// `x` where it is >= 0 (-0.0 included), else 0: std::max(x, 0.0) without
+// its NaN pass-through, since the instants derived from these values reach
+// the event heaps.
+double nonnegative_or_zero(double x) { return x >= 0.0 ? x : 0.0; }
+
 StreamView view_of(const Schedule& schedule, const std::string& name,
                    const StreamSpec& spec, int priority,
                    const std::vector<int>& allowed_chiplets) {
   return StreamView{&schedule, &name, std::max(spec.frames, 1),
-                    std::max(spec.frame_interval_s, 0.0), spec.deadline_s,
-                    priority, &allowed_chiplets, &spec.arrivals,
-                    &spec.admission};
+                    nonnegative_or_zero(spec.frame_interval_s),
+                    spec.deadline_s, priority, &allowed_chiplets,
+                    &spec.arrivals, &spec.admission};
 }
 }  // namespace
 
@@ -674,8 +766,9 @@ void check_run(const Schedule& schedule, const SimOptions& options,
   }
   const FaultPlan& fault = options.fault;
   if (fault.active()) {
-    if (fault.fail_time_s < 0.0) {
-      fail(analysis::kRuleFaultOrder, -1, "negative fail_time_s");
+    // NaN fails too: the fault event's instant enters the event heap.
+    if (!(fault.fail_time_s >= 0.0)) {
+      fail(analysis::kRuleFaultOrder, -1, "negative or NaN fail_time_s");
     }
     if (fault.recover_time_s >= 0.0 &&
         fault.recover_time_s < fault.fail_time_s) {
@@ -732,11 +825,12 @@ struct SimEngine::Impl {
   MinHeap<Ev, EvAfter> events;
   // Jobs in admission order, (instant, job id), when `order` is not it.
   std::vector<int> admit_seq;
-  // Dispatch wake-ups at the current instant, by chiplet (see run_into).
-  MinHeap<int, std::greater<int>> due;
+  // Dispatch wake-ups at the current instant (see run_into).
+  DueSet due;
   // The union of the links of this run's programs, canonical — built only
   // when the run has more than one program (several tenants or a fault).
   std::vector<int> run_links;
+  std::vector<unsigned char> link_seen;  // canonicalize_links' mark
   // Reduction scratch (reduce_tail / recovery).
   std::vector<double> scr_lat;
   std::vector<double> scr_times;
@@ -749,7 +843,7 @@ struct SimEngine::Impl {
     std::vector<int>& out = builder.links;
     out.assign(a.begin(), a.end());
     out.insert(out.end(), b.begin(), b.end());
-    canonicalize_links(out, fabric);
+    canonicalize_links(out, fabric, link_seen);
     return out;
   }
 
@@ -854,7 +948,7 @@ struct SimEngine::Impl {
                          c.degraded->links.end());
       }
     }
-    canonicalize_links(run_links, fabric);
+    canonicalize_links(run_links, fabric, link_seen);
     return run_links;
   }
 
@@ -1021,10 +1115,9 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     ch.free = 0.0;
     ch.busy = 0.0;
     ch.wake_at = -std::numeric_limits<double>::infinity();
-    ch.due = false;
   }
   events.clear();
-  due.clear();
+  due.reset(nc);
 
   // Reset every field of the caller's result object (run_into reuses its
   // buffers; a stale field from a previous run must not leak through).
@@ -1063,16 +1156,13 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   };
 
   // Requests a dispatch on chiplet `c` at instant `t` >= now. A wake-up
-  // for `now` joins the due list; a later one goes to the event heap
+  // for `now` joins the due set; a later one goes to the event heap
   // unless the chiplet's latest queued heap wake-up is already at `t`.
   const auto wake = [&](double t, int c) {
     Chiplet& ch = chiplets[static_cast<std::size_t>(c)];
     if (ch.wake_at == t) return;
     if (t == now) {
-      if (!ch.due) {
-        ch.due = true;
-        due.push(c);
-      }
+      due.insert(c);
       return;
     }
     ch.wake_at = t;
@@ -1183,7 +1273,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   }
 
   // The next event in (time, kind, ...) order, from three sources: the
-  // admission cursor, the due list (dispatches at `now`, by chiplet) and
+  // admission cursor, the due set (dispatches at `now`, by chiplet) and
   // the event heap (every other event is at or after `now`).
   const auto next_event = [&](Ev& ev) {
     const bool admit_left = next_admit < admits->size();
@@ -1219,7 +1309,6 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     } else if (!due.empty()) {
       const int c = due.top();
       ev = Ev{now, Ev::key_of(kDispatch, static_cast<std::uint64_t>(c)), 0, c};
-      chiplets[static_cast<std::size_t>(due.top())].due = false;
       due.pop();
     } else {
       return false;
@@ -1327,7 +1416,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         // unexecuted remainder is handed back; the executed slice stays in
         // the chiplet's busy time as wasted work), flush all calendars, and
         // stall dispatch until the reschedule penalty elapses.
-        const double resume = now + std::max(fault.reschedule_penalty_s, 0.0);
+        const double resume =
+            now + nonnegative_or_zero(fault.reschedule_penalty_s);
         for (int c = 0; c < nc; ++c) {
           Chiplet& ch = chiplets[static_cast<std::size_t>(c)];
           if (ch.free > now) ch.busy -= ch.free - now;

@@ -120,12 +120,13 @@ enum class NopMode {
 // case no chiplet fails, no program is remapped and no frame is dropped.
 struct FaultPlan {
   int chiplet_id = -1;     // chiplet (package id) that dies; < 0 = no fault
-  double fail_time_s = 0.0;
+  double fail_time_s = 0.0;  // >= 0; negative or NaN fails F002
   // Time the chiplet (and its router) comes back; < 0 = never recovers.
   // Must be >= fail_time_s when non-negative.
   double recover_time_s = -1.0;
   // Fault detection + pipeline flush + schedule reconfiguration stall: no
-  // chiplet dispatches work for this long after the fault fires.
+  // chiplet dispatches work for this long after the fault fires. A
+  // negative or NaN penalty reads as 0.
   double reschedule_penalty_s = 0.0;
 
   bool active() const { return chiplet_id >= 0; }
@@ -239,7 +240,7 @@ struct StreamView {
   const Schedule* schedule = nullptr;
   const std::string* name = nullptr;
   int frames = 1;                 // clamped to >= 1
-  double frame_interval_s = 0.0;  // clamped to >= 0
+  double frame_interval_s = 0.0;  // clamped to >= 0 (NaN reads as 0)
   double deadline_s = 0.0;
   int priority = 0;
   const std::vector<int>* allowed_chiplets = nullptr;
@@ -270,10 +271,10 @@ using RunCheckFail = std::function<void(const char* rule_id, int stream,
 // deep checks. In order: S001 (empty top-level schedule); per stream, T003
 // (another package) or, for a TenantStream, S001 (empty) — either skips
 // the stream's last check — then A002 (a ShedPolicy without a positive
-// queue_capacity); for an active fault plan, F002 (fails before t = 0,
-// recovers before it fails) and F001 (names a chiplet the package lacks);
-// unless nop_mode is NopMode::kOff, R003 (bandwidth not > 0 or hop latency
-// not >= 0). `streams` is resolve_streams(schedule, options).
+// queue_capacity); for an active fault plan, F002 (fails before t = 0 or
+// at NaN, recovers before it fails) and F001 (names a chiplet the package
+// lacks); unless nop_mode is NopMode::kOff, R003 (bandwidth not > 0 or hop
+// latency not >= 0). `streams` is resolve_streams(schedule, options).
 void check_run(const Schedule& schedule, const SimOptions& options,
                const std::vector<StreamView>& streams,
                const RunCheckFail& fail);
@@ -493,7 +494,7 @@ class SimEngine {
 // Throws std::invalid_argument on a 0-item schedule (top-level or any
 // tenant's), a TenantStream whose schedule references a different
 // PackageConfig than `schedule`, a FaultPlan naming a chiplet not in the
-// package (or with no survivor to remap onto), a negative fail time,
+// package (or with no survivor to remap onto), a negative or NaN fail time,
 // recover_time_s in [0, fail_time_s), an invalid ArrivalSpec (see
 // generate_arrivals), a ShedPolicy other than kNone with a
 // non-positive queue_capacity, or — unless nop_mode is NopMode::kOff — NoP

@@ -25,7 +25,7 @@
 //    first-come-first-served link calendar.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -66,9 +66,16 @@ class NopFabric {
   // fabric is indistinguishable from a fresh one to inject().
   void reset_state();
 
+  // Sizes the link registry for the links routes on `pkg` can use, so
+  // that registering them allocates nothing. A fabric that already has
+  // the room allocates nothing here either.
+  void reserve_for(const PackageConfig& pkg);
+
   // Dense index of `link`, registering it on first use. Routes are resolved
   // once at program build; the per-message hot path is index-based.
   int index_of(const NopLink& link);
+  // The number of registered links; dense indices are [0, size()).
+  std::size_t size() const { return links_.size(); }
   // Appends the dense index of every link of `route`, in order, to `out`.
   void resolve(const std::vector<NopLink>& route, std::vector<int>& out);
 
@@ -91,14 +98,26 @@ class NopFabric {
                   std::vector<LinkStats>& out) const;
 
  private:
+  // One link's occupancy in the current run; inject() updates every field.
+  struct Occupancy {
+    double free = 0.0;  // when the link's last occupancy ends
+    double busy = 0.0;
+    double max_wait = 0.0;
+    double total_wait = 0.0;
+    int messages = 0;
+  };
+
+  // Rebuilds `table_` with `slots` slots (a power of two).
+  void rehash(std::size_t slots);
+
   NopParams params_;
-  std::map<NopLink, int> index_;
+  // The link registry: an open-addressing hash table of dense indices (-1
+  // empty), linear probing, at most half full, over `links_`. Nothing in it
+  // allocates per link: the arrays grow by doubling, or not at all once
+  // reserve_for sized them.
+  std::vector<int> table_;
   std::vector<NopLink> links_;
-  std::vector<double> free_;      // when the link's last occupancy ends
-  std::vector<double> busy_;
-  std::vector<double> max_wait_;
-  std::vector<double> total_wait_;
-  std::vector<int> messages_;
+  std::vector<Occupancy> occ_;  // per dense index
 };
 
 }  // namespace cnpu

@@ -309,6 +309,18 @@ TEST_F(ValidateScheduleTest, F002BadFaultOrderIsInvalidArgument) {
   EXPECT_THROW(validate_or_throw(sched_, opt), std::invalid_argument);
 }
 
+// A NaN fail instant is not >= 0: its fault event would enter the event
+// heap at NaN, which no order places.
+TEST_F(ValidateScheduleTest, F002NaNFailTimeIsInvalidArgument) {
+  SimOptions opt;
+  opt.fault.chiplet_id = far_chiplet(pkg_);
+  opt.fault.fail_time_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(validate(sched_, opt).has_rule(analysis::kRuleFaultOrder));
+  EXPECT_THROW(validate_or_throw(sched_, opt), std::invalid_argument);
+  SimEngine engine;
+  EXPECT_THROW((void)engine.run(sched_, opt), std::invalid_argument);
+}
+
 TEST_F(ValidateScheduleTest, F003NegativePenaltyIsWarningOnly) {
   SimOptions opt;
   opt.fault.chiplet_id = far_chiplet(pkg_);

@@ -1024,6 +1024,9 @@ TEST_P(FuzzSeed, ValidatorAgreesWithEngineAcceptance) {
                           .id;
       opt.fault.fail_time_s = kind == 1 ? -0.5 : 1e-4;
       if (kind == 2) opt.fault.recover_time_s = 1e-5;  // before the failure
+      if (kind == 3 && rng.range(0, 1) == 0) {
+        opt.fault.fail_time_s = std::nan("");
+      }
     }
     if (rng.range(0, 2) == 0) {  // random arrivals, sometimes invalid
       opt.arrivals.kind =

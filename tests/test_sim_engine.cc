@@ -22,16 +22,23 @@
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <queue>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "core/baselines.h"
+#include "core/scaling.h"
 #include "core/throughput_matching.h"
 #include "dataflow/layer.h"
+#include "sim/min_heap.h"
 #include "sim/serving.h"
 #include "sim_result_eq.h"
 #include "workloads/autopilot.h"
@@ -383,6 +390,26 @@ TEST(SimEngine, StatsCountTheEventLoop) {
   EXPECT_GT(s.stale_finishes, 0);
 }
 
+// std::max(x, 0.0) passes NaN through. The engine reads a NaN reschedule
+// penalty and a NaN frame interval as 0 instead, so every instant that
+// reaches a heap stays a number, and the run equals its zero-valued twin
+// bit for bit.
+TEST(SimEngine, NaNPenaltyAndIntervalReadAsZero) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule sched = make_schedule(pipe, pkg, 0);
+  SimOptions zero;
+  zero.frames = 6;
+  zero.fault = make_fault(pkg);
+  zero.fault.reschedule_penalty_s = 0.0;
+  SimOptions nan = zero;
+  nan.frame_interval_s = std::numeric_limits<double>::quiet_NaN();
+  nan.fault.reschedule_penalty_s = std::numeric_limits<double>::quiet_NaN();
+  SimEngine engine;
+  expect_sim_results_bits_eq(simulate_schedule(sched, zero),
+                             engine.run(sched, nan));
+}
+
 // The acceptance criterion of the refactor: after two warm-up passes on a
 // shape, a further run_into performs ZERO heap allocations — analytical,
 // contended, and multi-tenant-with-fault alike.
@@ -447,6 +474,112 @@ TEST(SimEngine, ProgramBuildAllocationsDoNotGrowWithTheSchedule) {
       EXPECT_EQ(allocs, pinned);
     }
   }
+}
+
+// A contended build walks each (source, destination) route once and sizes
+// its buffers before the walk, and the fabric reserves its link registry
+// for the package, so a contended run allocates a fixed number of times
+// more than an analytical one, however many links its schedule routes
+// over. Each count is the first run of a fresh engine. With infinite link
+// bandwidth the contended run follows the analytical one event for event,
+// so their run buffers grow alike and the difference is the contended
+// path's own: the fabric's link array, occupancy array and hash table, the
+// route memo, the messages, their links and the route buffer of the
+// build, the cached program's messages and links, the canonical link list
+// and its scratch copy, the per-link mark, and the run's link_stats.
+TEST(SimEngine, ContendedColdRunAllocationsDoNotGrowWithTheLinks) {
+  constexpr long long kPinned = 13;
+  const auto extra_allocs = [](const Schedule& sched) {
+    long long allocs[2] = {};
+    for (const NopMode mode : {NopMode::kAnalytical, NopMode::kContended}) {
+      SimOptions opt;
+      opt.frames = 2;
+      opt.nop_mode = mode;
+      SimEngine engine;
+      SimResult out;
+      const long long before = g_new_calls;
+      engine.run_into(sched, opt, out);
+      allocs[mode == NopMode::kContended ? 1 : 0] = g_new_calls - before;
+    }
+    return allocs[1] - allocs[0];
+  };
+  NopParams nop;
+  nop.bandwidth_bytes_per_s = std::numeric_limits<double>::infinity();
+  PackageConfig pkg = make_simba_package();
+  pkg.set_nop(nop);
+  for (const int cameras : {4, 8, 12}) {
+    SCOPED_TRACE(std::to_string(cameras) + " cameras");
+    AutopilotConfig cfg;
+    cfg.num_cameras = cameras;
+    cfg.fusion.num_cameras = cameras;
+    const PerceptionPipeline pipe = build_autopilot_pipeline(cfg);
+    EXPECT_EQ(extra_allocs(throughput_matching(pipe, pkg).schedule), kPinned)
+        << "6x6";
+    const ScaleOutResult two_npu = scale_out_two_npus(cfg);
+    two_npu.package->set_nop(nop);
+    EXPECT_EQ(extra_allocs(two_npu.match.schedule), kPinned) << "2-NPU";
+  }
+}
+
+// The event and pending heaps compare packed (time, key) integers in a
+// hand-written heap. Against std::priority_queue comparing the double and
+// then the key, 10^5 random pushes with pops between them, many of them
+// ties and among them zeros of both signs, the smallest subnormal and
+// +inf, must pop the same (time, key) sequence, reading -0.0 as +0.0.
+TEST(MinHeapTest, PopsPackedKeysInPriorityQueueOrder) {
+  struct Item {
+    double time;
+    std::uint64_t key;
+  };
+  struct PackedAfter {
+    bool operator()(const Item& a, const Item& b) const {
+      return pack_time_key(a.time, a.key) > pack_time_key(b.time, b.key);
+    }
+  };
+  struct FieldAfter {
+    bool operator()(const Item& a, const Item& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.key > b.key;
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> instants = {
+      0.0, -0.0, inf, 5e-324, 1e-9, 2.5e-6, 0.125, std::nextafter(0.125, 1.0),
+      7.0};
+  std::mt19937_64 rng(29);
+  MinHeap<Item, PackedAfter> heap;
+  std::priority_queue<Item, std::vector<Item>, FieldAfter> oracle;
+  // Pops both and reports whether they agree; -0.0 == +0.0.
+  const auto pop_both = [&] {
+    const Item got = heap.top();
+    const Item want = oracle.top();
+    heap.pop();
+    oracle.pop();
+    return got.time == want.time && got.key == want.key;
+  };
+  int pops = 0;
+  for (int pushes = 0; pushes < 100000;) {
+    // Pops as often as pushes, so the heap's size walks over small and
+    // large heaps alike.
+    if (!oracle.empty() && rng() % 2 == 0) {
+      ASSERT_TRUE(pop_both()) << "pop " << pops;
+      ++pops;
+      continue;
+    }
+    const double time =
+        rng() % 2 == 0 ? instants[rng() % instants.size()]
+                       : static_cast<double>(rng() % 64) * 1e-6;
+    const std::uint64_t key = rng() % 4 == 0 ? rng() : rng() % 8;
+    heap.push(Item{time, key});
+    oracle.push(Item{time, key});
+    ++pushes;
+    ASSERT_EQ(heap.size(), oracle.size());
+  }
+  while (!oracle.empty()) {
+    ASSERT_TRUE(pop_both()) << "pop " << pops;
+    ++pops;
+  }
+  EXPECT_TRUE(heap.empty());
 }
 
 // Algorithm 1's steps reuse their buffers and refold only what they
@@ -685,6 +818,83 @@ TEST(SimEngineCorner, FaultReadmittedFramesQueueAgain) {
   EXPECT_EQ(r.shed_frames, 18);
   EXPECT_EQ(r.dropped_frames, 0);
   expect_pinned(sched, opt, 0x87bea9cfef568a09ull);
+}
+
+// The fault and the recovery both at -0.0, which passes F002 as a
+// non-negative instant. Both events enter the event heap at -0.0 and must
+// order as at +0.0: after the first admission, before anything later.
+TEST(SimEngineCorner, FaultAndRecoveryAtNegativeZero) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule sched = make_schedule(pipe, pkg, 0);
+  SimOptions opt;
+  opt.frames = 6;
+  opt.frame_interval_s = 2e-5;
+  opt.nop_mode = NopMode::kContended;
+  opt.fault = make_fault(pkg);
+  opt.fault.fail_time_s = -0.0;
+  opt.fault.recover_time_s = -0.0;
+
+  const SimResult r = simulate_schedule(sched, opt);
+  EXPECT_EQ(r.frames_completed, opt.frames);
+  expect_pinned(sched, opt, 0xac984064154187d9ull);
+}
+
+// A -0.0 frame interval admits every frame at -0.0 (f * -0.0), and a
+// fault later in the burst flushes them.
+TEST(SimEngineCorner, NegativeZeroFrameInterval) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule sched = make_schedule(pipe, pkg, 1);
+  SimOptions opt;
+  opt.frames = 6;
+  opt.frame_interval_s = -0.0;
+  opt.fault = make_fault(pkg);
+
+  const SimResult r = simulate_schedule(sched, opt);
+  EXPECT_GT(r.remapped_items, 0);
+  expect_pinned(sched, opt, 0x1f04b9c70f8dd70aull);
+}
+
+// An arrival trace whose first instants are -0.0, valid since -0.0 >= 0,
+// on the contended fabric.
+TEST(SimEngineCorner, TraceStartingAtNegativeZero) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule sched = make_schedule(pipe, pkg, 2);
+  SimOptions opt;
+  opt.frames = 5;
+  opt.nop_mode = NopMode::kContended;
+  opt.arrivals.kind = ArrivalKind::kTrace;
+  opt.arrivals.trace_s = {-0.0, -0.0, 1e-5, 1e-5, 3e-5};
+
+  const SimResult r = simulate_schedule(sched, opt);
+  EXPECT_EQ(r.frames_completed, opt.frames);
+  expect_pinned(sched, opt, 0x8594beca30ecee62ull);
+}
+
+// A 6-frame burst of the 8-camera 2-NPU base-split match (Sec. V-B): 72
+// dense chiplets, so the event heap runs about 25 deep, the deepest of the
+// pinned cases, and the due set spans two words. With the NoP off, a
+// finish releases its consumers at its own instant, so chiplets in the
+// lower word turn due while the upper word still holds due chiplets.
+TEST(SimEngineCorner, TwoNpuBaseSplitBurst) {
+  const ScaleOutResult s = scale_out_two_npus();
+  for (const auto& [mode, digest] :
+       {std::pair{NopMode::kAnalytical, 0xce9f6f42468d22f4ull},
+        std::pair{NopMode::kContended, 0x7b88c3ebbfa4fa0aull},
+        std::pair{NopMode::kOff, 0xa517eaab21a63bd3ull}}) {
+    SCOPED_TRACE(mode == NopMode::kContended ? "contended"
+                 : mode == NopMode::kOff       ? "NoP off"
+                                               : "analytical");
+    SimOptions opt;
+    opt.frames = 6;
+    opt.nop_mode = mode;
+    SimEngine engine;
+    (void)engine.run(s.match.schedule, opt);
+    EXPECT_GE(engine.stats().event_heap_peak, 20);
+    expect_pinned(s.match.schedule, opt, digest);
+  }
 }
 
 // ServingPlan is the warm path the load search probes run on: it must

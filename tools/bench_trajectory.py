@@ -18,10 +18,21 @@ digest is already filed under the other side of the same --pr.
 
 BENCH_perfbench.json holds {"entries": [...]}, one entry per line in the
 order appended: {"pr", "side", "record", "result"}.
+
+    python3 tools/bench_trajectory.py --summary <id>
+
+prints the parent/change comparison of one --pr instead: one row per
+workload and end-to-end metric of BENCHMARK.json, with each side's median,
+change/parent, the parent's interquartile range over its median, and the
+pairs the change won (a pair is a parent and a change run of one seed;
+"better" is the metric's direction in BENCHMARK.json). Traced runs
+(traced_cycles > 0) are left out. It exits 2 when either side has no
+untraced runs.
 """
 import argparse
 import json
 import os
+import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -88,13 +99,77 @@ def write_trajectory(path, entries):
         f.write('{"entries": [\n' + body + ("\n" if body else "") + "]}\n")
 
 
+def end_to_end_metrics():
+    """(name, better) of each end-to-end metric, in BENCHMARK.json order."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+
+
+def summarize(entries, pr):
+    runs = {side: [e for e in entries
+                   if e.get("pr") == pr and e.get("side") == side
+                   and not e.get("record", {}).get("traced_cycles", 0) > 0]
+            for side in SIDES}
+    for side in SIDES:
+        if not runs[side]:
+            fail("--pr %s has no untraced %s runs" % (pr, side))
+    workloads = []
+    for e in runs["parent"] + runs["change"]:
+        if e["record"].get("workload") not in workloads:
+            workloads.append(e["record"].get("workload"))
+    print("--pr %s: %d parent and %d change runs, traced runs left out"
+          % (pr, len(runs["parent"]), len(runs["change"])))
+    print("| workload | metric | parent | change | change/parent "
+          "| parent IQR/median | pairs won |")
+    print("|---|---|---|---|---|---|---|")
+    for workload in workloads:
+        for metric, better in end_to_end_metrics():
+            by_seed = {}  # side -> {seed: value}, the first run of a seed
+            values = {}
+            for side in SIDES:
+                by_seed[side] = {}
+                values[side] = []
+                for e in runs[side]:
+                    m = e.get("result", {}).get("metrics", {}).get(metric)
+                    if e["record"].get("workload") != workload or m is None:
+                        continue
+                    values[side].append(m["value"])
+                    by_seed[side].setdefault(e["record"].get("seed"), m["value"])
+            if not values["parent"] or not values["change"]:
+                continue
+            parent = statistics.median(values["parent"])
+            change = statistics.median(values["change"])
+            q1, q3 = values["parent"][0], values["parent"][0]
+            if len(values["parent"]) > 1:
+                q1, _, q3 = statistics.quantiles(values["parent"], n=4,
+                                                 method="inclusive")
+            seeds = [s for s in by_seed["parent"] if s in by_seed["change"]]
+            sign = 1 if better == "higher" else -1
+            won = sum(1 for s in seeds
+                      if sign * (by_seed["change"][s] - by_seed["parent"][s]) > 0)
+            ratio = "%.3f" % (change / parent) if parent else "-"
+            iqr = "%.1f%%" % (100.0 * (q3 - q1) / parent) if parent else "-"
+            print("| %s | %s | %.4g | %.4g | %s | %s | %d/%d |"
+                  % (workload, metric, parent, change, ratio, iqr, won, len(seeds)))
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("records", help="a perfbench_records.jsonl")
-    p.add_argument("--pr", required=True, help="the change the runs measure")
-    p.add_argument("--side", required=True, choices=SIDES)
-    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_perfbench.json"))
+    p.add_argument("records", nargs="?", help="a perfbench_records.jsonl")
+    p.add_argument("--pr", help="the change the runs measure")
+    p.add_argument("--side", choices=SIDES)
+    p.add_argument("--summary", metavar="PR",
+                   help="print the parent/change comparison of one --pr")
+    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_perfbench.json"),
+                   help="the trajectory: appended to, or read by --summary")
     args = p.parse_args()
+    if args.summary is not None:
+        if args.records or args.pr or args.side:
+            p.error("--summary takes no records file, --pr or --side")
+        summarize(load_trajectory(args.out), args.summary)
+        return
+    if args.records is None or args.pr is None or args.side is None:
+        p.error("a records file, --pr and --side are required")
     pairs = read_pairs(args.records)
     if not pairs:
         fail("%s holds no runs" % args.records)
