@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "analysis/validate.h"
 #include "core/evaluator.h"
 #include "dataflow/cost_model.h"
+#include "sim/nop_sim.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -29,73 +29,128 @@ bool structurally_clean(const Schedule& s) {
   return clean;
 }
 
-// Everything one stream contributes, accumulated locally so a stream that
-// turns out unpriceable (analyze_layer throws on a malformed bundle layer)
-// is dropped whole instead of half-merged.
-struct StreamContribution {
-  StreamBound bound;
-  std::map<NopLink, double> link_bytes;       // per-frame bytes per link
-  std::map<int, double> chiplet_busy;         // chiplet id -> busy s/frame
+// One registered link's accumulators.
+struct LinkSums {
+  int stream = -1;            // the last stream whose routes crossed it
+  double stream_bytes = 0.0;  // that stream's bytes per frame here
+  double bytes = 0.0;         // LinkBound::bytes_per_frame, priced streams
+  double demand = 0.0;        // LinkBound::demand_bytes_per_s
+  bool priced = false;        // some priced stream crossed it
 };
 
-StreamContribution price_stream(const StreamView& v, std::string locus,
-                                const PackageConfig& pkg, bool nop) {
+// One chiplet's busy time in the stream being priced.
+struct ChipletSums {
+  int stream = -1;    // the last stream that placed a shard on it
+  double busy = 0.0;  // that stream's busy seconds per frame
+};
+
+// The working state of one compute_bounds call, in arrays sized once:
+// chiplets by package position, links by their id in `fabric`'s registry.
+// A stream prices into the stream fields under its own index, so one that
+// throws is dropped whole: nothing of it reaches the totals, and the next
+// stream's first touch of a chiplet or link overwrites what it left.
+struct DenseBounds {
+  explicit DenseBounds(const PackageConfig& pkg)
+      : chiplets(pkg.chiplets().size()) {
+    fabric.reserve_for(pkg);
+    links.resize(fabric.capacity());
+    stream_links.reserve(fabric.capacity());
+    priced_links.reserve(fabric.capacity());
+    route.reserve(fabric.capacity());  // a route crosses a link once
+  }
+
+  NopFabric fabric;  // the link registry: nothing is injected
+  std::vector<double> lat;  // per item of the stream being priced
+  std::vector<ChipletSums> chiplets;
+  std::vector<LinkSums> links;
+  std::vector<int> stream_links;  // links the stream crossed, NopLink order
+  std::vector<int> priced_links;  // links priced streams crossed
+  std::vector<NopLink> route;     // the route walk's buffer
+};
+
+// Sorts link ids by their NopLink, the order BoundsReport::links and every
+// per-link sum follow.
+void sort_links(std::vector<int>& ids, const NopFabric& fabric) {
+  std::sort(ids.begin(), ids.end(), [&](int a, int b) {
+    return fabric.link(a) < fabric.link(b);
+  });
+}
+
+// Prices stream `v` (the `stream`-th) into `d`'s stream fields and returns
+// its bound. Throws when a layer is unpriceable (a malformed bundle layer)
+// or a route does not exist.
+StreamBound price_stream(const StreamView& v, std::string locus,
+                         const PackageConfig& pkg, bool nop, int stream,
+                         DenseBounds& d) {
   const Schedule& s = *v.schedule;
   const int n = s.num_items();
-  StreamContribution out;
-  out.bound.name = *v.name;
-  out.bound.locus = std::move(locus);
-  out.bound.deadline_s = v.deadline_s;
-  out.bound.rate_known =
-      mean_arrival_rate_fps(*v.arrivals, v.frame_interval_s,
-                            out.bound.rate_fps);
+  StreamBound out;
+  out.name = *v.name;
+  out.locus = std::move(locus);
+  out.deadline_s = v.deadline_s;
+  out.rate_known =
+      mean_arrival_rate_fps(*v.arrivals, v.frame_interval_s, out.rate_fps);
 
   // Per-item compute roofline (max over shards — exactly the simulator's
   // per-shard task cost) and per-chiplet busy accumulation.
-  std::vector<double> lat(static_cast<std::size_t>(n), 0.0);
+  d.lat.assign(static_cast<std::size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
     const LayerDesc* desc = s.item(i).desc;
     double item_lat = 0.0;
     for (const ShardAssignment& sh : s.placement(i).shards) {
       const double shard_lat = analyze_shard(pkg, *desc, sh).latency_s;
       item_lat = std::max(item_lat, shard_lat);
-      out.chiplet_busy[sh.chiplet_id] += shard_lat;
+      ChipletSums& c = d.chiplets[static_cast<std::size_t>(
+          pkg.position_of(sh.chiplet_id))];
+      if (c.stream != stream) c = ChipletSums{stream, 0.0};
+      c.busy += shard_lat;
     }
-    lat[static_cast<std::size_t>(i)] = item_lat;
+    d.lat[static_cast<std::size_t>(i)] = item_lat;
   }
 
-  out.bound.latency_bound_s = critical_path_s(s, lat, nop);
+  out.latency_bound_s = critical_path_s(s, d.lat, nop);
 
   // Per-link byte injection, matching the contended simulator's
   // one-message-per-shard fraction-scaled routing. Every pair routes here:
   // route and hop count come from one walk, so critical_path_s above has
   // already thrown for an unroutable one.
-  std::vector<NopLink> route;  // the route walk's buffer
+  d.stream_links.clear();
   auto add_route = [&](double bytes) {
-    for (const NopLink& l : route) out.link_bytes[l] += bytes;
+    for (const NopLink& l : d.route) {
+      const auto id = static_cast<std::size_t>(d.fabric.index_of(l));
+      // Only a grid with empty positions routes past the reservation.
+      if (id >= d.links.size()) d.links.resize(2 * id + 1);
+      LinkSums& ls = d.links[id];
+      if (ls.stream != stream) {
+        ls.stream = stream;
+        ls.stream_bytes = 0.0;
+        d.stream_links.push_back(static_cast<int>(id));
+      }
+      ls.stream_bytes += bytes;
+    }
   };
   if (nop) {
     for_each_schedule_edge(
         s,
         [&](int item) {
-          pkg.route_from_io(s.placement(item).primary_chiplet(), route);
+          pkg.route_from_io(s.placement(item).primary_chiplet(), d.route);
           add_route(kCameraInputBytes);
         },
         [&](int producer, int consumer, double bytes) {
           const int dst = s.placement(consumer).primary_chiplet();
           for (const ShardAssignment& sh : s.placement(producer).shards) {
-            pkg.route_between(sh.chiplet_id, dst, route);
+            pkg.route_between(sh.chiplet_id, dst, d.route);
             add_route(sh.fraction * bytes);
           }
         });
   }
 
-  for (const auto& [link, bytes] : out.link_bytes) {
-    (void)link;
-    out.bound.bytes_per_frame += bytes;
+  sort_links(d.stream_links, d.fabric);
+  for (const int id : d.stream_links) {
+    out.bytes_per_frame += d.links[static_cast<std::size_t>(id)].stream_bytes;
   }
-  out.bound.deadline_infeasible =
-      v.deadline_s > 0.0 && out.bound.latency_bound_s > v.deadline_s;
+  out.deadline_infeasible =
+      v.deadline_s > 0.0 && out.latency_bound_s > v.deadline_s;
   return out;
 }
 
@@ -106,8 +161,19 @@ double critical_path_s(const Schedule& schedule,
   const PackageConfig& pkg = schedule.package();
   const auto n = static_cast<std::size_t>(schedule.num_items());
   // The dependency DAG with analytical edge delays, matching
-  // build_program's e.delay_s.
-  std::vector<std::vector<std::pair<int, double>>> preds(n);
+  // build_program's e.delay_s, as one CSR predecessor list: consumer c's
+  // (producer, delay) pairs are preds[first[c], first[c + 1]), in wiring
+  // order. A first pass counts each consumer's edges into first[c + 2];
+  // the second prices every edge and puts it at first[c + 1]++, a stable
+  // counting sort that leaves first[c + 1] at the end of c's range.
+  std::vector<std::size_t> first(n + 2, 0);
+  for_each_schedule_edge(
+      schedule, [](int) {},
+      [&](int, int consumer, double) {
+        ++first[static_cast<std::size_t>(consumer) + 2];
+      });
+  for (std::size_t c = 2; c < first.size(); ++c) first[c] += first[c - 1];
+  std::vector<std::pair<int, double>> preds(first[n + 1]);
   std::vector<double> ingress_delay(n, 0.0);
   for_each_schedule_edge(
       schedule,
@@ -123,7 +189,8 @@ double critical_path_s(const Schedule& schedule,
                                   schedule.placement(consumer), bytes)
                       .latency_s
                 : 0.0;
-        preds[static_cast<std::size_t>(consumer)].emplace_back(producer, delay);
+        preds[first[static_cast<std::size_t>(consumer) + 1]++] = {producer,
+                                                                  delay};
       });
 
   // Longest path: complete(i) = ready(i) + latency(i), ready(i) =
@@ -138,7 +205,8 @@ double critical_path_s(const Schedule& schedule,
     for (const int i : items) {
       const auto ti = static_cast<std::size_t>(i);
       double ready = ingress_delay[ti];
-      for (const auto& [p, delay] : preds[ti]) {
+      for (std::size_t k = first[ti]; k < first[ti + 1]; ++k) {
+        const auto& [p, delay] = preds[k];
         ready = std::max(ready, complete[static_cast<std::size_t>(p)] + delay);
       }
       complete[ti] = ready + item_latency[ti];
@@ -209,43 +277,56 @@ BoundsReport compute_bounds(const Schedule& schedule,
 
   const bool nop = options.nop_mode != NopMode::kOff;
   const bool link_binding = options.nop_mode == NopMode::kContended;
-  std::map<NopLink, LinkBound> links;
-  std::map<int, ChipletBound> chiplets;
+  // Chiplet bounds in package order, idle chiplets included, so the vector
+  // indexes like SimResult::chiplet_busy_s.
+  report.chiplets.resize(pkg.chiplets().size());
+  for (std::size_t pos = 0; pos < report.chiplets.size(); ++pos) {
+    report.chiplets[pos].chiplet_id = pkg.chiplets()[pos].id;
+  }
+  DenseBounds d(pkg);
   std::vector<const Schedule*> priced_scheds;
   for (std::size_t t = 0; t < streams.size(); ++t) {
     const StreamView& v = streams[t];
     if (&v.schedule->package() != &pkg) continue;  // T003's job, not ours
     if (!structurally_clean(*v.schedule)) continue;
-    StreamContribution c;
+    const int stream = static_cast<int>(t);
+    StreamBound b;
     try {
-      c = price_stream(v, stream_locus(options, t), pkg, nop);
+      b = price_stream(v, stream_locus(options, t), pkg, nop, stream, d);
     } catch (const std::exception&) {
       continue;  // unpriceable (malformed bundle layer): skip the stream
     }
     priced_scheds.push_back(v.schedule);
-    for (const auto& [link, bytes] : c.link_bytes) {
-      LinkBound& lb = links[link];
-      lb.link = link;
-      lb.bytes_per_frame += bytes;
-      if (c.bound.rate_known) {
-        lb.demand_bytes_per_s += c.bound.rate_fps * bytes;
+    for (const int id : d.stream_links) {
+      LinkSums& ls = d.links[static_cast<std::size_t>(id)];
+      ls.bytes += ls.stream_bytes;
+      if (b.rate_known) ls.demand += b.rate_fps * ls.stream_bytes;
+      if (!ls.priced) {
+        ls.priced = true;
+        d.priced_links.push_back(id);
       }
     }
-    for (const auto& [id, busy] : c.chiplet_busy) {
-      ChipletBound& cb = chiplets[id];
-      cb.chiplet_id = id;
-      cb.busy_s_per_frame += busy;
-      if (c.bound.rate_known) cb.demand += c.bound.rate_fps * busy;
+    for (std::size_t pos = 0; pos < d.chiplets.size(); ++pos) {
+      const ChipletSums& c = d.chiplets[pos];
+      if (c.stream != stream) continue;
+      ChipletBound& cb = report.chiplets[pos];
+      cb.busy_s_per_frame += c.busy;
+      if (b.rate_known) cb.demand += b.rate_fps * c.busy;
     }
-    report.streams.push_back(std::move(c.bound));
+    report.streams.push_back(std::move(b));
   }
 
   const double capacity = pkg.nop().bandwidth_bytes_per_s;
   double uniform = 0.0;
   bool any_constraint = false;
-  report.links.reserve(links.size());
-  for (auto& [link, lb] : links) {
-    (void)link;
+  sort_links(d.priced_links, d.fabric);
+  report.links.reserve(d.priced_links.size());
+  for (const int id : d.priced_links) {
+    const LinkSums& ls = d.links[static_cast<std::size_t>(id)];
+    LinkBound lb;
+    lb.link = d.fabric.link(id);
+    lb.bytes_per_frame = ls.bytes;
+    lb.demand_bytes_per_s = ls.demand;
     lb.capacity_bytes_per_s = capacity;
     lb.utilization =
         capacity > 0.0 ? lb.demand_bytes_per_s / capacity : 0.0;
@@ -257,21 +338,13 @@ BoundsReport compute_bounds(const Schedule& schedule,
     }
     report.links.push_back(lb);
   }
-  // Emit chiplet bounds in package order, idle chiplets included, so the
-  // vector indexes like SimResult::chiplet_busy_s.
-  report.chiplets.reserve(pkg.chiplets().size());
-  for (const ChipletSpec& spec : pkg.chiplets()) {
-    ChipletBound cb;
-    cb.chiplet_id = spec.id;
-    const auto it = chiplets.find(spec.id);
-    if (it != chiplets.end()) cb = it->second;
+  for (ChipletBound& cb : report.chiplets) {
     cb.oversubscribed = cb.demand > 1.0;
     if (cb.busy_s_per_frame > 0.0) {
       const double cap_fps = 1.0 / cb.busy_s_per_frame;
       uniform = any_constraint ? std::min(uniform, cap_fps) : cap_fps;
       any_constraint = true;
     }
-    report.chiplets.push_back(cb);
   }
   report.uniform_rate_bound_fps = any_constraint ? uniform : 0.0;
 

@@ -142,7 +142,8 @@ bool mean_arrival_rate_fps(const ArrivalSpec& arrivals,
 // for_each_schedule_edge edge, camera ingress included (no delays when
 // `nop` is false). With the simulator's task costs (item_latency_s in
 // core/evaluator.h) it is a lower bound on every fault-free frame's
-// latency, the one P001 and D001 judge deadlines against.
+// latency, the one P001 and D001 judge deadlines against. Allocates four
+// arrays (one CSR predecessor list and per-item delays), never per edge.
 [[nodiscard]] double critical_path_s(const Schedule& schedule,
                                      const std::vector<double>& item_latency,
                                      bool nop);
@@ -150,7 +151,8 @@ bool mean_arrival_rate_fps(const ArrivalSpec& arrivals,
 // Static bounds for the simulate_schedule input shape. Streams resolve
 // exactly like SimEngine::run_into (implicit single stream vs explicit
 // tenants); structurally broken streams are skipped (see file comment).
-// Never throws on lintable input; advisory only.
+// Never throws on lintable input; advisory only. Its arrays are sized once
+// per call: nothing is allocated per chiplet, link or edge.
 [[nodiscard]] BoundsReport compute_bounds(const Schedule& schedule,
                                           const SimOptions& options = {});
 

@@ -52,7 +52,10 @@ Schedule::Schedule(const PerceptionPipeline& pipeline,
 }
 
 void Schedule::assign(int idx, int chiplet_id) {
-  assign_weighted(idx, {ShardAssignment{chiplet_id, 1.0}});
+  // A lone shard normalizes to 1.0. Writing it into the item's own vector
+  // lets a re-placement reuse that storage.
+  placements_[static_cast<std::size_t>(idx)].shards.assign(
+      1, ShardAssignment{chiplet_id, 1.0});
 }
 
 void Schedule::assign_sharded(int idx, const std::vector<int>& chiplets) {

@@ -76,6 +76,9 @@ class NopFabric {
   int index_of(const NopLink& link);
   // The number of registered links; dense indices are [0, size()).
   std::size_t size() const { return links_.size(); }
+  // How many links the registry holds before it grows: at least what
+  // reserve_for sized it for.
+  std::size_t capacity() const { return links_.capacity(); }
   // Appends the dense index of every link of `route`, in order, to `out`.
   void resolve(const std::vector<NopLink>& route, std::vector<int>& out);
 

@@ -1,9 +1,15 @@
 // Unit tests for the static performance-bound analyzer
 // (src/analysis/bounds.h): pinned hand-computed bounds on 2-chiplet
 // fixtures, mean-arrival-rate resolution, demand accounting, P-rule
-// diagnostics, and the serving-fleet overload.
+// diagnostics, the serving-fleet overload, and bitwise pins of whole
+// reports on the dse reference designs and a probe fleet.
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,10 +17,15 @@
 #include "arch/package.h"
 #include "core/baselines.h"
 #include "core/evaluator.h"
+#include "core/partition.h"
+#include "core/scaling.h"
+#include "core/throughput_matching.h"
 #include "dataflow/cost_model.h"
 #include "dataflow/layer.h"
 #include "sim/event_sim.h"
 #include "sim/serving.h"
+#include "sim_result_eq.h"
+#include "workloads/autopilot.h"
 #include "workloads/model.h"
 #include "workloads/zoo.h"
 
@@ -447,6 +458,229 @@ TEST(BoundsServingTest, StaticBoundTightensTheLoadSearchBracket) {
   EXPECT_LE(bounded.max_fps, rep.uniform_rate_bound_fps * (1.0 + 1e-9));
   for (const LoadProbe& p : bounded.probes) {
     EXPECT_LE(p.fps, rep.uniform_rate_bound_fps * (1.0 + 1e-9));
+  }
+}
+
+// ------------------------------------------------------------ bitwise pins
+//
+// Whole reports, bit for bit: each stream's latency bound and bytes per
+// frame and the uniform-rate bound as hexfloats, plus a digest of every
+// link and chiplet bound. Every pin was captured from the std::map
+// implementation that came before the dense one, so they pin that the
+// dense arrays kept every sum in its order.
+
+struct BoundsPin {
+  std::vector<double> latency_bound_s;  // per stream
+  std::vector<double> bytes_per_frame;  // per stream
+  double uniform_rate_bound_fps = 0.0;
+  std::uint64_t links_and_chiplets = 0;  // links_and_chiplets_digest
+};
+
+// Every field of every LinkBound and ChipletBound, in report order.
+std::uint64_t links_and_chiplets_digest(const BoundsReport& r) {
+  testutil::Fnv64 h;
+  h.add(std::uint64_t{r.links.size()});
+  for (const analysis::LinkBound& l : r.links) {
+    h.add(static_cast<int>(l.link.kind));
+    h.add(l.link.npu);
+    h.add(l.link.npu_to);
+    h.add(l.link.from.row);
+    h.add(l.link.from.col);
+    h.add(l.link.to.row);
+    h.add(l.link.to.col);
+    h.add(l.link.substrate_step);
+    h.add(l.bytes_per_frame);
+    h.add(l.demand_bytes_per_s);
+    h.add(l.capacity_bytes_per_s);
+    h.add(l.utilization);
+    h.add(static_cast<int>(l.oversubscribed));
+  }
+  h.add(std::uint64_t{r.chiplets.size()});
+  for (const analysis::ChipletBound& c : r.chiplets) {
+    h.add(c.chiplet_id);
+    h.add(c.busy_s_per_frame);
+    h.add(c.demand);
+    h.add(static_cast<int>(c.oversubscribed));
+  }
+  return h.value();
+}
+
+BoundsPin pin_of(const BoundsReport& r) {
+  BoundsPin pin;
+  for (const analysis::StreamBound& s : r.streams) {
+    pin.latency_bound_s.push_back(s.latency_bound_s);
+    pin.bytes_per_frame.push_back(s.bytes_per_frame);
+  }
+  pin.uniform_rate_bound_fps = r.uniform_rate_bound_fps;
+  pin.links_and_chiplets = links_and_chiplets_digest(r);
+  return pin;
+}
+
+// A pin as the initializer that recreates it: hexfloats print every bit,
+// so two pins print alike exactly when they are bitwise equal.
+std::string pin_source(const BoundsPin& pin) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  const auto list = [&](const std::vector<double>& v) {
+    out << "{";
+    for (std::size_t i = 0; i < v.size(); ++i) out << (i ? ", " : "") << v[i];
+    out << "}";
+  };
+  out << "{";
+  list(pin.latency_bound_s);
+  out << ", ";
+  list(pin.bytes_per_frame);
+  out << ", " << pin.uniform_rate_bound_fps << ", 0x" << std::hex
+      << pin.links_and_chiplets << "ull}";
+  return out.str();
+}
+
+void expect_pinned(const BoundsReport& r, const BoundsPin& want) {
+  EXPECT_EQ(pin_source(pin_of(r)), pin_source(want));
+}
+
+// The three NoP modes each design is pinned under: analytical, contended
+// at 500 admitted frames per second, and off; 6 frames and a deadline that
+// the 6x6 design's analytical bound misses and its NoP-off bound meets.
+// The packages keep their finite link bandwidth, so link bounds bind.
+std::vector<SimOptions> pin_modes() {
+  SimOptions analytical;
+  analytical.frames = 6;
+  analytical.deadline_s = 0.54;
+  SimOptions contended = analytical;
+  contended.nop_mode = NopMode::kContended;
+  contended.frame_interval_s = 2e-3;
+  SimOptions off = analytical;
+  off.nop_mode = NopMode::kOff;
+  return {analytical, contended, off};
+}
+
+const char* mode_name(NopMode mode) {
+  return mode == NopMode::kContended    ? "contended"
+         : mode == NopMode::kAnalytical ? "analytical"
+                                        : "off";
+}
+
+// perfbench dse_design's reference point: 8 cameras, a 12-frame fusion
+// queue, Algorithm 1 at tolerance 0.10.
+PerceptionPipeline reference_pipeline(bool two_npu) {
+  AutopilotConfig cfg;
+  cfg.num_cameras = 8;
+  cfg.fusion.num_cameras = 8;
+  cfg.fusion.queue_frames = 12;
+  return two_npu ? build_two_npu_pipeline(cfg) : build_autopilot_pipeline(cfg);
+}
+
+// The 2-NPU match runs on dse_design's pools: NPU0's quadrants for the
+// stages, nine NPU1 chiplets added to the frozen trunk pool.
+MatchResult reference_match(const PerceptionPipeline& pipe,
+                            const PackageConfig& pkg, bool two_npu) {
+  MatchOptions mo;
+  mo.tolerance = 0.10;
+  if (!two_npu) return throughput_matching(pipe, pkg, mo);
+  std::vector<std::vector<int>> pools = partition_quadrants(pkg);
+  std::vector<int>& npu1 = pools.back();
+  pools[3].insert(pools[3].end(), npu1.begin(), npu1.begin() + 9);
+  npu1.erase(npu1.begin(), npu1.begin() + 9);
+  mo.allow_base_split = true;
+  mo.frozen_stages.push_back(3);
+  return throughput_matching_with_pools(pipe, pkg, pools, mo);
+}
+
+void expect_design_pinned(const PerceptionPipeline& pipe,
+                          const PackageConfig& pkg, bool two_npu,
+                          const std::vector<BoundsPin>& pins) {
+  const MatchResult match = reference_match(pipe, pkg, two_npu);
+  const std::vector<SimOptions> modes = pin_modes();
+  ASSERT_EQ(pins.size(), modes.size());
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    SCOPED_TRACE(mode_name(modes[m].nop_mode));
+    expect_pinned(compute_bounds(match.schedule, modes[m]), pins[m]);
+  }
+}
+
+TEST(BoundsPins, SixBySixReferenceDesign) {
+  const PerceptionPipeline pipe = reference_pipeline(false);
+  const PackageConfig pkg = make_simba_package();
+  expect_design_pinned(pipe, pkg, false, {
+      {{0x1.196ad75a4fe32p-1}, {0x1.9e6e455555554p+30}, 0x1.8430a3ff2a401p+3,
+       0xaac0fd0d8628a2b6ull},
+      {{0x1.196ad75a4fe32p-1}, {0x1.9e6e455555554p+30}, 0x1.8430a3ff2a401p+3,
+       0xd6a2006cc0be461dull},
+      {{0x1.113e9a589a5fp-1}, {0x0p+0}, 0x1.8430a3ff2a401p+3,
+       0x63598c58bfa213d3ull},
+  });
+}
+
+TEST(BoundsPins, TwoNpuReferenceDesign) {
+  const PerceptionPipeline pipe = reference_pipeline(true);
+  const PackageConfig pkg = make_multi_npu_package(2);
+  expect_design_pinned(pipe, pkg, true, {
+      {{0x1.4a8cb2f849ef4p-2}, {0x1.7fa1f32492492p+31}, 0x1.92e563782899p+3,
+       0xbfe8df02bf89633bull},
+      {{0x1.4a8cb2f849ef4p-2}, {0x1.7fa1f32492492p+31}, 0x1.92e563782899p+3,
+       0x119be0167406664bull},
+      {{0x1.2c0f5be63eae1p-2}, {0x0p+0}, 0x1.92e563782899p+3,
+       0x510866f607303f9dull},
+  });
+}
+
+// Matched on the 6x6 without chiplet 14, so routes detour around the dead
+// router.
+TEST(BoundsPins, SixBySixWithoutChiplet14) {
+  const PerceptionPipeline pipe = reference_pipeline(false);
+  const PackageConfig pkg = make_simba_package().without_chiplet(14);
+  expect_design_pinned(pipe, pkg, false, {
+      {{0x1.1f7b6d33fe5b3p-1}, {0x1.8dfa4aaaaaaa9p+30}, 0x1.8430a3ff2a401p+3,
+       0xab452bfd17714faaull},
+      {{0x1.1f7b6d33fe5b3p-1}, {0x1.8dfa4aaaaaaa9p+30}, 0x1.8430a3ff2a401p+3,
+       0xd4ec54ff5727915cull},
+      {{0x1.17a9a3e004558p-1}, {0x0p+0}, 0x1.8430a3ff2a401p+3,
+       0x89f0d77706ccc13eull},
+  });
+}
+
+// Four tenants of the 3-camera probe pipeline on a 4x4 package, Poisson
+// arrivals at four rates, contended NoP, under each placement policy.
+TEST(BoundsPins, ProbeFleetUnderEveryPolicy) {
+  const PerceptionPipeline pipe = build_fault_probe_pipeline(3);
+  const PackageConfig pkg = make_simba_package(4, 4);
+  std::vector<TenantWorkload> fleet;
+  for (int t = 0; t < 4; ++t) {
+    TenantWorkload w;
+    w.name = "vehicle" + std::to_string(t);
+    w.pipeline = &pipe;
+    w.frames = 16;
+    w.deadline_s = 2e-3;
+    w.priority = t == 0 ? 1 : 0;
+    w.arrivals.kind = ArrivalKind::kPoisson;
+    w.arrivals.rate_fps = 1000.0 + 250.0 * t;
+    w.arrivals.seed = 7 + static_cast<std::uint64_t>(t);
+    fleet.push_back(w);
+  }
+  const std::vector<std::pair<PlacementPolicy, BoundsPin>> pins = {
+      {PlacementPolicy::kShared,
+       {{0x1.6ca2b8faa475cp-12, 0x1.920511c0ff5a8p-12, 0x1.8f3bfc964d38bp-12,
+         0x1.8c72e76b9b16ep-12},
+        {0x1.93bp+24, 0x1.0f2p+25, 0x1.bdep+24, 0x1.658p+24},
+        0x1.c933066772c42p+10, 0x91c064ee8183148bull}},
+      {PlacementPolicy::kPartitioned,
+       {{0x1.4f9b9fb45ff66p-12, 0x1.89a9d240e8f51p-12, 0x1.4f9b9fb45ff66p-12,
+         0x1.89a9d240e8f51p-12},
+        {0x1.0d2p+24, 0x1.052p+25, 0x1.618p+24, 0x1.2f5p+25},
+        0x1.78c29e06522c4p+11, 0x3676d9e5423dc7d1ull}},
+      {PlacementPolicy::kPriority,
+       {{0x1.6ca2b8faa475cp-12, 0x1.920511c0ff5a8p-12, 0x1.8f3bfc964d38bp-12,
+         0x1.8c72e76b9b16ep-12},
+        {0x1.93bp+24, 0x1.0f2p+25, 0x1.bdep+24, 0x1.658p+24},
+        0x1.c933066772c42p+10, 0x91c064ee8183148bull}},
+  };
+  for (const auto& [policy, pin] : pins) {
+    SCOPED_TRACE(placement_policy_name(policy));
+    ServingOptions opt;
+    opt.policy = policy;
+    opt.nop_mode = NopMode::kContended;
+    expect_pinned(compute_bounds(pkg, fleet, opt), pin);
   }
 }
 

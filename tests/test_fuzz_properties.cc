@@ -1278,6 +1278,349 @@ void expect_same_bits(double a, double b, const std::string& what) {
       << what << ": " << a << " vs " << b;
 }
 
+// One stream of the bounds oracle below: its critical path, its bytes per
+// frame, and its per-link bytes and per-chiplet busy time in std::maps.
+struct OracleStream {
+  double latency_bound_s = 0.0;
+  double bytes_per_frame = 0.0;
+  std::map<NopLink, double> link_bytes;
+  std::map<int, double> chiplet_busy;
+};
+
+// Prices `s` naively from the cost and routing primitives: every shard's
+// busy time into a map, every edge's route per producer shard into a map,
+// and the critical path by memoized recursion over the predecessors of
+// each item, with no assumption on the order stages or models run in.
+// Throws what those primitives throw.
+OracleStream oracle_stream(const Schedule& s, bool nop) {
+  const PackageConfig& pkg = s.package();
+  const auto n = static_cast<std::size_t>(s.num_items());
+  OracleStream out;
+  std::vector<double> latency(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const ShardAssignment& sh : s.placement(static_cast<int>(i)).shards) {
+      const double shard =
+          analyze_shard(pkg, *s.item(static_cast<int>(i)).desc, sh).latency_s;
+      latency[i] = std::max(latency[i], shard);
+      out.chiplet_busy[sh.chiplet_id] += shard;
+    }
+  }
+  std::vector<double> ingress(n, 0.0);
+  std::vector<std::vector<std::pair<int, double>>> preds(n);
+  std::vector<NopLink> route;
+  for_each_schedule_edge(
+      s,
+      [&](int item) {
+        if (!nop) return;
+        const int dst = s.placement(item).primary_chiplet();
+        ingress[static_cast<std::size_t>(item)] =
+            nop_ingress_cost(pkg, dst).latency_s;
+        pkg.route_from_io(dst, route);
+        for (const NopLink& l : route) out.link_bytes[l] += kCameraInputBytes;
+      },
+      [&](int producer, int consumer, double bytes) {
+        const Placement& from = s.placement(producer);
+        const Placement& to = s.placement(consumer);
+        preds[static_cast<std::size_t>(consumer)].emplace_back(
+            producer,
+            nop ? nop_gather_cost(pkg, from, to, bytes).latency_s : 0.0);
+        if (!nop) return;
+        for (const ShardAssignment& sh : from.shards) {
+          pkg.route_between(sh.chiplet_id, to.primary_chiplet(), route);
+          for (const NopLink& l : route) {
+            out.link_bytes[l] += sh.fraction * bytes;
+          }
+        }
+      });
+  std::vector<double> complete(n, 0.0);
+  std::vector<char> done(n, 0);
+  const auto finish = [&](const auto& self, int i) -> double {
+    const auto ti = static_cast<std::size_t>(i);
+    if (done[ti]) return complete[ti];
+    double ready = ingress[ti];
+    for (const auto& [p, delay] : preds[ti]) {
+      ready = std::max(ready, self(self, p) + delay);
+    }
+    complete[ti] = ready + latency[ti];
+    done[ti] = 1;
+    return complete[ti];
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    out.latency_bound_s =
+        std::max(out.latency_bound_s, finish(finish, static_cast<int>(i)));
+  }
+  for (const auto& [link, bytes] : out.link_bytes) {
+    out.bytes_per_frame += bytes;
+  }
+  return out;
+}
+
+// compute_bounds' report rebuilt from oracle_stream: the streams resolve
+// as the simulator reads them, a stream that throws is left out whole, and
+// the totals over streams sum in std::maps.
+analysis::BoundsReport oracle_bounds(const Schedule& schedule,
+                                     const SimOptions& opt) {
+  const PackageConfig& pkg = schedule.package();
+  const bool nop = opt.nop_mode != NopMode::kOff;
+  const bool link_binding = opt.nop_mode == NopMode::kContended;
+  analysis::BoundsReport r;
+  r.nop_mode = opt.nop_mode;
+  std::vector<StreamView> views;
+  resolve_streams(schedule, opt, views);
+  std::map<NopLink, analysis::LinkBound> links;
+  std::map<int, analysis::ChipletBound> chiplets;
+  for (const StreamView& v : views) {
+    OracleStream os;
+    try {
+      os = oracle_stream(*v.schedule, nop);
+    } catch (const std::exception&) {
+      continue;
+    }
+    analysis::StreamBound b;
+    b.name = *v.name;
+    b.latency_bound_s = os.latency_bound_s;
+    b.rate_known =
+        analysis::mean_arrival_rate_fps(*v.arrivals, v.frame_interval_s,
+                                        b.rate_fps);
+    b.deadline_s = v.deadline_s;
+    b.deadline_infeasible =
+        v.deadline_s > 0.0 && b.latency_bound_s > v.deadline_s;
+    b.bytes_per_frame = os.bytes_per_frame;
+    for (const auto& [link, bytes] : os.link_bytes) {
+      analysis::LinkBound& lb = links[link];
+      lb.link = link;
+      lb.bytes_per_frame += bytes;
+      if (b.rate_known) lb.demand_bytes_per_s += b.rate_fps * bytes;
+    }
+    for (const auto& [id, busy] : os.chiplet_busy) {
+      analysis::ChipletBound& cb = chiplets[id];
+      cb.busy_s_per_frame += busy;
+      if (b.rate_known) cb.demand += b.rate_fps * busy;
+    }
+    r.streams.push_back(b);
+  }
+  const double capacity = pkg.nop().bandwidth_bytes_per_s;
+  bool any = false;
+  const auto cap = [&](double fps) {
+    r.uniform_rate_bound_fps = any ? std::min(r.uniform_rate_bound_fps, fps)
+                                   : fps;
+    any = true;
+  };
+  for (auto& [link, lb] : links) {
+    lb.capacity_bytes_per_s = capacity;
+    lb.utilization = capacity > 0.0 ? lb.demand_bytes_per_s / capacity : 0.0;
+    lb.oversubscribed = link_binding && lb.demand_bytes_per_s > capacity;
+    if (link_binding && lb.bytes_per_frame > 0.0 && capacity > 0.0) {
+      cap(capacity / lb.bytes_per_frame);
+    }
+    r.links.push_back(lb);
+  }
+  for (const ChipletSpec& spec : pkg.chiplets()) {
+    analysis::ChipletBound cb = chiplets[spec.id];
+    cb.chiplet_id = spec.id;
+    cb.oversubscribed = cb.demand > 1.0;
+    if (cb.busy_s_per_frame > 0.0) cap(1.0 / cb.busy_s_per_frame);
+    r.chiplets.push_back(cb);
+  }
+  return r;
+}
+
+void expect_bounds_bitwise(const analysis::BoundsReport& got,
+                           const analysis::BoundsReport& want) {
+  ASSERT_EQ(got.streams.size(), want.streams.size());
+  for (std::size_t t = 0; t < want.streams.size(); ++t) {
+    const analysis::StreamBound& g = got.streams[t];
+    const analysis::StreamBound& w = want.streams[t];
+    const std::string at = "stream " + w.name;
+    EXPECT_EQ(g.name, w.name);
+    expect_same_bits(g.latency_bound_s, w.latency_bound_s,
+                     at + " latency_bound_s");
+    expect_same_bits(g.rate_fps, w.rate_fps, at + " rate_fps");
+    EXPECT_EQ(g.rate_known, w.rate_known) << at;
+    EXPECT_EQ(g.deadline_infeasible, w.deadline_infeasible) << at;
+    expect_same_bits(g.bytes_per_frame, w.bytes_per_frame,
+                     at + " bytes_per_frame");
+  }
+  ASSERT_EQ(got.links.size(), want.links.size());
+  for (std::size_t l = 0; l < want.links.size(); ++l) {
+    const analysis::LinkBound& g = got.links[l];
+    const analysis::LinkBound& w = want.links[l];
+    const std::string at = "link " + w.link.describe();
+    EXPECT_TRUE(g.link == w.link) << at << " vs " << g.link.describe();
+    expect_same_bits(g.bytes_per_frame, w.bytes_per_frame,
+                     at + " bytes_per_frame");
+    expect_same_bits(g.demand_bytes_per_s, w.demand_bytes_per_s,
+                     at + " demand_bytes_per_s");
+    expect_same_bits(g.capacity_bytes_per_s, w.capacity_bytes_per_s,
+                     at + " capacity_bytes_per_s");
+    expect_same_bits(g.utilization, w.utilization, at + " utilization");
+    EXPECT_EQ(g.oversubscribed, w.oversubscribed) << at;
+  }
+  ASSERT_EQ(got.chiplets.size(), want.chiplets.size());
+  for (std::size_t c = 0; c < want.chiplets.size(); ++c) {
+    const analysis::ChipletBound& g = got.chiplets[c];
+    const analysis::ChipletBound& w = want.chiplets[c];
+    const std::string at = "chiplet " + std::to_string(w.chiplet_id);
+    EXPECT_EQ(g.chiplet_id, w.chiplet_id);
+    expect_same_bits(g.busy_s_per_frame, w.busy_s_per_frame,
+                     at + " busy_s_per_frame");
+    expect_same_bits(g.demand, w.demand, at + " demand");
+    EXPECT_EQ(g.oversubscribed, w.oversubscribed) << at;
+  }
+  expect_same_bits(got.uniform_rate_bound_fps, want.uniform_rate_bound_fps,
+                   "uniform_rate_bound_fps");
+}
+
+// Oracle for compute_bounds: its report must equal oracle_bounds bit for
+// bit over fuzzed multi-stage pipelines (random layers, parallel models
+// behind an optional stage prefix model, 1-3 weighted shards per item,
+// repeats allowed) on healthy and degraded packages, as one stream or as
+// a multi-tenant fleet whose streams run at unknown, periodic, Poisson or
+// infinite rates under every NoP mode. A stream whose routes are cut by a
+// failed site must be left out whole. Placed serving fleets go through
+// compute_bounds' serving overload and the oracle over the same placement.
+TEST_P(FuzzSeed, BoundsMatchNaiveOracle) {
+  Lcg rng(static_cast<std::uint64_t>(GetParam()) * 27361u + 7u);
+  int tag = 0;
+  const auto random_model = [&](const std::string& name) {
+    Model m;
+    m.name = name;
+    const int layers = static_cast<int>(rng.range(1, 4));
+    for (int l = 0; l < layers; ++l) {
+      m.layers.push_back(random_layer(rng, tag++));
+    }
+    return m;
+  };
+  const auto random_pipeline = [&] {
+    PerceptionPipeline pipe;
+    const int stages = static_cast<int>(rng.range(1, 3));
+    for (int st = 0; st < stages; ++st) {
+      Stage stage{"S" + std::to_string(st), {}};
+      if (st > 0 && rng.range(0, 1) == 0) {
+        stage.models.push_back({random_model("prefix"), true});
+      }
+      const int models = static_cast<int>(rng.range(1, 3));
+      for (int k = 0; k < models; ++k) {
+        stage.models.push_back({random_model("m" + std::to_string(k)), false});
+      }
+      pipe.stages.push_back(std::move(stage));
+    }
+    return pipe;
+  };
+  const auto random_rate = [&](StreamSpec& spec) {
+    switch (rng.range(0, 3)) {
+      case 0:  // a t=0 burst: the rate is unknown
+        break;
+      case 1:
+        spec.frame_interval_s = static_cast<double>(rng.range(1, 50)) * 1e-5;
+        break;
+      case 2:
+        spec.arrivals.kind = ArrivalKind::kPoisson;
+        spec.arrivals.rate_fps = static_cast<double>(rng.range(10, 5000));
+        break;
+      default:  // the smallest interval: an infinite rate
+        spec.frame_interval_s = 5e-324;
+        break;
+    }
+    if (rng.range(0, 1) == 0) {
+      spec.deadline_s = static_cast<double>(rng.range(1, 400)) * 1e-5;
+    }
+  };
+
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Every fourth package is a 1x4 row cut in two by its dead chiplet 1
+    // or 2, where a stream that crosses the cut cannot route.
+    PackageConfig pkg =
+        trial % 4 == 3
+            ? make_simba_package(1, 4).without_chiplet(
+                  static_cast<int>(rng.range(1, 2)))
+            : random_package(rng);
+    const auto random_chiplet = [&] {
+      const auto pos = rng.range(0, pkg.num_chiplets() - 1);
+      return pkg.chiplets()[static_cast<std::size_t>(pos)].id;
+    };
+    if (trial % 4 != 3 && pkg.num_chiplets() > 2 && rng.range(0, 1) == 0) {
+      const int victim = random_chiplet();
+      if (!pkg.io_port_attached_to(victim)) pkg = pkg.without_chiplet(victim);
+    }
+    int io_chiplet = -1;
+    for (const ChipletSpec& c : pkg.chiplets()) {
+      if (pkg.io_port_attached_to(c.id)) io_chiplet = c.id;
+    }
+    const int tenants = static_cast<int>(rng.range(1, 3));
+    std::vector<PerceptionPipeline> pipes;
+    for (int t = 0; t < tenants; ++t) pipes.push_back(random_pipeline());
+    // The last of several tenants sometimes runs wholly on the chiplet the
+    // I/O port attaches to, a stream every package can route.
+    const bool local_last = tenants > 1 && rng.range(0, 1) == 0;
+    std::vector<Schedule> scheds;
+    for (const PerceptionPipeline& pipe : pipes) {
+      Schedule& sched = scheds.emplace_back(pipe, pkg);
+      const bool local = local_last && scheds.size() == pipes.size();
+      for (int i = 0; i < sched.num_items(); ++i) {
+        if (local) {
+          sched.assign(i, io_chiplet);
+          continue;
+        }
+        std::vector<ShardAssignment> shards;
+        const int n = static_cast<int>(rng.range(1, 3));
+        for (int k = 0; k < n; ++k) {
+          shards.push_back(ShardAssignment{
+              random_chiplet(), static_cast<double>(rng.range(1, 8))});
+        }
+        sched.assign_weighted(i, std::move(shards));
+      }
+    }
+
+    SimOptions opt;
+    const std::int64_t mode = rng.range(0, 2);
+    opt.nop_mode = mode == 0   ? NopMode::kAnalytical
+                   : mode == 1 ? NopMode::kContended
+                               : NopMode::kOff;
+    if (tenants == 1) {
+      random_rate(opt);
+    } else {
+      for (int t = 0; t < tenants; ++t) {
+        TenantStream& ts = opt.tenants.emplace_back();
+        ts.name = "t" + std::to_string(t);
+        ts.schedule = &scheds[static_cast<std::size_t>(t)];
+        random_rate(ts);
+      }
+    }
+    expect_bounds_bitwise(analysis::compute_bounds(scheds.front(), opt),
+                          oracle_bounds(scheds.front(), opt));
+    if (::testing::Test::HasFailure()) return;
+
+    // The same pipelines as a placed fleet, where the package is whole.
+    if (tenants == 1 || !pkg.failed_sites().empty()) continue;
+    std::vector<TenantWorkload> fleet;
+    for (int t = 0; t < tenants; ++t) {
+      TenantWorkload& w = fleet.emplace_back();
+      w.name = "f" + std::to_string(t);
+      w.pipeline = &pipes[static_cast<std::size_t>(t)];
+      random_rate(w);
+    }
+    ServingOptions serving;
+    const std::int64_t pol = rng.range(0, 2);
+    serving.policy = pol == 0   ? PlacementPolicy::kShared
+                     : pol == 1 ? PlacementPolicy::kPartitioned
+                                : PlacementPolicy::kPriority;
+    serving.nop_mode = opt.nop_mode;
+    TenantPlacement placement;
+    try {
+      placement = place_tenants(fleet, pkg, serving.policy);
+    } catch (const std::invalid_argument&) {
+      continue;  // a pool too small for its tenant
+    }
+    expect_bounds_bitwise(
+        analysis::compute_bounds(pkg, fleet, serving),
+        oracle_bounds(placement.schedules.front(),
+                      fleet_sim_options(fleet, placement, serving)));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 void expect_metrics_bitwise(const ScheduleMetrics& got,
                             const ScheduleMetrics& want) {
   ASSERT_EQ(got.chiplets.size(), want.chiplets.size());

@@ -9,7 +9,8 @@
 // intercepts the underlying malloc, so the sanitizer job checks the same
 // property). Only the delta across one run_into call is asserted; gtest's
 // own allocations outside the window don't matter. The same counter pins
-// the allocations of degraded hop counts and of Algorithm 1's steps.
+// the allocations of degraded hop counts, of Algorithm 1's steps and
+// re-placements, and of the static bounds.
 #include "sim/event_sim.h"
 
 #include <gtest/gtest.h>
@@ -34,7 +35,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/bounds.h"
 #include "core/baselines.h"
+#include "core/evaluator.h"
 #include "core/scaling.h"
 #include "core/throughput_matching.h"
 #include "dataflow/layer.h"
@@ -587,7 +590,7 @@ TEST(MinHeapTest, PopsPackedKeysInPriorityQueueOrder) {
 // per item from the initial assignment, the schedule and the shard-cost
 // table. The two matches differ only in tolerance: the tighter one takes
 // 11 more steps on the same 8-camera design, and each extra step allocates
-// its re-placed item's shard vector and, at most, its action string, a
+// at most a re-sharded item's shard vector, its action string, a
 // stage-pool node and a share of the trace's and the table's growth.
 TEST(ThroughputMatching, AllocationsPerExtraStepArePinned) {
   const PackageConfig pkg = make_simba_package();
@@ -610,6 +613,71 @@ TEST(ThroughputMatching, AllocationsPerExtraStepArePinned) {
   EXPECT_LE(allocs[1] - allocs[0], 18)
       << "allocations per extra step grew: " << allocs[0] << " -> "
       << allocs[1] << " over " << steps[1] - steps[0] << " steps";
+}
+
+// Placing an item on one chiplet writes the shard into the item's own
+// vector, so re-placing an assigned item allocates nothing, whether it had
+// one shard or several; only an item's first placement allocates.
+TEST(Schedule, ReassignAllocatesNothing) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  Schedule sched(pipe, pkg);
+  sched.assign(0, 0);
+  sched.assign_sharded(1, {1, 2, 3});
+  const long long before = g_new_calls;
+  sched.assign(0, 1);
+  sched.assign(1, 2);
+  EXPECT_EQ(g_new_calls - before, 0) << "re-assign allocated";
+  ASSERT_EQ(sched.placement(1).num_shards(), 1);
+  EXPECT_EQ(sched.placement(1).shards[0].chiplet_id, 2);
+  EXPECT_EQ(sched.placement(1).shards[0].fraction, 1.0);
+}
+
+// compute_bounds prices into arrays sized once per call, chiplets by
+// package position and links by registry id, and critical_path_s keeps one
+// CSR predecessor list, so neither allocates per item, shard, link or
+// edge: the same count on 4-, 8- and 12-camera matches of the 6x6 and on
+// the 2-NPU one (the std::map form read 866 on the 6x6 and 1181 on the
+// 2-NPU 8-camera match, and more with more cameras). compute_bounds' 18:
+// the stream list; the report's chiplets, streams and links; the priced
+// schedule list; the chiplet and link accumulators, the registry's link,
+// occupancy and hash arrays, the stream's and the report's link lists and
+// the route buffer; the item latencies; and critical_path_s's 4: edge
+// offsets, predecessors, ingress delays and completion times.
+TEST(Bounds, AllocationsDoNotGrowWithTheSchedule) {
+  constexpr long long kBounds = 18;
+  constexpr long long kCriticalPath = 4;
+  const auto expect_allocs_pinned = [](const Schedule& sched) {
+    SimOptions opt;
+    opt.frames = 6;
+    opt.deadline_s = 0.3;
+    long long before = g_new_calls;
+    const analysis::BoundsReport report = analysis::compute_bounds(sched, opt);
+    EXPECT_EQ(g_new_calls - before, kBounds) << "compute_bounds";
+    ASSERT_EQ(report.streams.size(), 1u);
+    std::vector<double> latency;
+    for (int i = 0; i < sched.num_items(); ++i) {
+      latency.push_back(item_latency_s(sched, i));
+    }
+    before = g_new_calls;
+    const double path = analysis::critical_path_s(sched, latency, true);
+    EXPECT_EQ(g_new_calls - before, kCriticalPath) << "critical_path_s";
+    EXPECT_EQ(path, report.streams[0].latency_bound_s);
+  };
+  const PackageConfig pkg = make_simba_package();
+  for (const int cameras : {4, 8, 12}) {
+    SCOPED_TRACE(std::to_string(cameras) + " cameras");
+    AutopilotConfig cfg;
+    cfg.num_cameras = cameras;
+    cfg.fusion.num_cameras = cameras;
+    cfg.fusion.queue_frames = 12;
+    const PerceptionPipeline pipe = build_autopilot_pipeline(cfg);
+    expect_allocs_pinned(throughput_matching(pipe, pkg).schedule);
+    if (cameras == 8) {
+      SCOPED_TRACE("2-NPU");
+      expect_allocs_pinned(scale_out_two_npus(cfg).match.schedule);
+    }
+  }
 }
 
 // A degraded package prices its NoP edges through hops_between and

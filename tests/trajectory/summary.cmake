@@ -1,10 +1,11 @@
-# One tools/bench_trajectory.py --summary case, run by CTest:
+# One tools/bench_trajectory.py --summary or --layers case, run by CTest:
 #
 #   cmake -DPYTHON=... -DSCRIPT=... -DTRAJECTORY=<file> -DPR=<id>
-#         -DEXPECT=<exit code> [-DROW=<a line the output must hold>]
+#         -DMODE=--summary|--layers -DEXPECT=<exit code> [-DROW=<a line the
+#         output must hold>] [-DABSENT=<text the output must not hold>]
 #         -P summary.cmake
 execute_process(
-  COMMAND "${PYTHON}" "${SCRIPT}" --summary "${PR}" --out "${TRAJECTORY}"
+  COMMAND "${PYTHON}" "${SCRIPT}" ${MODE} "${PR}" --out "${TRAJECTORY}"
   RESULT_VARIABLE code
   OUTPUT_VARIABLE out)
 if(NOT code EQUAL EXPECT)
@@ -14,5 +15,11 @@ if(DEFINED ROW)
   string(FIND "${out}" "${ROW}\n" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "no row \"${ROW}\" in:\n${out}")
+  endif()
+endif()
+if(DEFINED ABSENT)
+  string(FIND "${out}" "${ABSENT}" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "\"${ABSENT}\" should not be in:\n${out}")
   endif()
 endif()

@@ -28,6 +28,14 @@ pairs the change won (a pair is a parent and a change run of one seed;
 "better" is the metric's direction in BENCHMARK.json). Traced runs
 (traced_cycles > 0) are left out. It exits 2 when either side has no
 untraced runs.
+
+    python3 tools/bench_trajectory.py --layers <id>
+
+prints where one --pr's time went instead, from its traced runs only: per
+workload, each side's median over its traced runs of every per-layer
+metric of BENCHMARK.json (the spans' self_share, us_p50 and
+calls_per_unit, and the counters) that is nonzero on either side, and
+change/parent. It exits 2 when either side has no traced run.
 """
 import argparse
 import json
@@ -99,31 +107,39 @@ def write_trajectory(path, entries):
         f.write('{"entries": [\n' + body + ("\n" if body else "") + "]}\n")
 
 
-def end_to_end_metrics():
-    """(name, better) of each end-to-end metric, in BENCHMARK.json order."""
+def benchmark_metrics(kind):
+    """(name, better) of each "end_to_end" or "per_layer" metric, in
+    BENCHMARK.json order."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        return [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+        return [(m["name"], m["better"]) for m in json.load(f)[kind]]
 
 
-def summarize(entries, pr):
+def side_runs(entries, pr, traced):
+    """Each side's traced or untraced runs of --pr, and their workloads in
+    the order first seen; exits 2 when a side has none."""
     runs = {side: [e for e in entries
                    if e.get("pr") == pr and e.get("side") == side
-                   and not e.get("record", {}).get("traced_cycles", 0) > 0]
+                   and (e.get("record", {}).get("traced_cycles", 0) > 0) == traced]
             for side in SIDES}
     for side in SIDES:
         if not runs[side]:
-            fail("--pr %s has no untraced %s runs" % (pr, side))
+            fail("--pr %s has no %s %s runs" % (pr, "traced" if traced else "untraced", side))
     workloads = []
     for e in runs["parent"] + runs["change"]:
         if e["record"].get("workload") not in workloads:
             workloads.append(e["record"].get("workload"))
+    return runs, workloads
+
+
+def summarize(entries, pr):
+    runs, workloads = side_runs(entries, pr, traced=False)
     print("--pr %s: %d parent and %d change runs, traced runs left out"
           % (pr, len(runs["parent"]), len(runs["change"])))
     print("| workload | metric | parent | change | change/parent "
           "| parent IQR/median | pairs won |")
     print("|---|---|---|---|---|---|---|")
     for workload in workloads:
-        for metric, better in end_to_end_metrics():
+        for metric, better in benchmark_metrics("end_to_end"):
             by_seed = {}  # side -> {seed: value}, the first run of a seed
             values = {}
             for side in SIDES:
@@ -153,6 +169,29 @@ def summarize(entries, pr):
                   % (workload, metric, parent, change, ratio, iqr, won, len(seeds)))
 
 
+def layers(entries, pr):
+    runs, workloads = side_runs(entries, pr, traced=True)
+    print("--pr %s: %d parent and %d change traced runs, medians per side"
+          % (pr, len(runs["parent"]), len(runs["change"])))
+    print("| workload | metric | parent | change | change/parent |")
+    print("|---|---|---|---|---|")
+    for workload in workloads:
+        for metric, _ in benchmark_metrics("per_layer"):
+            median = {}
+            for side in SIDES:
+                values = [e["result"]["metrics"][metric]["value"] for e in runs[side]
+                          if e["record"].get("workload") == workload
+                          and metric in e.get("result", {}).get("metrics", {})]
+                median[side] = statistics.median(values) if values else None
+            if not any(median.values()):
+                continue  # zero or absent on both sides
+            parent, change = median["parent"], median["change"]
+            ratio = "%.3f" % (change / parent) if parent and change is not None else "-"
+            print("| %s | %s | %s | %s | %s |"
+                  % (workload, metric, "-" if parent is None else "%.4g" % parent,
+                     "-" if change is None else "%.4g" % change, ratio))
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("records", nargs="?", help="a perfbench_records.jsonl")
@@ -160,13 +199,18 @@ def main():
     p.add_argument("--side", choices=SIDES)
     p.add_argument("--summary", metavar="PR",
                    help="print the parent/change comparison of one --pr")
+    p.add_argument("--layers", metavar="PR",
+                   help="print one --pr's per-layer metrics from its traced runs")
     p.add_argument("--out", default=os.path.join(ROOT, "BENCH_perfbench.json"),
-                   help="the trajectory: appended to, or read by --summary")
+                   help="the trajectory: appended to, or read by --summary and --layers")
     args = p.parse_args()
-    if args.summary is not None:
-        if args.records or args.pr or args.side:
-            p.error("--summary takes no records file, --pr or --side")
-        summarize(load_trajectory(args.out), args.summary)
+    for mode, report in (("summary", summarize), ("layers", layers)):
+        pr = getattr(args, mode)
+        if pr is None:
+            continue
+        if args.records or args.pr or args.side or (args.summary and args.layers):
+            p.error("--%s takes no records file, --pr, --side or other mode" % mode)
+        report(load_trajectory(args.out), pr)
         return
     if args.records is None or args.pr is None or args.side is None:
         p.error("a records file, --pr and --side are required")
