@@ -7,7 +7,6 @@
 
 #include "analysis/validate.h"
 #include "core/evaluator.h"
-#include "dataflow/cost_model.h"
 #include "sim/nop_sim.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -91,19 +90,18 @@ StreamBound price_stream(const StreamView& v, std::string locus,
   out.rate_known =
       mean_arrival_rate_fps(*v.arrivals, v.frame_interval_s, out.rate_fps);
 
-  // Per-item compute roofline (max over shards — exactly the simulator's
-  // per-shard task cost) and per-chiplet busy accumulation.
+  // Per-item compute roofline (max over shards' stored costs — exactly the
+  // simulator's per-shard task cost) and per-chiplet busy accumulation. The
+  // stream's package is `pkg`, so a stored position indexes its chiplets.
   d.lat.assign(static_cast<std::size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
-    const LayerDesc* desc = s.item(i).desc;
     double item_lat = 0.0;
     for (const ShardAssignment& sh : s.placement(i).shards) {
-      const double shard_lat = analyze_shard(pkg, *desc, sh).latency_s;
-      item_lat = std::max(item_lat, shard_lat);
-      ChipletSums& c = d.chiplets[static_cast<std::size_t>(
-          pkg.position_of(sh.chiplet_id))];
+      const ShardCost& cost = shard_cost(sh);
+      item_lat = std::max(item_lat, cost.latency_s);
+      ChipletSums& c = d.chiplets[static_cast<std::size_t>(cost.chiplet_pos)];
       if (c.stream != stream) c = ChipletSums{stream, 0.0};
-      c.busy += shard_lat;
+      c.busy += cost.latency_s;
     }
     d.lat[static_cast<std::size_t>(i)] = item_lat;
   }

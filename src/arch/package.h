@@ -124,6 +124,9 @@ class PackageConfig {
   void set_inter_npu_hops(int hops) { inter_npu_hops_ = hops; }
 
   // Replaces the dataflow style of one chiplet (heterogeneous integration).
+  // Call it before any schedule places a shard on this package: a Schedule
+  // stores each shard's price when it places it (core/schedule.h), and a
+  // placed schedule's chiplet arrays must not change under it.
   void set_chiplet_dataflow(int id, DataflowKind kind);
 
   // Applies one MemorySpec to every chiplet (homogeneous memory provisioning;

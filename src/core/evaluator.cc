@@ -25,53 +25,28 @@ NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id,
   return nop_transfer(pkg.nop(), bytes, pkg.hops_from_io(chiplet_id));
 }
 
-CostReport analyze_shard(const PackageConfig& pkg, const LayerDesc& layer,
-                         const ShardAssignment& shard) {
-  const PeArrayConfig& array = pkg.chiplet(shard.chiplet_id).array;
-  // shard_fraction returns a whole-layer shard unchanged whenever its row
-  // count survives the double round trip (<= 2^53); price the layer itself
-  // and skip the copy.
-  if (shard.fraction == 1.0 && layer.y >= 1 &&
-      layer.y <= (std::int64_t{1} << 53)) {
-    return analyze_layer(layer, array);
-  }
-  return analyze_layer(shard_fraction(layer, shard.fraction), array);
-}
-
 namespace {
 
-// Prices item `idx`'s shards in placement order, handing each report to
-// `fn`; returns the item latency (max over shards).
-template <typename Fn>
-double price_item(const Schedule& s, int idx, Fn&& fn) {
-  const Schedule::Item& it = s.item(idx);
+// Item `idx`'s shards, checked the way pricing them checks: throws
+// std::logic_error for an unassigned item and std::out_of_range for the
+// first unpriced shard.
+const std::vector<ShardAssignment>& priced_shards(const Schedule& s, int idx) {
   const Placement& p = s.placement(idx);
   if (!p.assigned()) {
-    throw std::logic_error("unassigned layer: " + it.desc->name);
+    throw std::logic_error("unassigned layer: " + s.item(idx).desc->name);
   }
-  double latency = 0.0;
-  for (const auto& shard : p.shards) {
-    const CostReport r = analyze_shard(s.package(), *it.desc, shard);
-    latency = std::max(latency, r.latency_s);
-    fn(shard, r);
-  }
-  return latency;
-}
-
-// Appends item `idx`'s shard costs to `out`; returns the item latency.
-double price_into(const Schedule& s, int idx, std::vector<ShardCost>& out) {
-  return price_item(
-      s, idx, [&](const ShardAssignment& shard, const CostReport& r) {
-        out.push_back(ShardCost{s.package().position_of(shard.chiplet_id),
-                                r.latency_s, r.macs, r.energy_j()});
-      });
+  for (const ShardAssignment& sh : p.shards) shard_cost(sh);
+  return p.shards;
 }
 
 }  // namespace
 
 double item_latency_s(const Schedule& s, int item_idx) {
-  return price_item(s, item_idx,
-                    [](const ShardAssignment&, const CostReport&) {});
+  double latency = 0.0;
+  for (const ShardAssignment& sh : priced_shards(s, item_idx)) {
+    latency = std::max(latency, sh.cost.latency_s);
+  }
+  return latency;
 }
 
 template <typename T>
@@ -116,11 +91,12 @@ ShardCostTable::ShardCostTable(const Schedule& s)
   for (int i = 0; i < s.num_items(); ++i) {
     Run& run = runs_[static_cast<std::size_t>(i)];
     run.shards.begin = costs_.size();
-    run.latency_s = price_into(s, i, costs_);
-    run.shards.size = run.shards.capacity = costs_.size() - run.shards.begin;
-    for (const ShardCost& c : shards(i)) {
-      ++chiplets_[static_cast<std::size_t>(c.chiplet_pos)].shards;
+    for (const ShardAssignment& sh : priced_shards(s, i)) {
+      costs_.push_back(sh.cost);
+      run.latency_s = std::max(run.latency_s, sh.cost.latency_s);
+      ++chiplets_[static_cast<std::size_t>(sh.cost.chiplet_pos)].shards;
     }
+    run.shards.size = run.shards.capacity = costs_.size() - run.shards.begin;
   }
   const PerceptionPipeline& pipe = s.pipeline();
   const std::size_t ns = pipe.stages.size();
@@ -190,8 +166,7 @@ void ShardCostTable::remove_members(int pos, int idx) {
 }
 
 void ShardCostTable::reprice(int idx) {
-  scratch_.clear();
-  const double latency = price_into(*s_, idx, scratch_);
+  const std::vector<ShardAssignment>& placed = priced_shards(*s_, idx);
   Run& run = runs_[static_cast<std::size_t>(idx)];
   if (!members_built_) build_members();
   const Schedule::Item& it = s_->item(idx);
@@ -199,16 +174,18 @@ void ShardCostTable::reprice(int idx) {
     --chiplets_[static_cast<std::size_t>(c.chiplet_pos)].shards;
     remove_members(c.chiplet_pos, idx);
   }
-  for (const ShardCost& c : scratch_) {
+  chiplets_stale_ = true;
+  make_room(run.shards, costs_, placed.size());
+  run.shards.size = placed.size();
+  run.latency_s = 0.0;
+  ShardCost* out = costs_.data() + run.shards.begin;
+  for (const ShardAssignment& sh : placed) {
+    const ShardCost& c = sh.cost;
     ++chiplets_[static_cast<std::size_t>(c.chiplet_pos)].shards;
     add_member(c.chiplet_pos, Member{idx, it.stage, c.latency_s});
+    run.latency_s = std::max(run.latency_s, c.latency_s);
+    *out++ = c;
   }
-  chiplets_stale_ = true;
-  make_room(run.shards, costs_, scratch_.size());
-  std::copy(scratch_.begin(), scratch_.end(),
-            costs_.begin() + static_cast<std::ptrdiff_t>(run.shards.begin));
-  run.shards.size = scratch_.size();
-  run.latency_s = latency;
   run.chain_priced = false;
   if (it.layer > 0) {
     runs_[static_cast<std::size_t>(idx) - 1].chain_priced = false;

@@ -88,31 +88,18 @@ NopCost nop_gather_cost(const PackageConfig& pkg, const Placement& from,
 NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id,
                          double bytes = kCameraInputBytes);
 
-// analyze_layer on the slice of `layer` that `shard` carries, on the shard's
-// chiplet of `pkg`: the one shard-pricing path. The evaluator, Algorithm 1,
-// compute_bounds, the simulator's program build and remap all price shards
-// through it, so their costs cannot drift apart.
-CostReport analyze_shard(const PackageConfig& pkg, const LayerDesc& layer,
-                         const ShardAssignment& shard);
-
-// Latency of one item under its placement (max across shards), seconds.
+// Latency of one item under its placement (max across its shards' stored
+// costs), seconds. Throws std::logic_error for an unassigned item and
+// std::out_of_range for a shard on a chiplet the package lacks.
 double item_latency_s(const Schedule& s, int item_idx);
 
-// One shard's price, exactly as analyze_layer returns it.
-struct ShardCost {
-  int chiplet_pos = -1;  // PackageConfig::position_of the shard's chiplet
-  double latency_s = 0.0;
-  double macs = 0.0;
-  double energy_j = 0.0;
-};
-
 // The pricing half of evaluate_schedule: every item's shard costs, in
-// placement order, plus the number of shards on each chiplet, and each
-// item's chain edge to the next layer of its model. Algorithm 1 keeps one
-// table for a whole match and re-prices only the items a step re-placed,
-// instead of re-pricing the schedule every step. The schedule must outlive
-// the table, and after changing a placement the caller re-prices that item
-// before reading the table again.
+// placement order, copied from the schedule's stored costs, plus the number
+// of shards on each chiplet, and each item's chain edge to the next layer
+// of its model. Algorithm 1 keeps one table for a whole match and re-reads
+// only the items a step re-placed, instead of re-folding the schedule every
+// step. The schedule must outlive the table, and after changing a
+// placement the caller re-prices that item before reading the table again.
 //
 // The table also keeps the folds a matching step reads, so that a step
 // refolds only what it re-placed: per chiplet, its busy time and per-stage
@@ -125,12 +112,12 @@ struct ShardCost {
 // what a full aggregation of the current placements gives.
 class ShardCostTable {
  public:
-  // Prices every item. Throws what evaluate_schedule throws for the first
-  // bad item in item order: std::logic_error for an unassigned item,
+  // Reads every item's costs. Throws what evaluate_schedule throws for the
+  // first bad item in item order: std::logic_error for an unassigned item,
   // std::out_of_range for a shard on a chiplet the package lacks.
   explicit ShardCostTable(const Schedule& s);
 
-  // Re-prices item `idx` from its current placement, drops the chain edges
+  // Re-reads item `idx`'s costs from its current placement, drops the chain edges
   // into and out of it, and marks stale the folds it enters: the chiplets
   // of its old and new shards, its model's chain, its model's input edges
   // when it is the model's first item, and the next stage's input edges
@@ -260,7 +247,6 @@ class ShardCostTable {
   std::vector<int> model_base_;
   std::vector<ModelFold> models_;
   std::vector<NopCost> in_edges_;
-  std::vector<ShardCost> scratch_;  // reprice's staging buffer
 };
 
 template <typename Fn>

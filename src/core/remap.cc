@@ -6,7 +6,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "core/evaluator.h"
 #include "core/partition.h"
 #include "core/residency.h"
 
@@ -58,14 +57,15 @@ Schedule remap_schedule(const Schedule& schedule, const PackageConfig& degraded,
   }
 
   // Survivor load = accumulated per-frame busy seconds, seeded with the
-  // work each survivor already holds (the evaluator's busy accounting).
+  // work each survivor already holds (the evaluator's busy accounting). A
+  // survivor keeps its PE array in `degraded`, so a kept shard's stored
+  // cost is its price there; a shard on a chiplet `degraded` lacks throws.
   std::map<int, double> load;
   for (const auto& c : degraded.chiplets()) load[c.id] = 0.0;
   for (int i = 0; i < schedule.num_items(); ++i) {
     for (const auto& sh : schedule.placement(i).shards) {
       if (sh.chiplet_id == failed_chiplet) continue;
-      load[sh.chiplet_id] +=
-          analyze_shard(degraded, *schedule.item(i).desc, sh).latency_s;
+      load.at(sh.chiplet_id) += shard_cost(sh).latency_s;
     }
   }
 

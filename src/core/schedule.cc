@@ -27,6 +27,14 @@ bool Placement::uses_chiplet(int chiplet_id) const {
   return false;
 }
 
+const ShardCost& shard_cost(const ShardAssignment& shard) {
+  if (shard.cost.chiplet_pos < 0) {
+    throw std::out_of_range("no chiplet with id " +
+                            std::to_string(shard.chiplet_id));
+  }
+  return shard.cost;
+}
+
 Schedule::Schedule(const PerceptionPipeline& pipeline,
                    const PackageConfig& package)
     : pipeline_(&pipeline), package_(&package) {
@@ -56,6 +64,7 @@ void Schedule::assign(int idx, int chiplet_id) {
   // lets a re-placement reuse that storage.
   placements_[static_cast<std::size_t>(idx)].shards.assign(
       1, ShardAssignment{chiplet_id, 1.0});
+  price(idx);
 }
 
 void Schedule::assign_sharded(int idx, const std::vector<int>& chiplets) {
@@ -76,10 +85,23 @@ void Schedule::assign_weighted(int idx, std::vector<ShardAssignment> shards) {
   }
   for (auto& s : shards) s.fraction /= total;
   placements_[static_cast<std::size_t>(idx)].shards = std::move(shards);
+  price(idx);
 }
 
 void Schedule::restore_placement(int idx, std::vector<ShardAssignment> shards) {
   placements_[static_cast<std::size_t>(idx)].shards = std::move(shards);
+  price(idx);
+}
+
+void Schedule::price(int idx) {
+  const LayerDesc& layer = *items_[static_cast<std::size_t>(idx)].desc;
+  for (ShardAssignment& sh : placements_[static_cast<std::size_t>(idx)].shards) {
+    sh.cost = ShardCost{};
+    const int pos = package_->position_of(sh.chiplet_id);
+    if (pos < 0) continue;
+    const CostReport r = analyze_shard(*package_, layer, sh);
+    sh.cost = ShardCost{pos, r.latency_s, r.macs, r.energy_j()};
+  }
 }
 
 void Schedule::clear_assignment(int idx) {
@@ -128,6 +150,19 @@ LayerDesc shard_fraction(const LayerDesc& layer, double fraction) {
   shard.y = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::llround(static_cast<double>(layer.y) * fraction)));
   return shard;
+}
+
+CostReport analyze_shard(const PackageConfig& pkg, const LayerDesc& layer,
+                         const ShardAssignment& shard) {
+  const PeArrayConfig& array = pkg.chiplet(shard.chiplet_id).array;
+  // shard_fraction returns a whole-layer shard unchanged whenever its row
+  // count survives the double round trip (<= 2^53); price the layer itself
+  // and skip the copy.
+  if (shard.fraction == 1.0 && layer.y >= 1 &&
+      layer.y <= (std::int64_t{1} << 53)) {
+    return analyze_layer(layer, array);
+  }
+  return analyze_layer(shard_fraction(layer, shard.fraction), array);
 }
 
 }  // namespace cnpu

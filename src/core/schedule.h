@@ -4,22 +4,50 @@
 // per-chiplet work fractions (weights replicated on every shard). Chain
 // models may additionally be pipeline-split by assigning consecutive layer
 // ranges to different chiplets — that is just per-layer assignment here.
+//
+// The schedule owns its shard prices: each mutator prices the shards it
+// stores, once, and every reader (the evaluator, Algorithm 1's cost table,
+// compute_bounds, validate, the simulator's program build, remap) reads
+// the stored cost instead of calling analyze_layer again.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "arch/package.h"
+#include "dataflow/cost_model.h"
 #include "workloads/model.h"
 
 namespace cnpu {
 
+// One shard's price on the schedule's package, exactly as analyze_shard
+// returns it: the chiplet's package position and the shard's latency, MACs
+// and energy. A chiplet_pos of -1 marks an unpriced shard, whose chiplet
+// the package lacks.
+struct ShardCost {
+  int chiplet_pos = -1;
+  double latency_s = 0.0;
+  double macs = 0.0;
+  double energy_j = 0.0;
+};
+
 // One shard of one layer on one chiplet; `fraction` of the layer's token /
-// output-row dim (fractions of a placement sum to 1).
+// output-row dim (fractions of a placement sum to 1). `cost` is written by
+// the Schedule mutator that stores the shard, in the placement's own
+// vector; a shard handed to a mutator needs none.
 struct ShardAssignment {
+  ShardAssignment() = default;
+  ShardAssignment(int chiplet, double frac)
+      : chiplet_id(chiplet), fraction(frac) {}
+
   int chiplet_id = -1;
   double fraction = 1.0;
+  ShardCost cost;
 };
+
+// A stored shard's cost; throws std::out_of_range, as
+// PackageConfig::chiplet does, when the shard is unpriced.
+const ShardCost& shard_cost(const ShardAssignment& shard);
 
 struct Placement {
   std::vector<ShardAssignment> shards;
@@ -42,7 +70,10 @@ class Schedule {
     bool prefix = false;  // belongs to a stage prefix model
   };
 
-  // `pipeline` and `package` must outlive the schedule.
+  // `pipeline` and `package` must outlive the schedule. Once a shard is
+  // placed, neither the package's chiplet arrays nor the pipeline's layers
+  // may change under the schedule: its stored prices are a function of
+  // both. (set_chiplet_dataflow runs before any schedule exists.)
   Schedule(const PerceptionPipeline& pipeline, const PackageConfig& package);
 
   const PerceptionPipeline& pipeline() const { return *pipeline_; }
@@ -53,6 +84,9 @@ class Schedule {
   const Placement& placement(int idx) const {
     return placements_[static_cast<std::size_t>(idx)];
   }
+
+  // Each mutator prices every shard it stores whose chiplet the package
+  // has (analyze_shard, once per shard) and leaves the others unpriced.
 
   // Whole layer on one chiplet.
   void assign(int idx, int chiplet_id);
@@ -79,6 +113,9 @@ class Schedule {
   std::string describe() const;
 
  private:
+  // Prices item `idx`'s stored shards.
+  void price(int idx);
+
   const PerceptionPipeline* pipeline_;
   const PackageConfig* package_;
   std::vector<Item> items_;
@@ -89,6 +126,13 @@ class Schedule {
 
 // LayerDesc for one weighted shard of `layer` (`fraction` of its rows).
 LayerDesc shard_fraction(const LayerDesc& layer, double fraction);
+
+// analyze_layer on the slice of `layer` that `shard` carries, on the shard's
+// chiplet of `pkg`: the one shard-pricing path. The Schedule prices every
+// shard it stores through it, and remap prices a re-homed shard's candidate
+// with it. Throws std::out_of_range when `pkg` lacks the chiplet.
+CostReport analyze_shard(const PackageConfig& pkg, const LayerDesc& layer,
+                         const ShardAssignment& shard);
 
 // Calls `bad(item, shard)`, in item order, for every unassigned item
 // (`shard` nullptr) and every shard whose chiplet id the schedule's

@@ -28,7 +28,10 @@ double LayerDesc::effective_taps() const {
   if (kind == OpKind::kTransposedConv) {
     // Only 1/stride^2 of input positions exist in the upsampled grid, so each
     // output accumulates taps/stride^2 products on average.
-    return std::max(1.0, taps / static_cast<double>(stride * stride));
+    // Squared in double: an int64 product overflows for strides a bundle
+    // may carry, and below that the two round alike.
+    const double up = static_cast<double>(stride);
+    return std::max(1.0, taps / (up * up));
   }
   return taps;
 }

@@ -144,9 +144,8 @@ void build_program(const Schedule& sched, NopMode mode, NopFabric& fabric,
   prog.shards.clear();
   for (int i = 0; i < sched.num_items(); ++i) {
     for (const auto& sh : sched.placement(i).shards) {
-      const CostReport r = analyze_shard(pkg, *sched.item(i).desc, sh);
       prog.shards.push_back(
-          ShardTask{dense_pkg.position_of(sh.chiplet_id), r.latency_s});
+          ShardTask{dense_pkg.position_of(sh.chiplet_id), sh.cost.latency_s});
     }
     prog.shard_begin.push_back(static_cast<int>(prog.shards.size()));
   }

@@ -19,6 +19,7 @@
 #include "core/evaluator.h"
 #include "core/partition.h"
 #include "core/scaling.h"
+#include "core/schedule_io.h"
 #include "core/throughput_matching.h"
 #include "dataflow/cost_model.h"
 #include "dataflow/layer.h"
@@ -682,6 +683,24 @@ TEST(BoundsPins, ProbeFleetUnderEveryPolicy) {
     opt.nop_mode = NopMode::kContended;
     expect_pinned(compute_bounds(pkg, fleet, opt), pin);
   }
+}
+
+// A bundle whose one item is restored with fractions summing to 0.5: its
+// shards are priced verbatim at load, not renormalized, and the bound reads
+// them as the loader stored them (0.0354 ms; captured before shard costs
+// were stored in the schedule).
+TEST(BoundsPins, ShardFractionBundleIsPricedVerbatim) {
+  const ScheduleBundle b =
+      load_schedule_bundle(std::string(CNPU_BUNDLE_DIR) +
+                           "/sched_shard_fraction.json");
+  const analysis::BoundsReport r =
+      analysis::compute_bounds(*b.schedule, SimOptions{});
+  ASSERT_EQ(r.streams.size(), 1u);
+  EXPECT_EQ(r.streams[0].latency_bound_s, 0x1.28e01cad8435fp-15);
+  EXPECT_EQ(r.streams[0].bytes_per_frame, 0x1.52p+21);
+  ASSERT_GE(r.chiplets.size(), 2u);
+  EXPECT_EQ(r.chiplets[0].busy_s_per_frame, 0x1.00f2487b51ac8p-17);
+  EXPECT_EQ(r.chiplets[1].busy_s_per_frame, 0x1.e1094d643f784p-22);
 }
 
 }  // namespace

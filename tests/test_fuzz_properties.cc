@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <set>
@@ -23,12 +24,15 @@
 #include "core/partition.h"
 #include "core/remap.h"
 #include "core/residency.h"
+#include "core/scaling.h"
+#include "core/schedule_io.h"
 #include "core/throughput_matching.h"
 #include "dataflow/cost_model.h"
 #include "dataflow/mapping_analysis.h"
 #include "sim/event_sim.h"
 #include "sim/serving.h"
 #include "sim_result_eq.h"
+#include "workloads/autopilot.h"
 
 namespace cnpu {
 namespace {
@@ -1800,6 +1804,94 @@ TEST_P(FuzzSeed, IncrementalPricingMatchesFreshEvaluation) {
       if (::testing::Test::HasFailure()) return;
     }
   }
+}
+
+// Every stored shard cost of `s` equals a fresh analyze_shard on the
+// schedule's own package, bitwise; a shard whose chiplet the package lacks
+// is unpriced.
+void expect_stored_prices(const Schedule& s, const std::string& what) {
+  SCOPED_TRACE(what);
+  for (int i = 0; i < s.num_items(); ++i) {
+    for (const ShardAssignment& sh : s.placement(i).shards) {
+      const int pos = s.package().position_of(sh.chiplet_id);
+      ASSERT_EQ(sh.cost.chiplet_pos, pos) << "item " << i;
+      if (pos < 0) continue;
+      const CostReport r = analyze_shard(s.package(), *s.item(i).desc, sh);
+      expect_same_bits(sh.cost.latency_s, r.latency_s, "latency");
+      expect_same_bits(sh.cost.macs, r.macs, "macs");
+      expect_same_bits(sh.cost.energy_j, r.energy_j(), "energy");
+    }
+  }
+}
+
+// The schedule prices each shard once, when a mutator stores it, and every
+// reader reads that price: Algorithm 1's matches on the 6x6 and on the
+// 2-NPU pool with allow_base_split, their remaps onto degraded packages,
+// their rehomes onto a heterogeneous package, and every committed bundle
+// must hold exactly the price a fresh analyze_shard gives.
+TEST_P(FuzzSeed, StoredShardPricesMatchFreshPricing) {
+  Lcg rng(static_cast<std::uint64_t>(GetParam()) * 7919u + 3u);
+  const double tolerances[] = {0.02, 0.05, 0.10, 0.20, 0.30};
+  AutopilotConfig cfg;
+  cfg.num_cameras = static_cast<int>(rng.range(2, 8));
+  cfg.fusion.num_cameras = cfg.num_cameras;
+  cfg.fusion.queue_frames = static_cast<int>(rng.range(4, 18));
+  MatchOptions mo;
+  mo.tolerance = tolerances[rng.range(0, 4)];
+
+  const PerceptionPipeline pipe = build_autopilot_pipeline(cfg);
+  const PackageConfig pkg = make_simba_package();
+  const MatchResult m6 = throughput_matching(pipe, pkg, mo);
+  expect_stored_prices(m6.schedule, "6x6 match");
+
+  const PerceptionPipeline pipe2 = build_two_npu_pipeline(cfg);
+  const PackageConfig pkg2 = make_multi_npu_package(2);
+  std::vector<std::vector<int>> pools = partition_quadrants(pkg2);
+  std::vector<int>& npu1 = pools.back();
+  pools[3].insert(pools[3].end(), npu1.begin(), npu1.begin() + 9);
+  npu1.erase(npu1.begin(), npu1.begin() + 9);
+  MatchOptions mo2 = mo;
+  mo2.allow_base_split = true;
+  mo2.frozen_stages.push_back(3);
+  const MatchResult m2 =
+      throughput_matching_with_pools(pipe2, pkg2, pools, mo2);
+  expect_stored_prices(m2.schedule, "2-NPU match");
+
+  for (const MatchResult* m : {&m6, &m2}) {
+    const PackageConfig& home = m->schedule.package();
+    const int victim =
+        home.chiplets()[static_cast<std::size_t>(
+                            rng.range(0, home.num_chiplets() - 1))]
+            .id;
+    const PackageConfig degraded = home.without_chiplet(victim);
+    const Schedule remapped = remap_schedule(m->schedule, degraded, victim);
+    expect_stored_prices(remapped, "remap off chiplet " +
+                                       std::to_string(victim));
+
+    // The same placements on a package whose odd chiplets are WS: every
+    // shard is priced again on its new home.
+    PackageConfig hetero = home;
+    for (const ChipletSpec& c : home.chiplets()) {
+      if (c.id % 2 == 1) {
+        hetero.set_chiplet_dataflow(c.id, DataflowKind::kWeightStationary);
+      }
+    }
+    Schedule rehomed(m->schedule.pipeline(), hetero);
+    for (int i = 0; i < rehomed.num_items(); ++i) {
+      rehomed.restore_placement(i, m->schedule.placement(i).shards);
+    }
+    expect_stored_prices(rehomed, "rehome");
+  }
+
+  int bundles = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CNPU_BUNDLE_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    ++bundles;
+    const ScheduleBundle b = load_schedule_bundle(entry.path().string());
+    expect_stored_prices(*b.schedule, entry.path().filename().string());
+  }
+  EXPECT_GE(bundles, 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed, ::testing::Range(1, 9));

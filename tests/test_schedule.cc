@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/baselines.h"
+#include "core/evaluator.h"
 #include "core/remap.h"
 #include "workloads/autopilot.h"
 #include "workloads/zoo.h"
@@ -90,6 +91,69 @@ TEST_F(ScheduleTest, ReassignmentReplaces) {
   sched_.assign(0, 5);
   EXPECT_EQ(sched_.placement(0).primary_chiplet(), 5);
   EXPECT_EQ(sched_.placement(0).num_shards(), 1);
+}
+
+// Every stored shard cost of item `idx` equals a fresh analyze_shard on the
+// schedule's own package, bitwise; a shard on a chiplet the package lacks
+// is unpriced, and reading it throws std::out_of_range.
+void expect_priced(const Schedule& s, int idx) {
+  for (const ShardAssignment& sh : s.placement(idx).shards) {
+    const int pos = s.package().position_of(sh.chiplet_id);
+    EXPECT_EQ(sh.cost.chiplet_pos, pos);
+    if (pos < 0) {
+      EXPECT_THROW(shard_cost(sh), std::out_of_range);
+      continue;
+    }
+    const CostReport r = analyze_shard(s.package(), *s.item(idx).desc, sh);
+    EXPECT_EQ(sh.cost.latency_s, r.latency_s);
+    EXPECT_EQ(sh.cost.macs, r.macs);
+    EXPECT_EQ(sh.cost.energy_j, r.energy_j());
+  }
+}
+
+TEST_F(ScheduleTest, EveryMutatorStoresTheShardPrices) {
+  sched_.assign(0, 3);
+  expect_priced(sched_, 0);
+  sched_.assign_sharded(1, {0, 1, 2});
+  expect_priced(sched_, 1);
+  sched_.assign_weighted(2, {{4, 3.0}, {5, 1.0}});
+  expect_priced(sched_, 2);
+  sched_.restore_placement(3, {{6, 0.25}, {7, 0.5}});
+  expect_priced(sched_, 3);
+  EXPECT_GT(sched_.placement(1).shards[0].cost.latency_s, 0.0);
+}
+
+TEST_F(ScheduleTest, ACopyKeepsItsPrices) {
+  sched_.assign_sharded(0, {0, 1});
+  const Schedule copy = sched_;
+  sched_.assign(0, 2);
+  expect_priced(copy, 0);
+  EXPECT_EQ(copy.placement(0).shards[1].cost.chiplet_pos,
+            pkg_.position_of(1));
+}
+
+TEST_F(ScheduleTest, ShrinkingReassignmentRepricesTheShardsLeft) {
+  sched_.assign_sharded(0, {0, 1, 2, 3});
+  const double quarter = sched_.placement(0).shards[0].cost.latency_s;
+  sched_.assign(0, 5);
+  ASSERT_EQ(sched_.placement(0).num_shards(), 1);
+  expect_priced(sched_, 0);
+  EXPECT_GT(sched_.placement(0).shards[0].cost.latency_s, quarter);
+  sched_.clear_assignment(0);
+  EXPECT_FALSE(sched_.placement(0).assigned());
+  sched_.assign(0, 6);
+  expect_priced(sched_, 0);
+}
+
+TEST_F(ScheduleTest, MalformedRestoreLeavesDanglingShardsUnpriced) {
+  sched_.restore_placement(0, {{99, 0.5}, {1, -0.5}, {2, 1.0}});
+  const Placement& p = sched_.placement(0);
+  ASSERT_EQ(p.num_shards(), 3);
+  EXPECT_EQ(p.shards[0].fraction, 0.5);
+  EXPECT_EQ(p.shards[1].fraction, -0.5);  // stored verbatim
+  expect_priced(sched_, 0);
+  EXPECT_THROW(item_latency_s(sched_, 0), std::out_of_range);
+  EXPECT_THROW(evaluate_schedule(sched_), std::logic_error);  // unassigned
 }
 
 TEST_F(ScheduleTest, ItemsOfStageConcatenatesModels) {
